@@ -64,7 +64,7 @@ import time
 
 import numpy as np
 
-from repro.backends import available_backends, shutdown_executors
+from repro.backends import shutdown_executors
 from repro.bench.workloads import paper_random_graph, paper_rmat_graph
 from repro.core.matching import (
     parallel_matching_vectorized,
@@ -548,7 +548,6 @@ def main(argv=None):
             "scale": "smoke" if smoke else "small",
             "numpy": np.__version__,
             "cpu_count": os.cpu_count(),
-            "backends": available_backends(),
             "worker_counts": list(worker_counts),
             "method": (
                 "wall clock = best of N interleaved runs; cold clears the "

@@ -1,4 +1,4 @@
-"""Performance tier: kernel backends, shared-memory graphs, process fan-out.
+"""Performance tier: shared-memory graphs and process fan-out.
 
 This subpackage is what turns the simulated parallelism of the engine
 layer into *real* multicore execution, three coordinated pieces:
@@ -7,12 +7,12 @@ layer into *real* multicore execution, three coordinated pieces:
 :mod:`~repro.backends.sharedmem`  zero-copy graph bundles in
                                   ``multiprocessing.shared_memory``
                                   (:class:`SharedArrays`, :class:`SharedCSR`)
-:mod:`~repro.backends.registry`   pluggable kernel backends (``numpy``
-                                  default, optional ``numba`` JIT) selected
-                                  via ``REPRO_BACKEND`` / CLI ``--backend``
-:mod:`~repro.backends.executor`   persistent shard-worker pool executing
-                                  frontier kernels over disjoint slices of a
-                                  step's frontier (:class:`FrontierExecutor`)
+:mod:`~repro.backends.ledger`     crash-safe record of every segment, so
+                                  the reaper can unlink orphans
+:mod:`~repro.backends.executor`   persistent shard-worker pool running the
+                                  :mod:`repro.kernels` frontier gathers over
+                                  disjoint slices of a step's frontier
+                                  (:class:`FrontierExecutor`)
 ========================  ==================================================
 
 Layering: ``backends`` sits beside :mod:`repro.kernels` — it may import
@@ -22,12 +22,6 @@ service, or bench layers.  The ``parallel-vec`` engines in
 top of it.  See ``docs/performance.md`` for the lifecycle rules.
 """
 
-from repro.backends.registry import (
-    KernelBackend,
-    available_backends,
-    backend_names,
-    resolve_backend,
-)
 from repro.backends.ledger import (
     LedgerEntry,
     SegmentLedger,
@@ -43,10 +37,6 @@ from repro.backends.executor import (
 )
 
 __all__ = [
-    "KernelBackend",
-    "available_backends",
-    "backend_names",
-    "resolve_backend",
     "LedgerEntry",
     "SegmentLedger",
     "default_ledger",

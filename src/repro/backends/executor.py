@@ -331,7 +331,6 @@ class FrontierExecutor:
         mode: str = "frontier",
         starts_key: Optional[str] = None,
         need_owner: bool = False,
-        backend: str = "numpy",
         deadline: Optional[float] = None,
     ) -> Tuple[np.ndarray, np.ndarray, Dict[str, Any]]:
         """Parallel segmented gather over a frontier, split across workers.
@@ -367,7 +366,6 @@ class FrontierExecutor:
                 "owner_key": "out_o" if need_owner else None,
                 "lo": slot_lo,
                 "deadline": deadline,
-                "backend": backend,
             }
             for flo, fhi, slot_lo, _slot_hi in ranges
         ]

@@ -12,11 +12,13 @@ Ops:
 
 ``"gather"``
     The parallel kernel: read the frontier slice ``[flo, fhi)`` from the
-    scratch segment, compute per-vertex ``starts``/``degrees`` from the
-    graph bundle (``mode="frontier"``: CSR offsets; ``mode="range"``: a
-    writable cursor array in scratch, Lemma 5.2's lazy deletion), then
-    write the gathered slots — and optionally the owner column — into the
-    caller-designated scratch ranges via the selected kernel backend.
+    scratch segment, gather it from the graph bundle with the same kernels
+    the single-process path runs (``mode="frontier"``:
+    :func:`~repro.kernels.frontier_gather` over whole CSR segments;
+    ``mode="range"``: :func:`~repro.kernels.range_gather` from a writable
+    cursor array in scratch, Lemma 5.2's lazy deletion), then write the
+    gathered slots — and optionally the owner column — into the
+    caller-designated scratch ranges.
 ``"attach"`` / ``"detach"``
     Map/unmap a segment by name ahead of time; ``gather`` also attaches
     lazily, so these exist for prewarming and for releasing segments the
@@ -41,8 +43,8 @@ import os
 import time
 from typing import Any, Dict
 
-from repro.backends.registry import resolve_backend
 from repro.backends.sharedmem import SharedArrays
+from repro.kernels.frontier import frontier_gather, range_gather
 
 __all__ = ["SHARD_CHAOS_EXIT_CODE", "shard_worker_main"]
 
@@ -52,13 +54,12 @@ SHARD_CHAOS_EXIT_CODE = 86
 
 
 class _ShardState:
-    """Per-process caches: segment attachments, backends, chaos arming."""
+    """Per-process caches: segment attachments and chaos arming."""
 
-    __slots__ = ("segments", "backends", "kill_in")
+    __slots__ = ("segments", "kill_in")
 
     def __init__(self) -> None:
         self.segments: Dict[str, SharedArrays] = {}
-        self.backends: Dict[str, Any] = {}
         self.kill_in: int = -1  # <0: disarmed
 
     def segment(self, name: str, writable: bool = False) -> SharedArrays:
@@ -66,13 +67,6 @@ class _ShardState:
         if cached is None:
             cached = SharedArrays.attach(name, writable=writable)
             self.segments[name] = cached
-        return cached
-
-    def backend(self, name: str):
-        cached = self.backends.get(name)
-        if cached is None:
-            cached = resolve_backend(name)
-            self.backends[name] = cached
         return cached
 
 
@@ -86,22 +80,18 @@ def _gather_reply(state: _ShardState, task: Dict[str, Any]) -> Dict[str, Any]:
     frontier = scratch.arrays["frontier"][task["flo"]:task["fhi"]]
     offsets = bundle.arrays[task["offsets_key"]]
     data = bundle.arrays[task["data_key"]]
-    ends = offsets[frontier + 1]
-    if task["mode"] == "range":
-        starts = scratch.arrays[task["starts_key"]][frontier]
-    else:
-        starts = offsets[frontier]
-    degrees = ends - starts
-    backend = state.backend(task.get("backend") or "numpy")
-    lo = task["lo"]
-    count = backend.flat_gather(
-        starts, degrees, data, scratch.arrays[task["out_key"]][lo:]
-    )
     owner_key = task.get("owner_key")
-    if owner_key:
-        backend.repeat_fill(
-            frontier, degrees, scratch.arrays[owner_key][lo:]
+    if task["mode"] == "range":
+        cursors = scratch.arrays[task["starts_key"]]
+        owner, values = range_gather(cursors, offsets[1:], data, frontier)
+    else:
+        owner, values = frontier_gather(
+            offsets, data, frontier, need_owner=bool(owner_key)
         )
+    lo, count = task["lo"], values.size
+    scratch.arrays[task["out_key"]][lo:lo + count] = values
+    if owner_key:
+        scratch.arrays[owner_key][lo:lo + count] = owner
     return {"ok": True, "count": count, "busy_s": time.perf_counter() - t0}
 
 

@@ -152,10 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trace-summary", action="store_true",
                        help="print a per-round frontier/work table after "
                        "the run")
-        p.add_argument("--backend", default=None,
-                       choices=["numpy", "numba"],
-                       help="kernel backend for method=parallel-vec "
-                       "(numba falls back to numpy when missing)")
         p.add_argument("--workers", type=int, default=None,
                        help="shard-process count for method=parallel-vec "
                        "(default REPRO_WORKERS, else min(cpus, 4))")
@@ -428,8 +424,7 @@ def _cmd_mis(args) -> int:
     res = maximal_independent_set(
         g, ranks, method=args.method, prefix_size=args.prefix_size,
         seed=args.seed, guards=args.guards, budget=_make_budget(args),
-        fallback=args.fallback, tracer=tracer,
-        backend=args.backend, workers=args.workers,
+        fallback=args.fallback, tracer=tracer, workers=args.workers,
     )
     assert_valid_mis(g, res.in_set, ranks if args.method != "luby" else None)
     s = res.stats
@@ -454,8 +449,7 @@ def _cmd_mm(args) -> int:
     res = maximal_matching(
         el, ranks, method=args.method, prefix_size=args.prefix_size,
         guards=args.guards, budget=_make_budget(args),
-        fallback=args.fallback, tracer=tracer,
-        backend=args.backend, workers=args.workers,
+        fallback=args.fallback, tracer=tracer, workers=args.workers,
     )
     assert_valid_matching(el, res.matched, ranks)
     s = res.stats

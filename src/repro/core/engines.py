@@ -4,6 +4,10 @@ Both front doors (:func:`repro.core.mis.maximal_independent_set` and
 :func:`repro.core.matching.maximal_matching`), the CLI ``--method``
 choices, and the docs-integrity checks all read from this module, so an
 engine added here is simultaneously dispatchable, listed, and documented.
+The front doors validate their graph payload and then hand the rest of
+the request to :func:`front_door`, the one body they share: gated-knob
+rejection, the priority check, dispatch, and ``fallback=True``
+degradation.
 
 Each engine is described by a frozen :class:`EngineSpec` carrying the
 dotted module path, the callable name, and honest capability flags:
@@ -13,9 +17,8 @@ dotted module path, the callable name, and honest capability flags:
 * ``supports_ranks`` — consumes a caller-supplied priority array;
 * ``deterministic`` — output is a pure function of (input, ranks);
 * ``fallback`` — member of the graceful-degradation chain;
-* ``supports_backend`` / ``supports_workers`` — accepts the parallel
-  tier's ``backend=`` (kernel backend) and ``workers=`` (process fan-out)
-  knobs.
+* ``supports_workers`` — accepts the parallel tier's ``workers=`` and
+  ``min_fanout=`` (process fan-out) knobs.
 
 Engine modules are resolved lazily (:meth:`EngineSpec.resolve` imports on
 first use), so this module imports nothing from the engine layer at import
@@ -35,7 +38,8 @@ import inspect
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, Sequence, Tuple
 
-from repro.errors import EngineError
+from repro.core.orderings import validate_priorities
+from repro.errors import EngineError, InvariantViolationError
 
 __all__ = [
     "EngineSpec",
@@ -44,6 +48,7 @@ __all__ = [
     "engine_methods",
     "engine_specs",
     "fallback_chain",
+    "front_door",
     "get_engine",
     "register_engine",
     "dispatch",
@@ -73,8 +78,7 @@ class EngineSpec:
     supports_ranks: bool = True
     deterministic: bool = True
     fallback: bool = False  #: member of the degradation chain
-    supports_backend: bool = False  #: accepts the ``backend=`` kernel knob
-    supports_workers: bool = False  #: accepts the ``workers=`` fan-out knob
+    supports_workers: bool = False  #: accepts ``workers=``/``min_fanout=``
 
     def resolve(self) -> Callable[..., Any]:
         """Import the engine module and return the callable (lazy)."""
@@ -155,7 +159,6 @@ def fallback_chain(problem: str) -> Tuple[str, ...]:
 #: flag is off.  Keys are flag attribute names on :class:`EngineSpec`.
 _GATED_KNOBS = {
     "supports_prefix_knobs": ("prefix_size", "prefix_frac"),
-    "supports_backend": ("backend",),
     "supports_workers": ("workers", "min_fanout"),
 }
 
@@ -275,6 +278,83 @@ def solve(problem: str, graph_or_edges, ranks=None, **options):
     )
 
 
+# Exceptions a fallback retry may absorb: invariant violations and the
+# crash signatures of corrupted numeric state.  Configuration and input
+# errors (EngineError, InvalidGraphError, InvalidOrderingError,
+# BudgetExceededError) are NOT caught — they would fail identically on
+# every engine in the chain.
+_FALLBACK_CATCH = (
+    InvariantViolationError,
+    IndexError,
+    ValueError,
+    FloatingPointError,
+    OverflowError,
+    ZeroDivisionError,
+)
+
+
+def _reject_gated_knobs(spec: EngineSpec, options) -> None:
+    for flag, knobs in _GATED_KNOBS.items():
+        if getattr(spec, flag) or all(
+            getattr(options, knob) is None for knob in knobs
+        ):
+            continue
+        allowed = " or ".join(
+            repr(s.method) for s in engine_specs(spec.problem) if getattr(s, flag)
+        )
+        raise EngineError(
+            f"{'/'.join(knobs)} only apply to method={allowed}, "
+            f"not {spec.method!r}"
+        )
+
+
+def front_door(problem: str, payload, ranks, size: int, options):
+    """The body both front doors share once their payload is validated.
+
+    Rejects every gated knob *options* sets that its engine does not take
+    (:data:`_GATED_KNOBS`), checks *ranks* as a permutation of
+    ``0..size-1``, and dispatches.  With ``options.fallback``, an engine
+    failing with one of :data:`_FALLBACK_CATCH` is retried down
+    ``method → fallback_chain(problem)``; the result then carries
+    ``stats.aux["degraded"]``, ``["fallback_engine"]`` and
+    ``["fallback_attempts"]``.  Retries get the same keywords:
+    :func:`dispatch` drops whatever a chain engine does not accept.
+    """
+    spec = get_engine(problem, options.method)
+    _reject_gated_knobs(spec, options)
+    if ranks is not None:
+        ranks = validate_priorities(ranks, size)
+        if not spec.supports_ranks:
+            raise EngineError(
+                f"method={spec.method!r} regenerates priorities every round "
+                "and ignores ranks; omit the ranks argument"
+            )
+    kwargs = options.engine_kwargs()
+    if not options.fallback:
+        return dispatch(problem, spec.method, payload, ranks, **kwargs)
+    attempts = []
+    chain = [spec.method] + [
+        m for m in fallback_chain(problem) if m != spec.method
+    ]
+    for method in chain:
+        try:
+            result = dispatch(problem, method, payload, ranks, **kwargs)
+        except _FALLBACK_CATCH as exc:
+            attempts.append(
+                {"method": method, "error": f"{type(exc).__name__}: {exc}"}
+            )
+            continue
+        if attempts:
+            result.stats.aux["degraded"] = True
+            result.stats.aux["fallback_engine"] = method
+            result.stats.aux["fallback_attempts"] = attempts
+        return result
+    raise EngineError(
+        f"all fallback engines failed for method {spec.method!r}: "
+        + "; ".join(f"{a['method']}: {a['error']}" for a in attempts)
+    )
+
+
 # ---------------------------------------------------------------------------
 # Registrations.  Order matters: it is the public listing order, and the
 # fallback-capable engines (sequential → rootset → rootset-vec, i.e.
@@ -327,7 +407,7 @@ register_engine(EngineSpec(
     module="repro.core.mis.parallel_vectorized", func="parallel_mis_vectorized",
     algorithm="mis/parallel-vec",
     summary="Process-parallel root-set engine (shared-memory fan-out)",
-    supports_guards=True, supports_backend=True, supports_workers=True,
+    supports_guards=True, supports_workers=True,
 ))
 register_engine(EngineSpec(
     problem="mis", method="luby",
@@ -378,5 +458,5 @@ register_engine(EngineSpec(
     func="parallel_matching_vectorized",
     algorithm="mm/parallel-vec",
     summary="Process-parallel matching engine (shared-memory kill-scans)",
-    supports_guards=True, supports_backend=True, supports_workers=True,
+    supports_guards=True, supports_workers=True,
 ))

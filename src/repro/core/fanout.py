@@ -18,10 +18,10 @@ share:
   describes the *algorithm*, not where it executed, so ``parallel-vec``
   reports the same work/depth as ``rootset-vec``);
 * :class:`FanoutStats` — per-run accumulator behind
-  ``stats.aux["parallel"]``: worker count, backend identity, per-worker
-  slot split, busy seconds, barrier wait, and how many gathers fanned
-  out versus ran locally (small frontiers stay local under
-  ``min_fanout``, where process fan-out costs more than it saves).
+  ``stats.aux["parallel"]``: worker count, per-worker slot split, busy
+  seconds, barrier wait, and how many gathers fanned out versus ran
+  locally (small frontiers stay local under ``min_fanout``, where
+  process fan-out costs more than it saves).
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import os
 import time
 from typing import Any, Dict, Optional
 
-from repro.backends.registry import KernelBackend
 from repro.errors import (
     BudgetExceededError,
     DeadlineExceededError,
@@ -134,14 +133,12 @@ class FanoutStats:
     """Accumulates the ``stats.aux["parallel"]`` block across a run."""
 
     __slots__ = (
-        "workers", "backend", "requested", "split", "busy_s",
-        "barrier_wait_s", "fanout_steps", "local_steps",
+        "workers", "split", "busy_s", "barrier_wait_s", "fanout_steps",
+        "local_steps",
     )
 
-    def __init__(self, workers: int, backend: KernelBackend) -> None:
+    def __init__(self, workers: int) -> None:
         self.workers = workers
-        self.backend = backend.name
-        self.requested = backend.requested or backend.name
         self.split = [0] * workers
         self.busy_s = [0.0] * workers
         self.barrier_wait_s = 0.0
@@ -167,8 +164,6 @@ class FanoutStats:
         """The JSON-safe dict stored under ``stats.aux["parallel"]``."""
         return {
             "workers": self.workers,
-            "backend": self.backend,
-            "backend_requested": self.requested,
             "split": list(self.split),
             "worker_busy_s": [round(b, 6) for b in self.busy_s],
             "barrier_wait_s": round(self.barrier_wait_s, 6),

@@ -2,12 +2,12 @@
 
 Like the MIS front door, dispatch goes exclusively through the
 :mod:`repro.core.engines` registry (:data:`MM_METHODS` is a live view of
-it, and the ``fallback=True`` chain is derived from registry order), and
-this is the validation boundary: graph / edge-list arrays are re-checked
-against their structural invariants and *ranks* must be a permutation of
-the edge ids before any engine dispatch.  ``guards``, ``budget``,
-``tracer`` and ``fallback`` mirror
-:func:`repro.core.mis.api.maximal_independent_set`.
+it, and the request runs through the shared
+:func:`repro.core.engines.front_door` body), and this is the validation
+boundary: graph / edge-list arrays are re-checked against their
+structural invariants and *ranks* must be a permutation of the edge ids
+before any engine dispatch.  ``guards``, ``budget``, ``tracer`` and
+``fallback`` mirror :func:`repro.core.mis.api.maximal_independent_set`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from repro.core import engines as engine_registry
 from repro.core.options import SolveOptions, resolve_options
 from repro.core.result import MatchingResult
-from repro.errors import EngineError, InvariantViolationError
+from repro.errors import EngineError
 from repro.graphs.csr import CSRGraph, EdgeList
 from repro.pram.machine import Machine
 from repro.robustness.budget import Budget
@@ -28,7 +28,6 @@ from repro.robustness.validate import (
     check_csr_graph,
     check_csr_symmetric,
     check_edge_list,
-    check_ranks,
 )
 from repro.util.rng import SeedLike
 
@@ -38,20 +37,6 @@ __all__ = ["maximal_matching", "MM_METHODS"]
 #: :mod:`repro.core.engines` registry.  ``rootset-vec`` is the vectorized
 #: twin of ``rootset`` (same step structure, frontier-kernel execution).
 MM_METHODS = engine_registry.MethodsView("matching")
-
-#: Degradation order for ``fallback=True``, derived from registry order.
-FALLBACK_CHAIN = engine_registry.fallback_chain("matching")
-
-# See the MIS front door: invariant violations and numeric-crash types are
-# retryable; configuration/input/budget errors are not.
-_FALLBACK_CATCH = (
-    InvariantViolationError,
-    IndexError,
-    ValueError,
-    FloatingPointError,
-    OverflowError,
-    ZeroDivisionError,
-)
 
 
 def maximal_matching(
@@ -68,7 +53,6 @@ def maximal_matching(
     budget: Optional[Budget] = None,
     fallback: bool = False,
     tracer=None,
-    backend: Optional[str] = None,
     workers: Optional[int] = None,
     min_fanout: Optional[int] = None,
 ) -> MatchingResult:
@@ -113,10 +97,10 @@ def maximal_matching(
     tracer:
         Optional :class:`~repro.observability.Tracer` receiving one round
         event per synchronous step (see ``docs/observability.md``).
-    backend, workers, min_fanout:
+    workers, min_fanout:
         Parallel-tier knobs, only meaningful for ``method="parallel-vec"``
-        (kernel backend, shard-process count, and the minimum kill-scan
-        size that triggers fan-out; see ``docs/performance.md``).
+        (shard-process count, and the minimum kill-scan size that
+        triggers fan-out; see ``docs/performance.md``).
 
     Examples
     --------
@@ -137,20 +121,14 @@ def maximal_matching(
             budget=budget,
             fallback=fallback,
             tracer=tracer,
-            backend=backend,
             workers=workers,
             min_fanout=min_fanout,
         ),
     )
-    method = opts.method
-    prefix_size, prefix_frac = opts.prefix_size, opts.prefix_frac
-    guards, backend, workers, min_fanout = (
-        opts.guards, opts.backend, opts.workers, opts.min_fanout,
-    )
-    mode = resolve_guard_mode(guards)
+    full = resolve_guard_mode(opts.guards) == "full"
     if isinstance(graph_or_edges, CSRGraph):
         check_csr_graph(graph_or_edges)
-        if mode == "full":
+        if full:
             check_csr_symmetric(graph_or_edges)
         edges = graph_or_edges.edge_list()
     elif isinstance(graph_or_edges, EdgeList):
@@ -160,53 +138,6 @@ def maximal_matching(
         raise EngineError(
             f"expected CSRGraph or EdgeList, got {type(graph_or_edges).__name__}"
         )
-    spec = engine_registry.get_engine("matching", method)
-    if not spec.supports_prefix_knobs and (
-        prefix_size is not None or prefix_frac is not None
-    ):
-        raise EngineError(
-            f"prefix_size/prefix_frac only apply to method='prefix', not {method!r}"
-        )
-    if backend is not None and not spec.supports_backend:
-        raise EngineError(
-            f"backend= only applies to method='parallel-vec', not {method!r}"
-        )
-    if workers is not None and not spec.supports_workers:
-        raise EngineError(
-            f"workers= only applies to method='parallel-vec', not {method!r}"
-        )
-    if min_fanout is not None and not spec.supports_workers:
-        raise EngineError(
-            f"min_fanout= only applies to method='parallel-vec', not {method!r}"
-        )
-    if ranks is not None:
-        ranks = check_ranks(ranks, edges.num_edges)
-
-    kwargs = opts.engine_kwargs()
-    if not opts.fallback:
-        return engine_registry.dispatch("matching", method, edges, ranks, **kwargs)
-
-    attempts = []
-    chain = [method] + [m for m in FALLBACK_CHAIN if m != method]
-    retry_kwargs = kwargs
-    for m in chain:
-        try:
-            result = engine_registry.dispatch(
-                "matching", m, edges, ranks, **retry_kwargs
-            )
-        except _FALLBACK_CATCH as exc:
-            attempts.append({"method": m, "error": f"{type(exc).__name__}: {exc}"})
-            retry_kwargs = dict(
-                kwargs, prefix_size=None, prefix_frac=None,
-                backend=None, workers=None, min_fanout=None,
-            )
-            continue
-        if attempts:
-            result.stats.aux["degraded"] = True
-            result.stats.aux["fallback_engine"] = m
-            result.stats.aux["fallback_attempts"] = attempts
-        return result
-    raise EngineError(
-        f"all fallback engines failed for method {method!r}: "
-        + "; ".join(f"{a['method']}: {a['error']}" for a in attempts)
+    return engine_registry.front_door(
+        "matching", edges, ranks, edges.num_edges, opts
     )

@@ -26,9 +26,8 @@ to its segment end), is split across N persistent shard workers:
 * :class:`~repro.robustness.Budget` wall-clock limits propagate to the
   shard workers as absolute monotonic deadlines.
 
-``stats.aux["parallel"]`` records worker count, kernel backend
-(requested/actual), per-worker slot split, busy seconds, barrier wait,
-and fan-out versus local scan counts.
+``stats.aux["parallel"]`` records worker count, per-worker slot split,
+busy seconds, barrier wait, and fan-out versus local scan counts.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from typing import Optional
 import numpy as np
 
 from repro.backends.executor import get_executor
-from repro.backends.registry import resolve_backend
 from repro.core.fanout import (
     DEFAULT_MIN_FANOUT,
     FanoutStats,
@@ -80,7 +78,6 @@ def parallel_matching_vectorized(
     guards: Optional[str] = None,
     budget: Optional[Budget] = None,
     tracer=None,
-    backend: Optional[str] = None,
     workers: Optional[int] = None,
     min_fanout: Optional[int] = None,
 ) -> MatchingResult:
@@ -89,17 +86,15 @@ def parallel_matching_vectorized(
     Bit-identical to :func:`~repro.core.matching.rootset_vectorized.
     rootset_matching_vectorized` for fixed π (same matched set, same
     charged work/depth/steps); the difference is wall-clock.  ``workers``
-    resolves via :func:`~repro.core.fanout.resolve_workers`; ``backend``
-    via :func:`~repro.backends.resolve_backend`.  With one worker, or
-    scans below *min_fanout* slots, the gather runs locally — same
-    kernel, same result.
+    resolves via :func:`~repro.core.fanout.resolve_workers`.  With one
+    worker, or scans below *min_fanout* slots, the gather runs locally —
+    same kernel, same result.
     """
     m = edges.num_edges
     n = edges.num_vertices
     if ranks is None:
         ranks = random_priorities(m, seed)
     ranks = validate_priorities(ranks, m)
-    kb = resolve_backend(backend)
     nworkers = resolve_workers(workers)
     if min_fanout is None:
         min_fanout = DEFAULT_MIN_FANOUT
@@ -122,7 +117,7 @@ def parallel_matching_vectorized(
     eu, ev = edges.u, edges.v
     euv = eu + ev
 
-    par = FanoutStats(nworkers, kb)
+    par = FanoutStats(nworkers)
     executor = None
     bundle_name = None
 
@@ -163,7 +158,6 @@ def parallel_matching_vectorized(
                 mode="range",
                 starts_key="cursors",
                 need_owner=True,
-                backend=kb.name,
                 deadline=budget_deadline(budget),
             )
         except DeadlineExceededError as exc:

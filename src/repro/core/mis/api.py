@@ -4,10 +4,12 @@ Most users should call :func:`maximal_independent_set`; the per-engine
 functions remain available for code that needs engine-specific knobs.
 
 Dispatch goes exclusively through the :mod:`repro.core.engines` registry:
-:data:`MIS_METHODS` is a live view of the registered engines, unsupported
-knobs are rejected via each engine's capability flags
-(``supports_prefix_knobs``/``supports_ranks``), and the graceful-
-degradation chain for ``fallback=True`` is derived from registry order.
+:data:`MIS_METHODS` is a live view of the registered engines, and after
+the graph check the request runs through
+:func:`repro.core.engines.front_door`, the body both front doors share:
+unsupported knobs are rejected via each engine's capability flags, and
+the graceful-degradation chain for ``fallback=True`` is derived from
+registry order.
 
 The front door is also the validation boundary (see
 :mod:`repro.robustness.validate`): graph arrays are re-checked against the
@@ -29,16 +31,11 @@ import numpy as np
 from repro.core import engines as engine_registry
 from repro.core.options import SolveOptions, resolve_options
 from repro.core.result import MISResult
-from repro.errors import EngineError, InvariantViolationError
 from repro.graphs.csr import CSRGraph
 from repro.pram.machine import Machine
 from repro.robustness.budget import Budget
 from repro.robustness.guards import resolve_guard_mode
-from repro.robustness.validate import (
-    check_csr_graph,
-    check_csr_symmetric,
-    check_ranks,
-)
+from repro.robustness.validate import check_csr_graph, check_csr_symmetric
 from repro.util.rng import SeedLike
 
 __all__ = ["maximal_independent_set", "MIS_METHODS"]
@@ -49,24 +46,6 @@ __all__ = ["maximal_independent_set", "MIS_METHODS"]
 #: (geometric degree-halving prefixes); ``rootset-vec`` is the vectorized
 #: twin of ``rootset`` (same step structure, frontier-kernel execution).
 MIS_METHODS = engine_registry.MethodsView("mis")
-
-#: Degradation order for ``fallback=True``: fastest engine first, the
-#: always-correct sequential baseline last.  Derived from registry order.
-FALLBACK_CHAIN = engine_registry.fallback_chain("mis")
-
-# Exceptions a fallback retry may absorb: invariant violations and the
-# crash signatures of corrupted numeric state.  Configuration and input
-# errors (EngineError, InvalidGraphError, InvalidOrderingError,
-# BudgetExceededError) are NOT caught — they would fail identically on
-# every engine in the chain.
-_FALLBACK_CATCH = (
-    InvariantViolationError,
-    IndexError,
-    ValueError,
-    FloatingPointError,
-    OverflowError,
-    ZeroDivisionError,
-)
 
 
 def maximal_independent_set(
@@ -83,7 +62,6 @@ def maximal_independent_set(
     budget: Optional[Budget] = None,
     fallback: bool = False,
     tracer=None,
-    backend: Optional[str] = None,
     workers: Optional[int] = None,
     min_fanout: Optional[int] = None,
 ) -> MISResult:
@@ -144,12 +122,10 @@ def maximal_independent_set(
     tracer:
         Optional :class:`~repro.observability.Tracer` receiving one round
         event per synchronous step (see ``docs/observability.md``).
-    backend, workers:
-        Parallel-tier knobs, only meaningful for ``method="parallel-vec"``
-        (registry flags ``supports_backend``/``supports_workers``):
-        *backend* selects the kernel backend (``"numpy"``/``"numba"``,
-        default via ``REPRO_BACKEND``), *workers* the shard-process count
-        (default via ``REPRO_WORKERS``, else ``min(cpu_count, 4)``).  See
+    workers:
+        Shard-process count, only meaningful for ``method="parallel-vec"``
+        (registry flag ``supports_workers``); defaults to
+        ``REPRO_WORKERS``, else ``min(cpu_count, 4)``.  See
         ``docs/performance.md``.
     min_fanout:
         Minimum gathered-arc count before a ``parallel-vec`` step fans out
@@ -181,72 +157,14 @@ def maximal_independent_set(
             budget=budget,
             fallback=fallback,
             tracer=tracer,
-            backend=backend,
             workers=workers,
             min_fanout=min_fanout,
         ),
     )
-    method = opts.method
-    prefix_size, prefix_frac = opts.prefix_size, opts.prefix_frac
-    guards, backend, workers, min_fanout = (
-        opts.guards, opts.backend, opts.workers, opts.min_fanout,
-    )
-    spec = engine_registry.get_engine("mis", method)
-    if not spec.supports_prefix_knobs and (
-        prefix_size is not None or prefix_frac is not None
-    ):
-        raise EngineError(
-            f"prefix_size/prefix_frac only apply to method='prefix', not {method!r}"
-        )
-    if backend is not None and not spec.supports_backend:
-        raise EngineError(
-            f"backend= only applies to method='parallel-vec', not {method!r}"
-        )
-    if workers is not None and not spec.supports_workers:
-        raise EngineError(
-            f"workers= only applies to method='parallel-vec', not {method!r}"
-        )
-    if min_fanout is not None and not spec.supports_workers:
-        raise EngineError(
-            f"min_fanout= only applies to method='parallel-vec', not {method!r}"
-        )
-    mode = resolve_guard_mode(guards)
+    full = resolve_guard_mode(opts.guards) == "full"
     check_csr_graph(graph)
-    if mode == "full":
+    if full:
         check_csr_symmetric(graph)
-    if ranks is not None:
-        ranks = check_ranks(ranks, graph.num_vertices)
-    if ranks is not None and not spec.supports_ranks:
-        raise EngineError(
-            f"method={method!r} regenerates priorities every round and ignores ranks; "
-            "omit the ranks argument"
-        )
-
-    kwargs = opts.engine_kwargs()
-    if not opts.fallback:
-        return engine_registry.dispatch("mis", method, graph, ranks, **kwargs)
-
-    attempts = []
-    chain = [method] + [m for m in FALLBACK_CHAIN if m != method]
-    retry_kwargs = kwargs
-    for m in chain:
-        try:
-            result = engine_registry.dispatch("mis", m, graph, ranks, **retry_kwargs)
-        except _FALLBACK_CATCH as exc:
-            attempts.append({"method": m, "error": f"{type(exc).__name__}: {exc}"})
-            # Retries drop engine-specific knobs: the chain engines do not
-            # take them, and a bad knob should not poison the chain.
-            retry_kwargs = dict(
-                kwargs, prefix_size=None, prefix_frac=None,
-                backend=None, workers=None, min_fanout=None,
-            )
-            continue
-        if attempts:
-            result.stats.aux["degraded"] = True
-            result.stats.aux["fallback_engine"] = m
-            result.stats.aux["fallback_attempts"] = attempts
-        return result
-    raise EngineError(
-        f"all fallback engines failed for method {method!r}: "
-        + "; ".join(f"{a['method']}: {a['error']}" for a in attempts)
+    return engine_registry.front_door(
+        "mis", graph, ranks, graph.num_vertices, opts
     )

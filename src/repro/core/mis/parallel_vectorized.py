@@ -21,10 +21,8 @@ split across N persistent shard workers through a
   shard workers as an absolute monotonic deadline, checked both before
   each remote gather and inside each worker.
 
-``stats.aux["parallel"]`` records the worker count, kernel backend
-(requested and actually used — a missing numba falls back to numpy),
-per-worker slot split, busy seconds, barrier wait, and the
-fan-out/local step counts.
+``stats.aux["parallel"]`` records the worker count, per-worker slot
+split, busy seconds, barrier wait, and the fan-out/local step counts.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from typing import Optional
 import numpy as np
 
 from repro.backends.executor import get_executor
-from repro.backends.registry import resolve_backend
 from repro.core.fanout import (
     DEFAULT_MIN_FANOUT,
     FanoutStats,
@@ -73,7 +70,6 @@ def parallel_mis_vectorized(
     guards: Optional[str] = None,
     budget: Optional[Budget] = None,
     tracer=None,
-    backend: Optional[str] = None,
     workers: Optional[int] = None,
     min_fanout: Optional[int] = None,
 ) -> MISResult:
@@ -82,9 +78,7 @@ def parallel_mis_vectorized(
     Bit-identical to :func:`~repro.core.mis.rootset_vectorized.
     rootset_mis_vectorized` for fixed π (same status vector, same charged
     work/depth/steps); the difference is wall-clock.  ``workers``
-    resolves via :func:`~repro.core.fanout.resolve_workers`; ``backend``
-    via :func:`~repro.backends.resolve_backend` (``REPRO_BACKEND``
-    respected, numba falling back to numpy when absent).  With one
+    resolves via :func:`~repro.core.fanout.resolve_workers`.  With one
     worker, or frontiers below *min_fanout* slots, gathers run locally —
     same kernels, same result.
     """
@@ -92,7 +86,6 @@ def parallel_mis_vectorized(
     if ranks is None:
         ranks = random_priorities(n, seed)
     ranks = validate_priorities(ranks, n)
-    kb = resolve_backend(backend)
     nworkers = resolve_workers(workers)
     if min_fanout is None:
         min_fanout = DEFAULT_MIN_FANOUT
@@ -112,7 +105,7 @@ def parallel_mis_vectorized(
     roots = np.flatnonzero(pcount == 0).astype(np.int64, copy=False)
     machine.charge(n, log2_depth(max(n, 2)), tag="init-roots")
 
-    par = FanoutStats(nworkers, kb)
+    par = FanoutStats(nworkers)
     executor = None
     bundle_name = None
 
@@ -145,7 +138,6 @@ def parallel_mis_vectorized(
                 data_key="c_nbr",
                 frontier=frontier,
                 degrees=degrees,
-                backend=kb.name,
                 deadline=budget_deadline(budget),
             )
         except DeadlineExceededError as exc:

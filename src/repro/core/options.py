@@ -101,9 +101,8 @@ class SolveOptions:
         Live observability objects; local-only like ``budget``.
     prefix_size, prefix_frac:
         Prefix-schedule knobs (engines with ``supports_prefix_knobs``).
-    backend, workers, min_fanout:
-        Parallel-tier knobs (engines with ``supports_backend`` /
-        ``supports_workers``).
+    workers, min_fanout:
+        Parallel-tier knobs (engines with ``supports_workers``).
     """
 
     method: str = "prefix"
@@ -115,7 +114,6 @@ class SolveOptions:
     machine: Optional[Any] = None
     prefix_size: Optional[int] = None
     prefix_frac: Optional[float] = None
-    backend: Optional[str] = None
     workers: Optional[int] = None
     min_fanout: Optional[int] = None
 
@@ -139,7 +137,6 @@ class SolveOptions:
             "guards": self.guards,
             "budget": self.budget,
             "tracer": self.tracer,
-            "backend": self.backend,
             "workers": self.workers,
             "min_fanout": self.min_fanout,
         }

@@ -121,31 +121,45 @@ def parallel_random_priorities(n: int, seed: SeedLike = None, machine=None) -> n
     return ranks
 
 
-def validate_priorities(ranks: np.ndarray, n: int) -> np.ndarray:
+def validate_priorities(ranks: object, n: int) -> np.ndarray:
     """Check that *ranks* is a permutation of ``0..n-1``; return as int64.
 
-    Raises :class:`~repro.errors.InvalidOrderingError` otherwise.  Engines
-    call this once at their public boundary.
+    The package's one priority check: both front doors call it (also
+    exported as :func:`repro.robustness.validate.check_ranks`), and every
+    engine calls it once at its public boundary.  O(n) and sort-free: a
+    range check, then one scatter into a seen-mask.  Raises
+    :class:`~repro.errors.InvalidOrderingError` for a wrong shape or
+    length, NaN entries, a non-integer dtype, out-of-range entries, or a
+    duplicated rank (the smallest one, counted with ``np.bincount``).
     """
     ranks = np.asarray(ranks)
     if ranks.ndim != 1 or ranks.size != n:
         raise InvalidOrderingError(
-            f"priorities must be a 1-D array of length {n}, got shape {ranks.shape}"
+            f"priorities must be a 1-D array of length {n} (one priority "
+            f"per item), got shape {ranks.shape}"
         )
     if ranks.size and not np.issubdtype(ranks.dtype, np.integer):
+        if np.issubdtype(ranks.dtype, np.floating) and np.isnan(ranks).any():
+            raise InvalidOrderingError(
+                f"priorities contain NaN; they must be a permutation of "
+                f"0..{n - 1}"
+            )
         raise InvalidOrderingError(f"priorities must be integers, got dtype {ranks.dtype}")
     ranks = np.ascontiguousarray(ranks, dtype=np.int64)
     if n:
-        seen = np.zeros(n, dtype=bool)
-        if ranks.min() < 0 or ranks.max() >= n:
+        lo, hi = int(ranks.min()), int(ranks.max())
+        if lo < 0 or hi >= n:
             raise InvalidOrderingError(
-                f"priorities must lie in [0, {n}), found "
-                f"[{ranks.min()}, {ranks.max()}]"
+                f"priorities must lie in [0, {n}), found [{lo}, {hi}]"
             )
+        seen = np.zeros(n, dtype=bool)
         seen[ranks] = True
         if not seen.all():
-            missing = int(np.nonzero(~seen)[0][0])
+            # n in-range entries leave a rank unseen only if another repeats.
+            counts = np.bincount(ranks, minlength=n)
+            dup = int(np.flatnonzero(counts > 1)[0])
             raise InvalidOrderingError(
-                f"priorities are not a permutation: rank {missing} is missing"
+                f"priorities are not a permutation: rank {dup} appears "
+                f"{int(counts[dup])} times"
             )
     return ranks

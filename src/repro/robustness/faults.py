@@ -64,6 +64,8 @@ _PATCH_MODULES = (
     "repro.kernels.frontier",
     "repro.core.mis.rootset_vectorized",
     "repro.core.matching.rootset_vectorized",
+    "repro.core.mis.parallel_vectorized",
+    "repro.core.matching.parallel_vectorized",
 )
 
 

@@ -8,9 +8,11 @@ module concentrates the checks the two front doors
 
 * :func:`check_ranks` — a priority array must be a genuine permutation of
   ``0..n-1``: right length, integer dtype (NaN-carrying float arrays are
-  rejected here with a pointed message), no duplicates, no out-of-range
+  rejected with a pointed message), no duplicates, no out-of-range
   entries.  Violations raise
-  :class:`~repro.errors.InvalidOrderingError`.
+  :class:`~repro.errors.InvalidOrderingError`.  This is an alias of
+  :func:`repro.core.orderings.validate_priorities`, the one O(n) check
+  the engines run too.
 * :func:`check_csr_graph` / :func:`check_edge_list` — structural CSR /
   edge-list invariants re-checked on the actual arrays, so a graph object
   whose arrays were corrupted *after* construction (the constructor
@@ -26,9 +28,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import InvalidGraphError, InvalidOrderingError
+from repro.core.orderings import validate_priorities
+from repro.errors import InvalidGraphError
 from repro.graphs.csr import CSRGraph, EdgeList
-from repro.util.validation import check_index_array
 
 __all__ = [
     "check_ranks",
@@ -37,37 +39,8 @@ __all__ = [
     "check_edge_list",
 ]
 
-
-def check_ranks(ranks: object, n: int, name: str = "ranks") -> np.ndarray:
-    """Validate that *ranks* is a permutation of ``0..n-1``.
-
-    Returns the array as contiguous ``int64``.  Raises
-    :class:`InvalidOrderingError` for wrong length, non-integer dtype
-    (including NaN-poisoned float arrays), out-of-range entries, or
-    duplicates.  Reuses :func:`repro.util.validation.check_index_array`
-    for the shape/dtype/range legwork and rewraps its errors so the front
-    door surfaces a single exception type.
-    """
-    a = np.asarray(ranks)
-    if a.ndim == 1 and a.size != n:
-        raise InvalidOrderingError(
-            f"{name} must have length {n} (one priority per item), got {a.size}"
-        )
-    if a.size and np.issubdtype(a.dtype, np.floating) and np.isnan(a).any():
-        raise InvalidOrderingError(f"{name} contains NaN; priorities must be a "
-                                   f"permutation of 0..{n - 1}")
-    try:
-        a = check_index_array(a, n, name)
-    except (TypeError, ValueError) as exc:
-        raise InvalidOrderingError(str(exc)) from exc
-    if np.unique(a).size != a.size:
-        counts = np.bincount(a, minlength=n)
-        dup = int(np.flatnonzero(counts > 1)[0])
-        raise InvalidOrderingError(
-            f"{name} is not a permutation: rank {dup} appears "
-            f"{int(counts[dup])} times"
-        )
-    return a
+#: Alias of :func:`repro.core.orderings.validate_priorities`.
+check_ranks = validate_priorities
 
 
 def check_csr_graph(graph: CSRGraph) -> None:

@@ -35,7 +35,9 @@ from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.core.options import SolveOptions
 from repro.core.result import MatchingResult
+from repro.errors import EngineError
 from repro.graphs.builders import from_edges
 from repro.graphs.csr import CSRGraph, EdgeList
 from repro.service.config import SolveRequest
@@ -128,7 +130,12 @@ def decode_solve(
             "graph must be a registered name or {'n': …, 'edges': […]}"
         )
 
-    options = dict(obj.get("options") or {})
+    options = obj.get("options") or {}
+    try:
+        SolveOptions.from_wire(options)  # unknown knobs: 400 / exit 2
+    except EngineError as exc:
+        raise ValueError(str(exc)) from None
+    options = dict(options)
     if obj.get("seed") is not None:
         options["seed"] = int(obj["seed"])
     ranks = obj.get("ranks")

@@ -1,8 +1,7 @@
-"""Kernel-backend registry and shard executor (repro.backends).
+"""Shard executor (repro.backends).
 
-Backend selection precedence, the numpy fallback for absent numba, the
-segmented-gather primitives' parity with the reference kernels, and the
-FrontierExecutor's barrier/crash/deadline behavior.
+Worker-count resolution and the FrontierExecutor's gather parity with the
+single-process kernels plus its barrier/crash/deadline behavior.
 """
 
 import glob
@@ -11,15 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.backends import (
-    FrontierExecutor,
-    available_backends,
-    backend_names,
-    get_executor,
-    resolve_backend,
-    shutdown_executors,
-)
-from repro.backends.registry import BACKEND_ENV
+from repro.backends import FrontierExecutor, get_executor, shutdown_executors
 from repro.core.fanout import (
     DEFAULT_MIN_FANOUT,
     WORKERS_ENV,
@@ -40,70 +31,6 @@ def no_leaked_segments():
     shutdown_executors()
     leaked = set(glob.glob("/dev/shm/repro-*")) - before
     assert not leaked, f"leaked shared segments: {sorted(leaked)}"
-
-
-class TestBackendRegistry:
-    def test_numpy_always_available(self):
-        assert "numpy" in backend_names()
-        kb = resolve_backend("numpy")
-        assert kb.name == "numpy"
-        assert not kb.jit
-        assert not kb.fell_back
-
-    def test_default_is_numpy(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        assert resolve_backend(None).name == "numpy"
-
-    def test_env_variable_respected(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "numpy")
-        assert resolve_backend(None).name == "numpy"
-
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "bogus-backend")
-        assert resolve_backend("numpy").name == "numpy"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(EngineError, match="unknown kernel backend"):
-            resolve_backend("fortran")
-
-    def test_numba_falls_back_when_absent(self):
-        kb = resolve_backend("numba")
-        if available_backends()["numba"]:
-            assert kb.name == "numba"
-            assert not kb.fell_back
-        else:
-            # Without the numba package the functional fallback is
-            # numpy, and the resolved backend records what was asked.
-            assert kb.name == "numpy"
-            assert kb.requested == "numba"
-            assert kb.fell_back
-
-    @pytest.mark.parametrize(
-        "name", sorted(k for k, ok in available_backends().items() if ok)
-    )
-    def test_primitives_match_reference_gather(self, name):
-        kb = resolve_backend(name)
-        g = uniform_random_graph(300, 1200, seed=0)
-        frontier = np.flatnonzero(np.arange(300) % 3 == 0).astype(np.int64)
-        starts = g.offsets[frontier]
-        degrees = g.offsets[frontier + 1] - g.offsets[frontier]
-        total = int(degrees.sum())
-        out = np.empty(total + 5, dtype=np.int64)
-        wrote = kb.flat_gather(starts, degrees, g.neighbors, out)
-        assert wrote == total
-        owners, values = frontier_gather(g.offsets, g.neighbors, frontier, None)
-        np.testing.assert_array_equal(out[:total], values)
-        out_o = np.empty(total + 5, dtype=np.int64)
-        wrote = kb.repeat_fill(frontier, degrees, out_o)
-        assert wrote == total
-        np.testing.assert_array_equal(out_o[:total], owners)
-
-    def test_empty_frontier_primitives(self):
-        kb = resolve_backend("numpy")
-        empty = np.empty(0, dtype=np.int64)
-        out = np.empty(1, dtype=np.int64)
-        assert kb.flat_gather(empty, empty, empty, out) == 0
-        assert kb.repeat_fill(empty, empty, out) == 0
 
 
 class TestWorkerResolution:

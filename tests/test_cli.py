@@ -75,22 +75,27 @@ class TestMis:
         b = capsys.readouterr().out.splitlines()[0]
         assert a == b  # identical "MIS size" line
 
-    def test_parallel_vec_with_backend_and_workers(self, graph_file, capsys):
+    def test_parallel_vec_with_workers(self, graph_file, capsys):
         main(["mis", str(graph_file), "--method", "sequential", "--seed", "5"])
         ref = capsys.readouterr().out.splitlines()[0]
         assert main([
             "mis", str(graph_file), "--method", "parallel-vec", "--seed", "5",
-            "--backend", "numpy", "--workers", "1",
+            "--workers", "1",
         ]) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[0] == ref
         assert "mis/parallel-vec" in out
 
     def test_backend_flag_rejected_elsewhere(self, graph_file, capsys):
-        assert main([
-            "mis", str(graph_file), "--method", "rootset-vec",
-            "--backend", "numpy",
-        ]) != 0
+        # --backend is retired: argparse rejects it for every method.
+        for method in ("rootset-vec", "parallel-vec"):
+            with pytest.raises(SystemExit) as exc:
+                main([
+                    "mis", str(graph_file), "--method", method,
+                    "--backend", "numpy",
+                ])
+            assert exc.value.code == 2
+            assert "--backend" in capsys.readouterr().err
 
 
 class TestMm:
@@ -253,6 +258,17 @@ class TestBatchCommand:
         g = read_adjacency_graph(graph_file)
         ref = repro.solve("mis", g, seed=5)
         assert line.startswith(f"seed 5: size {ref.size}")
+
+    def test_batch_file_rejects_retired_backend_option(self, tmp_path, capsys):
+        path = tmp_path / "solves.jsonl"
+        path.write_text(
+            '{"graph": {"n": 3, "edges": [[0, 1]]}}\n'
+            '{"graph": {"n": 3, "edges": [[0, 1]]}, '
+            '"options": {"backend": "numpy"}}\n'
+        )
+        assert main(["batch", "--file", str(path), "--workers", "1"]) == 2
+        err = capsys.readouterr().err
+        assert ":2:" in err and "backend" in err
 
 
 @pytest.mark.service

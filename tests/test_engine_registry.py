@@ -22,6 +22,7 @@ from repro.core.engines import (
     get_engine,
     register_engine,
     solve,
+    unsupported_knobs,
 )
 from repro.core.matching.api import MM_METHODS, maximal_matching
 from repro.core.mis.api import MIS_METHODS, maximal_independent_set
@@ -34,6 +35,27 @@ ALL_SPECS = [
     for problem in engines.PROBLEMS
     for spec in engine_specs(problem)
 ]
+
+#: An accepted value for every gated knob.
+KNOB_VALUES = {"prefix_size": 8, "prefix_frac": 0.5, "workers": 1, "min_fanout": 0}
+
+
+def _assert_front_doors_gate(graph, flag):
+    """Every registered (problem, method) x knob gated by *flag*: the front
+    door raises EngineError exactly when the knob is unsupported."""
+    for problem in engines.PROBLEMS:
+        for spec in engine_specs(problem):
+            unsupported = unsupported_knobs(problem, spec.method)
+            for knob in engines._GATED_KNOBS[flag]:
+                case = f"{problem}/{spec.method} {knob}="
+                assert (knob in unsupported) == (not getattr(spec, flag)), case
+                kwargs = {knob: KNOB_VALUES[knob], "method": spec.method}
+                if knob in unsupported:
+                    with pytest.raises(EngineError, match=f"{knob}.* only apply to"):
+                        solve(problem, graph, seed=1, **kwargs)
+                else:
+                    res = solve(problem, graph, seed=1, **kwargs)
+                    assert res.stats.algorithm == spec.algorithm, case
 
 
 @pytest.fixture(scope="module")
@@ -126,8 +148,10 @@ class TestFlagsAreHonest:
 
     @pytest.mark.parametrize("spec", ALL_SPECS)
     def test_backend_flag(self, spec):
+        # The kernel-backend knob is retired: no engine takes it.
         params = inspect.signature(spec.resolve()).parameters
-        assert ("backend" in params) == spec.supports_backend, spec.method
+        assert "backend" not in params, spec.method
+        assert not hasattr(spec, "supports_backend")
 
     @pytest.mark.parametrize("spec", ALL_SPECS)
     def test_workers_flag(self, spec):
@@ -140,20 +164,10 @@ class TestFlagsAreHonest:
         assert "tracer" in params, spec.method
 
     def test_prefix_knob_rejected_by_non_prefix_engines(self, graph):
-        with pytest.raises(EngineError, match="only apply to method='prefix'"):
-            maximal_independent_set(graph, method="rootset-vec", prefix_size=8)
-        with pytest.raises(EngineError, match="only apply to method='prefix'"):
-            maximal_matching(graph, method="sequential", prefix_frac=0.5)
+        _assert_front_doors_gate(graph, "supports_prefix_knobs")
 
     def test_parallel_knobs_rejected_by_other_engines(self, graph):
-        with pytest.raises(EngineError, match="only applies to method='parallel-vec'"):
-            maximal_independent_set(graph, method="rootset-vec", backend="numpy")
-        with pytest.raises(EngineError, match="only applies to method='parallel-vec'"):
-            maximal_independent_set(graph, method="sequential", workers=2)
-        with pytest.raises(EngineError, match="only applies to method='parallel-vec'"):
-            maximal_matching(graph, method="rootset", workers=2)
-        with pytest.raises(EngineError, match="only applies to method='parallel-vec'"):
-            maximal_matching(graph, method="rootset-vec", min_fanout=0)
+        _assert_front_doors_gate(graph, "supports_workers")
 
     def test_ranks_rejected_by_luby(self, graph):
         ranks = random_priorities(graph.num_vertices, seed=0)

@@ -85,3 +85,27 @@ class TestValidatePriorities:
 
     def test_empty_ok(self):
         assert validate_priorities(np.empty(0, dtype=np.int64), 0).size == 0
+
+    def test_smallest_duplicate_is_named(self):
+        with pytest.raises(InvalidOrderingError, match="rank 1 appears 2 times"):
+            validate_priorities(np.array([3, 1, 3, 1, 0]), 5)
+
+    def test_nan_named(self):
+        with pytest.raises(InvalidOrderingError, match="NaN"):
+            validate_priorities(np.array([0.0, np.nan, 1.0]), 3)
+
+    def test_front_door_check_is_the_same_function(self):
+        from repro.robustness.validate import check_ranks
+
+        assert check_ranks is validate_priorities
+
+    def test_linear_without_sorting(self, monkeypatch):
+        # The check must stay O(n): no sort-based helper on any path.
+        def banned(*args, **kwargs):
+            raise AssertionError("the rank check sorted its input")
+
+        for name in ("unique", "sort", "argsort"):
+            monkeypatch.setattr(np, name, banned)
+        validate_priorities(np.array([2, 0, 1]), 3)
+        with pytest.raises(InvalidOrderingError, match="rank 2"):
+            validate_priorities(np.array([2, 2, 1]), 3)

@@ -9,10 +9,13 @@ the fault-free reference.
 import numpy as np
 import pytest
 
+from repro.core.engines import fallback_chain
 from repro.core.matching.api import maximal_matching
+from repro.core.matching.parallel_vectorized import parallel_matching_vectorized
 from repro.core.matching.rootset_vectorized import rootset_matching_vectorized
 from repro.core.matching.sequential import sequential_greedy_matching
 from repro.core.mis.api import maximal_independent_set
+from repro.core.mis.parallel_vectorized import parallel_mis_vectorized
 from repro.core.mis.rootset_vectorized import rootset_mis_vectorized
 from repro.core.mis.sequential import sequential_greedy_mis
 from repro.core.orderings import random_priorities
@@ -41,6 +44,18 @@ MM_KERNEL_FAULTS = ("drop-frontier", "dup-frontier", "foreign-frontier",
 LOUD = (InvariantViolationError, IndexError, ValueError, FloatingPointError,
         OverflowError)
 
+#: Guarded vectorized engines the kernel-fault matrices strike.  One
+#: worker keeps parallel-vec's gathers local, so the patched kernels run
+#: on the coordinator.
+MIS_FAULT_ENGINES = (
+    ("rootset-vec", rootset_mis_vectorized, {}),
+    ("parallel-vec", parallel_mis_vectorized, {"workers": 1}),
+)
+MM_FAULT_ENGINES = (
+    ("rootset-vec", rootset_matching_vectorized, {}),
+    ("parallel-vec", parallel_matching_vectorized, {"workers": 1}),
+)
+
 
 @pytest.fixture(scope="module")
 def instance():
@@ -61,37 +76,39 @@ def instance():
 @pytest.mark.parametrize("kind", MIS_KERNEL_FAULTS)
 @pytest.mark.parametrize("after", [0, 1, 2, 3])
 def test_mis_kernel_faults_detected_or_harmless(instance, kind, after):
-    spec = FaultSpec(kind=kind, seed=99, after=after)
-    try:
-        with ChaosInjector(spec) as chaos:
-            status = rootset_mis_vectorized(
-                instance["g"], instance["vranks"], guards="full",
-                use_cache=False,
-            ).status
-    except LOUD:
-        return  # detected
-    if chaos.fired:
-        assert np.array_equal(status, instance["mis_ref"]), (
-            f"silent wrong answer: {kind} after={after}"
-        )
+    for name, engine, knobs in MIS_FAULT_ENGINES:
+        spec = FaultSpec(kind=kind, seed=99, after=after)
+        try:
+            with ChaosInjector(spec) as chaos:
+                status = engine(
+                    instance["g"], instance["vranks"], guards="full",
+                    use_cache=False, **knobs,
+                ).status
+        except LOUD:
+            continue  # detected
+        if chaos.fired:
+            assert np.array_equal(status, instance["mis_ref"]), (
+                f"silent wrong answer: {name} {kind} after={after}"
+            )
 
 
 @pytest.mark.parametrize("kind", MM_KERNEL_FAULTS)
 @pytest.mark.parametrize("after", [0, 1, 2, 3])
 def test_mm_kernel_faults_detected_or_harmless(instance, kind, after):
-    spec = FaultSpec(kind=kind, seed=99, after=after)
-    try:
-        with ChaosInjector(spec) as chaos:
-            status = rootset_matching_vectorized(
-                instance["el"], instance["eranks"], guards="full",
-                use_cache=False,
-            ).status
-    except LOUD:
-        return  # detected
-    if chaos.fired:
-        assert np.array_equal(status, instance["mm_ref"]), (
-            f"silent wrong answer: {kind} after={after}"
-        )
+    for name, engine, knobs in MM_FAULT_ENGINES:
+        spec = FaultSpec(kind=kind, seed=99, after=after)
+        try:
+            with ChaosInjector(spec) as chaos:
+                status = engine(
+                    instance["el"], instance["eranks"], guards="full",
+                    use_cache=False, **knobs,
+                ).status
+        except LOUD:
+            continue  # detected
+        if chaos.fired:
+            assert np.array_equal(status, instance["mm_ref"]), (
+                f"silent wrong answer: {name} {kind} after={after}"
+            )
 
 
 def test_at_least_one_kernel_fault_is_caught_by_guards(instance):
@@ -163,20 +180,30 @@ def test_fallback_degrades_around_a_faulted_engine(instance):
 def test_cheap_guards_fault_must_degrade_with_attempt_log():
     """Coverage-gap case: the test above only checks degradation *if* it
     happens; this instance is pinned so the cheap guard provably fires in
-    rootset-vec and the front door provably degrades to rootset."""
+    the faulted engine and the front door provably degrades to the next
+    engine of the chain (rootset-vec → rootset, parallel-vec →
+    rootset-vec)."""
     g = uniform_random_graph(64, 200, seed=3)
     ranks = random_priorities(g.num_vertices, seed=5)
     ref = sequential_greedy_mis(g, ranks).status
-    with ChaosInjector(FaultSpec(kind="dup-frontier", seed=7, after=0)) as chaos:
-        res = maximal_independent_set(
-            g, ranks, method="rootset-vec", guards="cheap", fallback=True,
+    for method, knobs in (
+        ("rootset-vec", {}),
+        ("parallel-vec", {"workers": 1, "min_fanout": 0}),
+    ):
+        fault = FaultSpec(kind="dup-frontier", seed=7, after=0)
+        with ChaosInjector(fault) as chaos:
+            res = maximal_independent_set(
+                g, ranks, method=method, guards="cheap", fallback=True,
+                **knobs,
+            )
+        assert chaos.fired, f"{method}: pinned fault site was never reached"
+        assert res.stats.aux.get("degraded") is True, (
+            f"{method}: cheap guards let a dup-frontier fault through "
+            "without degrading"
         )
-    assert chaos.fired, "pinned fault site was never reached"
-    assert res.stats.aux.get("degraded") is True, (
-        "cheap guards let a dup-frontier fault through without degrading"
-    )
-    assert res.stats.aux["fallback_engine"] == "rootset"
-    attempts = res.stats.aux["fallback_attempts"]
-    assert attempts and attempts[0]["method"] == "rootset-vec"
-    assert "error" in attempts[0]
-    assert np.array_equal(res.status, ref)
+        expected = next(m for m in fallback_chain("mis") if m != method)
+        assert res.stats.aux["fallback_engine"] == expected
+        attempts = res.stats.aux["fallback_attempts"]
+        assert attempts and attempts[0]["method"] == method
+        assert "error" in attempts[0]
+        assert np.array_equal(res.status, ref)

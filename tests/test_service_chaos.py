@@ -185,9 +185,9 @@ class TestBreakerDegradation:
 
     def test_degraded_attempt_strips_multicore_knobs(self, graph):
         """Regression: a parallel-vec request carrying engine-specific
-        knobs (workers/min_fanout/backend) must degrade cleanly — the
-        chain engines reject those keywords, so the scheduler strips
-        every knob the registry flags as unsupported for the fallback."""
+        knobs (workers/min_fanout) must degrade cleanly — the chain
+        engines reject those keywords, so the scheduler strips every knob
+        the registry flags as unsupported for the fallback."""
         with SolverService(workers=1, breaker_threshold=2,
                            breaker_reset_seconds=60.0, tick=0.005) as svc:
             b = svc.breaker("mis", "parallel-vec")
@@ -197,8 +197,7 @@ class TestBreakerDegradation:
             res = svc.solve(
                 SolveRequest(
                     "mis", graph, method="parallel-vec",
-                    options={"seed": 11, "workers": 2, "min_fanout": 0,
-                             "backend": "numpy"},
+                    options={"seed": 11, "workers": 2, "min_fanout": 0},
                 ),
                 timeout=60,
             )

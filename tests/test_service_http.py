@@ -175,6 +175,15 @@ class TestTaxonomy:
         assert status == 400
         assert body["error"] in ("InvalidOrderingError", "BadRequestError")
 
+    @pytest.mark.parametrize("options", [{"backend": "numpy"}, {"bogus": 1}])
+    def test_unknown_options_are_400(self, gateway, options):
+        status, _, body = request_json(
+            gateway.address, "POST", "/v1/solve",
+            {"graph": "g", "seed": 3, "options": options},
+        )
+        assert status == 400 and body["error"] == "BadRequestError"
+        assert next(iter(options)) in body["message"]
+
 
 class TestDeadline:
     def test_body_deadline_maps_to_504(self, gateway):

@@ -10,6 +10,7 @@ raise plain ``ValueError`` with a client-facing message, and that
 cache bodies).
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -141,11 +142,24 @@ def test_timeout_precedence_body_over_override_over_default():
     ({"problem": "mis", "graph": {"edges": []}}, "malformed inline graph"),
     ({"problem": "mis", "graph": "favorite"}, "not resolvable"),
     ({"graph": {"n": 3, "edges": []}, "ranks": "abc"}, "ranks"),
+    ({"graph": {"n": 3, "edges": []}, "options": {"backend": "numpy"}},
+     "backend"),
+    ({"graph": {"n": 3, "edges": []}, "options": [1, 2]}, "options"),
 ], ids=["non-object", "unknown-field", "bad-problem", "no-graph",
-        "no-n", "unresolved-name", "bad-ranks"])
+        "no-n", "unresolved-name", "bad-ranks", "retired-backend-option",
+        "non-object-options"])
 def test_malformed_objects_raise_value_error(obj, fragment):
     with pytest.raises(ValueError, match=fragment):
         schema.decode_solve(obj)
+
+
+def test_retired_backend_knob_is_an_unknown_option():
+    from repro.errors import EngineError
+
+    with pytest.raises(EngineError, match="backend"):
+        SolveOptions.from_wire({"backend": "numpy"})
+    assert "backend" not in {f.name for f in dataclasses.fields(SolveOptions)}
+    assert len(dataclasses.fields(SolveOptions)) == 11
 
 
 def test_graph_resolver_supplies_payload_and_default_ranks():

@@ -340,6 +340,12 @@ class TestHTTPSessions:
             {"problem": "mis", "graph": "g", "options": {"bogus": 1}},
         )
         assert status == 400 and "bogus" in err["message"]
+        # The retired kernel-backend knob is an unknown option too.
+        status, _, err = request_json(
+            addr, "POST", "/v1/sessions",
+            {"problem": "mis", "graph": "g", "options": {"backend": "numpy"}},
+        )
+        assert status == 400 and "backend" in err["message"]
         # A non-dict options value is a 400, not an AttributeError 500.
         status, _, err = request_json(
             addr, "POST", "/v1/sessions",
