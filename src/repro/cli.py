@@ -614,8 +614,7 @@ def _cmd_batch_file(args) -> int:
         results = svc.solve_many(requests)
         stats = svc.stats()
     for req, res in zip(requests, results):
-        print(json.dumps(wire_schema.encode_result(req, res),
-                         separators=(",", ":"), sort_keys=True))
+        print(wire_schema.dump_result(req, res).decode())
     if args.json:
         print(json.dumps(stats.as_dict(), indent=2), file=sys.stderr)
     return 0

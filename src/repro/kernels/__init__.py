@@ -28,7 +28,24 @@ from repro.kernels.partition import (
     split_parents_children,
 )
 
+#: Every module that binds frontier-kernel names, for tools that swap a
+#: kernel for a wrapper (:class:`~repro.observability.KernelCounters`,
+#: :class:`~repro.robustness.faults.ChaosInjector`): the definition site,
+#: this package, and each engine that imports kernels by name.  An engine
+#: missing here keeps calling the original, unseen by both tools.  (Shard
+#: workers bind kernels too, but run in child processes no patch reaches.)
+PATCH_MODULES = (
+    "repro.kernels.frontier",
+    "repro.kernels",
+    "repro.core.mis.parallel",
+    "repro.core.mis.rootset_vectorized",
+    "repro.core.mis.parallel_vectorized",
+    "repro.core.matching.rootset_vectorized",
+    "repro.core.matching.parallel_vectorized",
+)
+
 __all__ = [
+    "PATCH_MODULES",
     "frontier_gather",
     "range_gather",
     "stamp_dedup",

@@ -3,8 +3,9 @@
 :class:`KernelCounters` is a context manager that wraps each frontier
 kernel with a thin recorder — call count, elements processed, cumulative
 wall time — and patches the wrapper into the kernel's definition site
-*and* every module that imported the kernel by name (the same patching
-discipline as :class:`repro.robustness.faults.ChaosInjector`; a
+*and* every module that imported the kernel by name
+(:data:`repro.kernels.PATCH_MODULES`, the list
+:class:`repro.robustness.faults.ChaosInjector` patches too; a
 ``from ... import frontier_gather`` binds the name locally, so patching
 only ``repro.kernels.frontier`` would miss the engines).
 
@@ -32,6 +33,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.kernels import PATCH_MODULES
 from repro.util.tables import format_table
 
 __all__ = ["KernelCounter", "KernelCounters", "KERNEL_NAMES"]
@@ -50,18 +52,6 @@ _ELEMENT_ARG: Dict[str, int] = {
 
 #: Names of the wrapped frontier kernels.
 KERNEL_NAMES: Tuple[str, ...] = tuple(_ELEMENT_ARG)
-
-# Definition site first, then every module that binds kernel names
-# locally via ``from repro.kernels... import ...``.  Engine modules are
-# imported lazily inside __enter__ so this module stays below the core
-# layer at import time.
-_PATCH_MODULES = (
-    "repro.kernels.frontier",
-    "repro.kernels",
-    "repro.core.mis.parallel",
-    "repro.core.mis.rootset_vectorized",
-    "repro.core.matching.rootset_vectorized",
-)
 
 
 @dataclass
@@ -128,7 +118,9 @@ class KernelCounters:
             name: self._wrap(name, getattr(kernels_mod, name))
             for name in self._names
         }
-        for mod_name in _PATCH_MODULES:
+        # Engine modules are imported here, not at module import, so this
+        # module stays below the core layer.
+        for mod_name in PATCH_MODULES:
             module = importlib.import_module(mod_name)
             for name, wrapper in wrappers.items():
                 if hasattr(module, name):

@@ -16,7 +16,8 @@ callers and bit rot, and must be rejected by front-door validation.
 Everything is deterministic given :class:`FaultSpec` (kind, seed, strike
 count), so a failing chaos case replays exactly.  The injector patches the
 kernel's definition site *and* every engine module that imported the name
-(engines bind kernels at import time), and restores all of them on exit.
+(engines bind kernels at import time; the list is
+:data:`repro.kernels.PATCH_MODULES`), and restores all of them on exit.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.graphs.csr import CSRGraph
+from repro.kernels import PATCH_MODULES
 
 __all__ = [
     "KERNEL_FAULTS",
@@ -56,17 +58,6 @@ RANK_FAULTS = ("rank-nan", "rank-dup", "rank-oob", "rank-short")
 GRAPH_FAULTS = ("csr-truncate", "csr-nonmonotone", "csr-oob")
 
 FAULT_KINDS = tuple(KERNEL_FAULTS) + RANK_FAULTS + GRAPH_FAULTS
-
-#: Modules that bind frontier-kernel names at import time.  Patching only
-#: ``repro.kernels`` would leave the engines calling the originals.
-_PATCH_MODULES = (
-    "repro.kernels",
-    "repro.kernels.frontier",
-    "repro.core.mis.rootset_vectorized",
-    "repro.core.matching.rootset_vectorized",
-    "repro.core.mis.parallel_vectorized",
-    "repro.core.matching.parallel_vectorized",
-)
 
 
 @dataclass(frozen=True)
@@ -224,7 +215,7 @@ class ChaosInjector:
         name = KERNEL_FAULTS[self.spec.kind]
         original = getattr(importlib.import_module("repro.kernels.frontier"), name)
         wrapper = self._make_wrapper(original)
-        for mod_name in _PATCH_MODULES:
+        for mod_name in PATCH_MODULES:
             mod = importlib.import_module(mod_name)
             if getattr(mod, name, None) is original:
                 self._saved.append((mod, name, original))

@@ -252,6 +252,12 @@ def _status_for(exc: BaseException) -> Optional[int]:
     return None
 
 
+def _dumps(body: Any) -> bytes:
+    """A response body the gateway builds as a dict: compact, sorted keys
+    (result bodies come pre-serialized from ``schema.dump_result``)."""
+    return json.dumps(body, separators=(",", ":"), sort_keys=True).encode()
+
+
 class HTTPGateway:
     """Stdlib asyncio HTTP front door over a :class:`SolverService`.
 
@@ -851,36 +857,24 @@ class HTTPGateway:
                 f"(gateway allowance {allowance:.3f}s)"
             )
 
-    @staticmethod
-    def _result_body(request: SolveRequest, result: Any) -> Dict[str, Any]:
-        """Deterministic response body — only fields that are a pure
-        function of (graph, π, method, knobs), so cold, warm-hit, and
-        stale-degraded responses for one content address are
-        byte-identical.  Run-varying details (worker id, wall time,
-        attempts) stay out; the cache disposition rides in headers.
-        The encoding itself is owned by :mod:`repro.service.schema` so
-        the CLI batch output matches field-for-field."""
-        return wire_schema.encode_result(request, result)
-
     def _encoded_body(
         self, key: Optional[str], request: SolveRequest, result: Any
     ) -> bytes:
         """Serialized response body, reused across requests for one
-        content address.  A cached entry is byte-identical to a fresh
-        encoding by construction (the body holds only deterministic
-        fields), so hit/stale responses skip both ``tolist`` and
-        ``json.dumps`` — the dominant cost of a warm hit at paper
-        scales.  Uncacheable requests (``key is None``) encode fresh."""
+        content address.  The body holds only fields that are a pure
+        function of (graph, π, method, knobs) — run-varying details
+        (worker id, wall time, attempts, cache disposition) ride
+        headers — so cold, warm-hit, and stale-degraded responses are
+        byte-identical, and a cached entry lets hit/stale responses skip
+        encoding altogether.  Uncacheable requests (``key is None``)
+        encode fresh."""
         if key is not None:
             cached = self._body_cache.get(key)
             if cached is not None:
                 self._body_cache.move_to_end(key)
                 self._body_cache_hits += 1
                 return cached
-        payload = json.dumps(
-            self._result_body(request, result),
-            separators=(",", ":"), sort_keys=True,
-        ).encode()
+        payload = wire_schema.dump_result(request, result)
         if key is not None:
             while len(self._body_cache) >= self._body_cache_max:
                 self._body_cache.popitem(last=False)
@@ -906,15 +900,16 @@ class HTTPGateway:
             )
         items = obj["requests"]
 
-        async def one(item: Any) -> Dict[str, Any]:
+        async def one(item: Any) -> Tuple[bool, bytes]:
+            """``(ok, serialized item)`` for one batch entry."""
             try:
                 solve_req, timeout_s = self._parse_solve(item, request.headers)
                 result, source, _ = await self._solve_one(solve_req, timeout_s)
             except _HTTPError as exc:
-                return {
+                return False, _dumps({
                     "ok": False, "http_status": exc.status,
                     "error": exc.error, "message": exc.message,
-                }
+                })
             except Exception as exc:  # noqa: BLE001 — taxonomy boundary
                 status = _status_for(exc)
                 if status is None:
@@ -922,19 +917,20 @@ class HTTPGateway:
                     status = 500
                 if status == 429:
                     self._shed += 1
-                return {
+                return False, _dumps({
                     "ok": False, "http_status": status,
                     "error": type(exc).__name__, "message": str(exc),
-                }
+                })
             if source == "stale":
                 self._stale_served += 1
-            body = self._result_body(solve_req, result)
-            body.update({"ok": True, "cache": source})
-            return body
+            return True, wire_schema.dump_result(
+                solve_req, result, ok=True, cache=source
+            )
 
         results = await asyncio.gather(*(one(item) for item in items))
-        status = 200 if all(r.get("ok") for r in results) else 207
-        return status, {"results": list(results)}, {}
+        status = 200 if all(ok for ok, _ in results) else 207
+        body = b'{"results":[' + b",".join(item for _, item in results) + b"]}"
+        return status, body, {}
 
     async def _handle_health(self, request: _Request):
         loop = asyncio.get_running_loop()
@@ -1227,8 +1223,9 @@ class HTTPGateway:
             ),
             self._session_timeout(None, request.headers),
         )
-        body = wire_schema.encode_result(info.problem, result)
-        body.update(session_id=sid, version=version)
+        body = wire_schema.dump_result(
+            info.problem, result, session_id=sid, version=version
+        )
         return 200, body, {}
 
     async def _handle_session_info(self, request: _Request):
@@ -1255,10 +1252,7 @@ class HTTPGateway:
         *,
         close: bool = False,
     ) -> None:
-        payload = (
-            body if isinstance(body, (bytes, bytearray))
-            else json.dumps(body, separators=(",", ":"), sort_keys=True).encode()
-        )
+        payload = body if isinstance(body, (bytes, bytearray)) else _dumps(body)
         headers = {
             "Content-Type": "application/json",
             "Content-Length": str(len(payload)),

@@ -27,10 +27,13 @@ graphs); the CLI and tests use inline graphs.
 The result schema (:func:`encode_result`) holds only fields that are a
 pure function of (graph, π, method, knobs) so cached and fresh bodies
 stay byte-identical — run-varying details ride response headers.
+:func:`dump_result` writes that body as bytes, integer arrays with
+numpy, and is what every transport sends.
 """
 
 from __future__ import annotations
 
+import json
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
@@ -48,6 +51,7 @@ __all__ = [
     "build_inline_graph",
     "decode_mutate",
     "decode_solve",
+    "dump_result",
     "encode_solve",
     "encode_result",
 ]
@@ -263,6 +267,110 @@ def encode_solve(request: SolveRequest) -> Dict[str, Any]:
     return obj
 
 
+#: Decimal digits are written four at a time, one uint32 cell per group.
+_GROUP = 10_000
+
+#: The cell that opens each element: a comma, then a sign for negatives.
+_COMMA, _COMMA_MINUS = np.frombuffer(b",\0\0\0,-\0\0", dtype=np.uint32)
+
+
+def _digit_cells() -> np.ndarray:
+    """ASCII of every 4-digit group as one uint32 cell, in three tables.
+
+    ``[0, G)`` is zero-padded (``"0042"``), for groups below a number's
+    leading one.  ``[G, 2G)`` blanks leading zeros to NUL (``"\\0\\042"``,
+    and ``0`` is ``"\\0\\0\\00"``), for a units group that leads.
+    ``[2G, 3G)`` is the same but ``0`` is all NUL, for a higher group
+    that leads or lies wholly above the number.
+    """
+    g = np.arange(_GROUP)[:, None]
+    place = np.array([1000, 100, 10, 1])
+    full = (g // place % 10 + ord("0")).astype(np.uint8)
+    upper = np.where(g >= place, full, 0).astype(np.uint8)
+    units = upper.copy()
+    units[0, -1] = ord("0")
+    return np.concatenate([full, units, upper]).view(np.uint32).ravel()
+
+
+_DIGITS = _digit_cells()
+
+
+def _dump_int_array(values: np.ndarray) -> bytes:
+    """``json.dumps(values.tolist(), separators=(",", ":"))``, with numpy.
+
+    Each element becomes one row of uint32 cells: a comma (and sign)
+    cell, then its 4-digit groups from :data:`_DIGITS` with leading
+    zeros as NUL bytes; one compaction pass drops the NULs.  The cells
+    take 12 bytes per element below 10**8, where ``tolist`` allocates a
+    Python int per element.  Only 1-D integer arrays are accepted
+    (``TypeError`` otherwise; there is no ``tolist`` fallback).
+    """
+    if values.dtype.kind not in "iu" or values.ndim != 1:
+        raise TypeError(
+            f"expected a 1-D integer array, got {values.ndim}-D {values.dtype}"
+        )
+    if values.size == 0:
+        return b"[]"
+    lo, hi = int(values.min()), int(values.max())
+    top = max(hi, -lo)
+    mag = values.astype(np.uint32 if top < 2**32 else np.uint64)
+    groups = 1
+    while top >= _GROUP**groups:
+        groups += 1
+    cells = np.empty((values.size, groups + 1), dtype=np.uint32)
+    cells[:, 0] = _COMMA
+    if lo < 0:
+        negative = values < 0
+        np.negative(mag, out=mag, where=negative)  # modular: exact for int64 min
+        cells[negative, 0] = _COMMA_MINUS
+    rest = mag
+    for r in range(groups):  # least significant group first
+        lead = _GROUP if r == 0 else 2 * _GROUP
+        if r + 1 < groups:
+            rest, group = np.divmod(rest, _GROUP)
+            index = group.astype(np.intp)
+            index += (mag < _GROUP ** (r + 1)) * lead
+        else:  # the top group always leads
+            index = rest.astype(np.intp)
+            index += lead
+        cells[:, groups - r] = _DIGITS[index]
+    flat = cells.view(np.uint8).ravel()
+    out = flat[flat != 0]
+    out[0] = ord("[")
+    return out.tobytes() + b"]"
+
+
+def _result_fields(
+    request: Union[SolveRequest, str], result: Any
+) -> Dict[str, Any]:
+    """The result schema: every body field, integer arrays as numpy arrays.
+
+    The one field list behind :func:`encode_result` (lists) and
+    :func:`dump_result` (bytes).
+    """
+    problem = request if isinstance(request, str) else request.problem
+    stats = result.stats
+    body = {
+        "problem": problem,
+        "n": stats.n,
+        "m": stats.m,
+        "size": result.size,
+        "status": result.status,
+        "ranks": np.asarray(result.ranks),
+        "steps": stats.steps,
+        "rounds": stats.rounds,
+        "work": stats.work,
+        "depth": stats.depth,
+    }
+    if isinstance(result, MatchingResult):
+        body["edge_u"] = result.edge_u
+        body["edge_v"] = result.edge_v
+    dynamic = stats.aux.get("dynamic")
+    if dynamic is not None:
+        body["dynamic"] = dynamic
+    return body
+
+
 def encode_result(
     request: Union[SolveRequest, str], result: Any
 ) -> Dict[str, Any]:
@@ -273,25 +381,40 @@ def encode_result(
     are byte-identical.  ``aux["dynamic"]`` (session re-peel accounting)
     is deterministic too and rides along when present.  *request* may be
     a bare problem name — session results have no :class:`SolveRequest`.
+
+    This is the dict form; every transport writes the body with
+    :func:`dump_result`, which produces the same JSON without building
+    these lists.
     """
-    problem = request if isinstance(request, str) else request.problem
-    stats = result.stats
-    body = {
-        "problem": problem,
-        "n": stats.n,
-        "m": stats.m,
-        "size": result.size,
-        "status": result.status.tolist(),
-        "ranks": np.asarray(result.ranks).tolist(),
-        "steps": stats.steps,
-        "rounds": stats.rounds,
-        "work": stats.work,
-        "depth": stats.depth,
+    return {
+        key: value.tolist() if isinstance(value, np.ndarray) else value
+        for key, value in _result_fields(request, result).items()
     }
-    if isinstance(result, MatchingResult):
-        body["edge_u"] = result.edge_u.tolist()
-        body["edge_v"] = result.edge_v.tolist()
-    dynamic = stats.aux.get("dynamic")
-    if dynamic is not None:
-        body["dynamic"] = dynamic
-    return body
+
+
+def _dump(value: Any) -> bytes:
+    return json.dumps(value, separators=(",", ":"), sort_keys=True).encode()
+
+
+def dump_result(
+    request: Union[SolveRequest, str], result: Any, **extra: Any
+) -> bytes:
+    """The serialized result body, with *extra* fields merged in.
+
+    For plain JSON *extra* values, returns exactly
+    ``json.dumps(dict(encode_result(request, result), **extra),
+    separators=(",", ":"), sort_keys=True).encode()``, but
+    writes the integer arrays with numpy instead of ``tolist`` plus
+    ``json.dumps`` (see :func:`_dump_int_array`).  The gateway's solve,
+    batch and session-result routes and ``repro batch --file`` all
+    write result bodies through it.
+    """
+    body = _result_fields(request, result)
+    body.update(extra)
+    return b"{" + b",".join(
+        _dump(key) + b":" + (
+            _dump_int_array(value) if isinstance(value, np.ndarray)
+            else _dump(value)
+        )
+        for key, value in sorted(body.items())
+    ) + b"}"

@@ -270,6 +270,35 @@ class TestBatchCommand:
         err = capsys.readouterr().err
         assert ":2:" in err and "backend" in err
 
+    def test_batch_file_lines_equal_reference_dumps(self, tmp_path, capsys):
+        import json
+
+        import repro
+        from repro.graphs.generators import uniform_random_graph
+        from repro.service import ServiceConfig
+        from repro.service import schema
+
+        graph = uniform_random_graph(40, 100, seed=3)
+        el = graph.edge_list()
+        wire_graph = {"n": 40, "edges": np.stack([el.u, el.v], axis=1).tolist()}
+        ranks = np.random.default_rng(3).permutation(40)
+        path = tmp_path / "solves.jsonl"
+        path.write_text(
+            json.dumps({"graph": wire_graph, "ranks": ranks.tolist()}) + "\n"
+            + json.dumps({"problem": "mm", "graph": wire_graph, "seed": 7}) + "\n"
+        )
+        assert main(["batch", "--file", str(path), "--workers", "1"]) == 0
+        method = ServiceConfig().default_method
+        references = [
+            ("mis", repro.maximal_independent_set(graph, ranks, method=method)),
+            ("matching", repro.maximal_matching(el, seed=7, method=method)),
+        ]
+        assert capsys.readouterr().out.splitlines() == [
+            json.dumps(schema.encode_result(problem, result),
+                       separators=(",", ":"), sort_keys=True)
+            for problem, result in references
+        ]
+
 
 @pytest.mark.service
 class TestServeCommand:

@@ -186,18 +186,69 @@ class TestSinksAndSummary:
 
 
 class TestKernelCounters:
-    def test_counts_are_monotone_across_runs(self, graph, vranks):
-        with KernelCounters() as kc:
-            maximal_independent_set(graph, vranks, method="rootset-vec")
-            first = kc.snapshot()
-            maximal_independent_set(graph, vranks, method="rootset-vec")
-            second = kc.snapshot()
-        for name in KERNEL_NAMES:
-            assert second[name]["calls"] >= first[name]["calls"]
-            assert second[name]["elements"] >= first[name]["elements"]
-            assert second[name]["seconds"] >= first[name]["seconds"]
-        assert kc.total_calls > 0
-        assert kc.total_elements > 0
+    def test_counts_are_monotone_across_runs(self, graph, vranks, eranks):
+        """Every kernel-composed engine is counted, MIS and MM; parallel-vec
+        runs on one worker so its kernels execute in this process."""
+        el = graph.edge_list()
+        for method, knobs in (("rootset-vec", {}), ("parallel-vec", {"workers": 1})):
+            for solve, payload, ranks in (
+                (maximal_independent_set, graph, vranks),
+                (maximal_matching, el, eranks),
+            ):
+                with KernelCounters() as kc:
+                    solve(payload, ranks, method=method, **knobs)
+                    first = kc.snapshot()
+                    solve(payload, ranks, method=method, **knobs)
+                    second = kc.snapshot()
+                for name in KERNEL_NAMES:
+                    assert second[name]["calls"] >= first[name]["calls"]
+                    assert second[name]["elements"] >= first[name]["elements"]
+                    assert second[name]["seconds"] >= first[name]["seconds"]
+                label = f"{solve.__name__} method={method}"
+                assert kc.total_calls > 0, label
+                assert kc.total_elements > 0, label
+
+    def test_parallel_vec_on_one_worker_counts_like_rootset_vec(
+        self, graph, vranks, eranks
+    ):
+        """On one worker parallel-vec runs rootset-vec's kernels in this
+        process, so every kernel's call count must match; a kernel
+        binding the counters miss shows up as a shortfall."""
+        for solve, payload, ranks in (
+            (maximal_independent_set, graph, vranks),
+            (maximal_matching, graph.edge_list(), eranks),
+        ):
+            calls = {}
+            for method, knobs in (("rootset-vec", {}),
+                                  ("parallel-vec", {"workers": 1})):
+                with KernelCounters() as kc:
+                    solve(payload, ranks, method=method, **knobs)
+                calls[method] = {n: c.calls for n, c in kc.counters.items()}
+            assert calls["parallel-vec"] == calls["rootset-vec"], solve.__name__
+
+    def test_patch_list_covers_every_kernel_import(self):
+        """A module that imports a frontier kernel by name at module level
+        and is missing from ``repro.kernels.PATCH_MODULES`` runs its
+        kernels uncounted and out of the chaos injector's reach.  (An
+        import inside a function reads the patched package attribute.)"""
+        import ast
+        import pathlib
+
+        import repro
+        from repro.kernels import PATCH_MODULES
+
+        root = pathlib.Path(repro.__file__).parent
+        binders = set()
+        for py in root.rglob("*.py"):
+            for node in ast.parse(py.read_text()).body:
+                if (isinstance(node, ast.ImportFrom)
+                        and node.module in ("repro.kernels", "repro.kernels.frontier")
+                        and any(a.name in KERNEL_NAMES for a in node.names)):
+                    parts = py.relative_to(root.parent).with_suffix("").parts
+                    binders.add(".".join(parts).removesuffix(".__init__"))
+        # Shard workers run only in child processes, which no patch reaches.
+        binders.discard("repro.backends.shard_worker")
+        assert binders and binders <= set(PATCH_MODULES)
 
     def test_restores_kernels_on_exit(self):
         import repro.core.mis.rootset_vectorized as vec

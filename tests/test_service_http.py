@@ -25,6 +25,7 @@ from repro.core.engines import engine_methods
 from repro.core.mis import maximal_independent_set
 from repro.graphs.generators import uniform_random_graph
 from repro.service.http import GatewayConfig, HTTPGateway, request_json
+from repro.service.schema import encode_result
 
 pytestmark = [pytest.mark.http, pytest.mark.service]
 
@@ -214,18 +215,40 @@ class TestDeadline:
         assert status == 400 and body["error"] == "BadRequestError"
 
 
+def _reference_batch(items):
+    """What ``POST /v1/batch`` must send for *items*: each a library
+    result (dumped with its ``ok``/``cache`` extras) or an error dict."""
+    return json.dumps(
+        {"results": [
+            item if isinstance(item, dict)
+            else dict(encode_result("mis", item[0]), ok=True, cache=item[1])
+            for item in items
+        ]},
+        separators=(",", ":"), sort_keys=True,
+    ).encode()
+
+
 class TestBatch:
-    def test_all_ok_is_200(self, gateway):
-        status, _, body = request_json(
+    def test_all_ok_is_200(self, gateway, graph, pi):
+        status, _, raw = _raw_response(
             gateway.address, "POST", "/v1/batch",
             {"requests": [{"graph": "g"}, {"graph": "g", "seed": 5}]},
         )
+        body = json.loads(raw)
         assert status == 200
         assert [r["ok"] for r in body["results"]] == [True, True]
         assert body["results"][0]["cache"] == "hit"
+        method = gateway.service.config.default_method
+        refs = [
+            maximal_independent_set(graph, pi, method=method),
+            maximal_independent_set(graph, seed=5, method=method),
+        ]
+        assert raw == _reference_batch([
+            (ref, item["cache"]) for ref, item in zip(refs, body["results"])
+        ])
 
-    def test_mixed_failures_are_207_per_item(self, gateway):
-        status, _, body = request_json(
+    def test_mixed_failures_are_207_per_item(self, gateway, graph, pi):
+        status, _, raw = _raw_response(
             gateway.address, "POST", "/v1/batch",
             {"requests": [
                 {"graph": "g"},
@@ -233,6 +256,7 @@ class TestBatch:
                 {"graph": "g", "bogus": 1},
             ]},
         )
+        body = json.loads(raw)
         assert status == 207
         ok, missing, bogus = body["results"]
         assert ok["ok"] is True
@@ -241,6 +265,10 @@ class TestBatch:
             "error": "UnknownGraphError", "message": missing["message"],
         }
         assert bogus["http_status"] == 400
+        ref = maximal_independent_set(
+            graph, pi, method=gateway.service.config.default_method
+        )
+        assert raw == _reference_batch([(ref, ok["cache"]), missing, bogus])
 
     def test_malformed_batch_body_is_400(self, gateway):
         status, _, body = request_json(

@@ -213,3 +213,120 @@ def test_encode_result_matching_edges_ride_along():
     body = schema.encode_result("matching", result)
     assert body["edge_u"] == result.edge_u.tolist()
     assert body["edge_v"] == result.edge_v.tolist()
+
+
+# -- dump_result: the byte writer every result route sends ----------------
+
+
+def _reference_dump(request, result, **extra):
+    """What every result route must send: the dict form, dumped."""
+    return json.dumps(
+        dict(schema.encode_result(request, result), **extra),
+        separators=(",", ":"), sort_keys=True,
+    ).encode()
+
+
+def _list_dump(values):
+    return json.dumps(values.tolist(), separators=(",", ":")).encode()
+
+
+INT_DTYPES = (np.int8, np.int16, np.int32, np.int64,
+              np.uint8, np.uint16, np.uint32, np.uint64)
+
+
+@pytest.mark.parametrize("values", [
+    np.array([], dtype=np.int64),
+    np.array([0]),
+    np.array([9, 10]),
+    np.array([9999, 10000]),
+    np.array([99999999, 10**8]),
+    np.array([-128, 127], dtype=np.int8),
+    np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max]),
+    np.array([np.iinfo(np.uint64).max], dtype=np.uint64),
+    np.array([-1, 0, 1, -9999, -10000, 2**32 - 1, 2**32, -(2**32)]),
+    np.array([3, -10000]),
+    np.array([7, -(2**32)]),
+], ids=["empty", "zero", "9-10", "9999-10000", "1e8", "int8-limits",
+        "int64-limits", "uint64-max", "signs-and-2**32",
+        "widest-is-negative", "widest-is-negative-2**32"])
+def test_int_array_writer_edge_values(values):
+    assert schema._dump_int_array(values) == _list_dump(values)
+
+
+@pytest.mark.parametrize("dtype", INT_DTYPES, ids=lambda d: np.dtype(d).name)
+def test_int_array_writer_random_arrays(dtype):
+    """Full-range draws plus one draw per decimal width, on native,
+    strided and byte-swapped arrays."""
+    info = np.iinfo(dtype)
+    rng = np.random.default_rng(np.dtype(dtype).itemsize)
+    draws = [rng.integers(info.min, info.max, 600, dtype=dtype, endpoint=True)]
+    for digits in range(1, len(str(info.max)) + 1):
+        hi = min(10**digits - 1, int(info.max))
+        lo = max(-hi, int(info.min))
+        draws.append(rng.integers(lo, hi, 200, dtype=dtype, endpoint=True))
+    for values in draws:
+        for variant in (values, values[::3], values.astype(values.dtype.newbyteorder())):
+            assert schema._dump_int_array(variant) == _list_dump(variant)
+
+
+@pytest.mark.parametrize("values", [
+    np.array([0.0, 1.0]),
+    np.array([], dtype=np.float64),
+    np.array([True, False]),
+    np.zeros((2, 2), dtype=np.int64),
+], ids=["float", "empty-float", "bool", "2-D"])
+def test_int_array_writer_rejects_non_integer_arrays(values):
+    with pytest.raises(TypeError, match="1-D integer array"):
+        schema._dump_int_array(values)
+
+
+def _results(seed):
+    """Seeded ``(problem, result)`` pairs: MIS and MM from several engines
+    (``luby`` included), empty graphs, and session results that carry
+    ``aux["dynamic"]``."""
+    from repro.dynamic import IncrementalMatching, IncrementalMIS
+    from repro.graphs.builders import from_edges
+
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 80))
+    graph = uniform_random_graph(n, int(rng.integers(1, 2 * n)), seed=seed)
+    no_vertices = from_edges(0, np.array([], np.int64), np.array([], np.int64))
+    no_edges = uniform_random_graph(n, 0, seed=seed)
+    pairs = []
+    for g in (graph, no_vertices, no_edges):
+        for method in ("sequential", "prefix", "rootset-vec", "luby"):
+            pairs.append(("mis", maximal_independent_set(g, seed=seed, method=method)))
+        for method in ("sequential", "parallel", "rootset-vec"):
+            pairs.append(("matching", maximal_matching(
+                g.edge_list(), seed=seed, method=method)))
+    el = graph.edge_list()
+    first = (int(el.u[0]), int(el.v[0]))
+    for session in (IncrementalMIS(graph, seed=seed),
+                    IncrementalMatching(graph, seed=seed)):
+        session.apply_batch(deletions=[first])
+        problem = "mis" if isinstance(session, IncrementalMIS) else "matching"
+        pairs.append((problem, session.result()))
+    return pairs
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_dump_result_equals_reference_dump(seed):
+    extras = [
+        {},
+        {"session_id": "s-1", "version": seed},
+        {"ok": True, "cache": "miss"},
+        {"ok": True, "cache": "stale", "session_id": "é"},
+        {"status": "overridden"},  # an extra replaces a result field
+    ]
+    pairs = _results(seed)
+    assert any("dynamic" in r.stats.aux for _, r in pairs)
+    for problem, result in pairs:
+        request, _ = schema.decode_solve({
+            "problem": problem,
+            "graph": {"n": 1, "edges": []},
+        })
+        for extra in extras:
+            for req in (problem, request):
+                assert schema.dump_result(req, result, **extra) == (
+                    _reference_dump(req, result, **extra)
+                ), (problem, result.stats.algorithm, extra)

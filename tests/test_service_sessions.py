@@ -8,6 +8,8 @@ when it is driven over the HTTP front door.  This suite pins each leg.
 """
 
 import copy
+import http.client
+import json
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from repro.errors import EngineError, InvalidGraphError, UnknownSessionError
 from repro.graphs.builders import from_edges
 from repro.graphs.generators import uniform_random_graph
 from repro.service import ServiceConfig, SolverService
+from repro.service.schema import encode_result
 
 pytestmark = [pytest.mark.sessions, pytest.mark.service]
 
@@ -258,6 +261,17 @@ class TestHTTPSessions:
         with gw:
             yield gw
 
+    @staticmethod
+    def _raw_get(address, path):
+        """(status, raw body bytes) — for byte-identity assertions."""
+        conn = http.client.HTTPConnection(address[0], address[1], timeout=30)
+        try:
+            conn.request("GET", path)
+            response = conn.getresponse()
+            return response.status, response.read()
+        finally:
+            conn.close()
+
     def _inline(self, graph):
         el = graph.edge_list()
         return {
@@ -283,7 +297,8 @@ class TestHTTPSessions:
         assert status == 200
         assert stats["version"] == 1 and stats["work_ratio"] < 1.0
 
-        status, _, body = request_json(addr, "GET", "/v1/sessions/h1/result")
+        status, raw = self._raw_get(addr, "/v1/sessions/h1/result")
+        body = json.loads(raw)
         assert status == 200
         assert body["session_id"] == "h1" and body["version"] == 1
         live = _live(graph) - {pool[2]}
@@ -292,6 +307,12 @@ class TestHTTPSessions:
         )
         assert body["status"] == ref.status.tolist()
         assert body["dynamic"]["batches"] == 1
+        # The raw body is the reference dump of the committed result.
+        committed = gateway.service.session_result("h1")
+        assert raw == json.dumps(
+            dict(encode_result("mis", committed), session_id="h1", version=1),
+            separators=(",", ":"), sort_keys=True,
+        ).encode()
 
         status, _, listing = request_json(addr, "GET", "/v1/sessions")
         assert status == 200
