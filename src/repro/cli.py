@@ -139,8 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["off", "cheap", "full"],
                        help="per-round invariant checks (default off)")
         p.add_argument("--fallback", action="store_true",
-                       help="degrade down rootset-vec -> rootset -> "
-                       "sequential if the chosen engine fails")
+                       help="degrade down rootset-vec -> sequential if "
+                       "the chosen engine fails")
         p.add_argument("--budget-seconds", type=float, default=None,
                        help="abort with BudgetExceededError past this "
                        "wall-clock limit")
@@ -204,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--seeds", default="0:8",
                    help="seed range lo:hi (hi exclusive), or a count N (= 0:N)")
     b.add_argument("--method", default=None,
-                   help="engine (default: the service's rootset-vec)")
+                   help="engine (default: the service's default_method, "
+                   "prefix)")
     b.add_argument("--workers", type=int, default=2)
     b.add_argument("--guards", default=None, choices=["off", "cheap", "full"])
     b.add_argument("--timeout-seconds", type=float, default=None,

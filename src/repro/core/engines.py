@@ -27,8 +27,10 @@ time and can be loaded from anywhere without circular imports.
 The degradation order used by ``fallback=True`` is *derived* from
 registration order instead of being hard-coded in each front door:
 fallback-capable engines are registered slowest-first, and
-:func:`fallback_chain` reverses that, yielding
-``rootset-vec → rootset → sequential``.
+:func:`fallback_chain` reverses that, yielding ``rootset-vec →
+sequential``.  The pointer ``rootset`` engine is not a rung: like
+``sequential`` it runs no frontier kernel, so a kernel fault that fails
+``rootset-vec`` spares both, and it is never faster than ``sequential``.
 """
 
 from __future__ import annotations
@@ -144,8 +146,8 @@ def fallback_chain(problem: str) -> Tuple[str, ...]:
     """Degradation order: fallback-capable engines, fastest first.
 
     Derived from the registry — fallback engines register slowest-first,
-    so reversing registration order yields ``rootset-vec → rootset →
-    sequential`` without either front door hard-coding the chain.
+    so reversing registration order yields ``rootset-vec → sequential``
+    without either front door hard-coding the chain.
     """
     return tuple(
         spec.method
@@ -357,8 +359,8 @@ def front_door(problem: str, payload, ranks, size: int, options):
 
 # ---------------------------------------------------------------------------
 # Registrations.  Order matters: it is the public listing order, and the
-# fallback-capable engines (sequential → rootset → rootset-vec, i.e.
-# slowest first) reverse into the degradation chain.
+# fallback-capable engines (sequential → rootset-vec, i.e. slowest first)
+# reverse into the degradation chain.
 # ---------------------------------------------------------------------------
 
 register_engine(EngineSpec(
@@ -393,7 +395,7 @@ register_engine(EngineSpec(
     module="repro.core.mis.rootset", func="rootset_mis",
     algorithm="mis/rootset",
     summary="Linear-work root-set engine (pointer implementation)",
-    supports_guards=True, fallback=True,
+    supports_guards=True,
 ))
 register_engine(EngineSpec(
     problem="mis", method="rootset-vec",
@@ -442,7 +444,7 @@ register_engine(EngineSpec(
     module="repro.core.matching.rootset", func="rootset_matching",
     algorithm="mm/rootset",
     summary="Linear-work root-set matching (pointer implementation)",
-    supports_guards=True, fallback=True,
+    supports_guards=True,
 ))
 register_engine(EngineSpec(
     problem="matching", method="rootset-vec",

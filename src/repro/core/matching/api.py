@@ -91,7 +91,7 @@ def maximal_matching(
         Optional :class:`~repro.robustness.Budget` shared by the run and
         any fallback retries.
     fallback:
-        Retry a failed engine down ``rootset-vec → rootset → sequential``,
+        Retry a failed engine down ``rootset-vec → sequential``,
         recording the degradation in ``result.stats.aux`` (keys
         ``degraded``, ``fallback_engine``, ``fallback_attempts``).
     tracer:

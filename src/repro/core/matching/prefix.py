@@ -18,7 +18,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.matching.sequential import sequential_greedy_matching
 from repro.core.mis.prefix import resolve_prefix_size
 from repro.core.orderings import (
     permutation_from_ranks,
@@ -28,6 +27,7 @@ from repro.core.orderings import (
 from repro.core.result import MatchingResult, stats_from_machine
 from repro.core.status import EDGE_DEAD, EDGE_LIVE, EDGE_MATCHED, new_edge_status
 from repro.graphs.csr import EdgeList
+from repro.kernels import scatter_min
 from repro.pram.machine import Machine, log2_depth
 from repro.robustness.budget import Budget
 from repro.robustness.guards import matching_guard
@@ -143,8 +143,8 @@ def prefix_greedy_matching(
             lr = ranks[live]
             min_at[lu] = m
             min_at[lv] = m
-            np.minimum.at(min_at, lu, lr)
-            np.minimum.at(min_at, lv, lr)
+            scatter_min(min_at, lu, lr)
+            scatter_min(min_at, lv, lr)
             winners = live[(min_at[lu] == lr) & (min_at[lv] == lr)]
             if guard is not None:
                 guard.check_ready(status, winners, matched_v)

@@ -18,8 +18,7 @@ engine dispatch, so corrupted inputs fail loudly instead of producing a
 wrong-but-plausible set.  ``guards``/``budget``/``tracer`` thread through
 to the engines that accept them, and ``fallback=True`` adds graceful
 degradation: a failed engine is retried down the chain ``rootset-vec →
-rootset → sequential`` with the degradation recorded in
-``result.stats.aux``.
+sequential`` with the degradation recorded in ``result.stats.aux``.
 """
 
 from __future__ import annotations
@@ -113,8 +112,8 @@ def maximal_independent_set(
         does **not** absorb.
     fallback:
         When true, an engine failing with an invariant violation or a
-        numeric crash is retried down ``rootset-vec → rootset →
-        sequential`` (skipping the method that failed).  The successful
+        numeric crash is retried down ``rootset-vec → sequential``
+        (skipping the method that failed).  The successful
         result carries ``stats.aux["degraded"] = True``,
         ``stats.aux["fallback_engine"]`` and
         ``stats.aux["fallback_attempts"]`` (the per-engine error log).

@@ -33,6 +33,7 @@ from repro.core.result import MISResult, stats_from_machine
 from repro.core.status import IN_SET, KNOCKED_OUT, UNDECIDED, new_vertex_status
 from repro.errors import EngineError
 from repro.graphs.csr import CSRGraph
+from repro.kernels import frontier_gather, scatter_min
 from repro.pram.machine import Machine, log2_depth
 from repro.robustness.budget import Budget
 from repro.robustness.guards import mis_guard
@@ -189,7 +190,7 @@ def prefix_greedy_mis(
             continue
         # Gather the prefix's incident arcs once; split internal/external.
         in_prefix[prefix] = True
-        g_src, g_dst = graph.gather(prefix)
+        g_src, g_dst = frontier_gather(graph.offsets, graph.neighbors, prefix)
         machine.charge(
             prefix.size + g_src.size,
             log2_depth(max(int(g_src.size), 2)),
@@ -203,14 +204,16 @@ def prefix_greedy_mis(
                 budget.spend_steps()
             item_exams += int(live.size)
             min_nb[live] = n
-            np.minimum.at(min_nb, src, ranks[dst])
+            scatter_min(min_nb, src, ranks[dst])
             roots = live[ranks[live] < min_nb[live]]
             if guard is not None:
                 guard.check_roots(status, roots)
             status[roots] = IN_SET
             # Knock out ALL graph neighbors of new set members, inside and
             # outside the prefix (the V' = V \ (P ∪ N(W)) update).
-            r_src, r_dst = graph.gather(roots)
+            _, r_dst = frontier_gather(
+                graph.offsets, graph.neighbors, roots, need_owner=False
+            )
             victims = r_dst[status[r_dst] == UNDECIDED]
             status[victims] = KNOCKED_OUT
             if guard is not None:
@@ -218,7 +221,7 @@ def prefix_greedy_mis(
                 # new members can share a neighbor).
                 guard.check_step(status, roots, victims, knocked_distinct=False)
             machine.charge(
-                live.size + 2 * src.size + roots.size + r_src.size,
+                live.size + 2 * src.size + roots.size + r_dst.size,
                 log2_depth(max(int(live.size), 2)),
                 tag="inner",
             )

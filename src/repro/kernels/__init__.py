@@ -15,6 +15,7 @@ from repro.kernels.frontier import (
     frontier_gather,
     range_gather,
     scatter_distinct,
+    scatter_min,
     sorted_segment_min,
     stamp_dedup,
 )
@@ -38,8 +39,10 @@ PATCH_MODULES = (
     "repro.kernels.frontier",
     "repro.kernels",
     "repro.core.mis.parallel",
+    "repro.core.mis.prefix",
     "repro.core.mis.rootset_vectorized",
     "repro.core.mis.parallel_vectorized",
+    "repro.core.matching.prefix",
     "repro.core.matching.rootset_vectorized",
     "repro.core.matching.parallel_vectorized",
 )
@@ -53,6 +56,7 @@ __all__ = [
     "decrement_counts",
     "advance_cursors",
     "sorted_segment_min",
+    "scatter_min",
     "grouped_csr",
     "split_parents_children",
     "rank_sorted_incidence",

@@ -16,7 +16,9 @@ operations as vectorized CSR kernels:
   sorted incidence lists of Lemma 5.2/5.3 (``mmcheck`` phase 1);
 * :func:`sorted_segment_min` — segmented min over an already-sorted key
   column, via ``np.minimum.reduceat`` on older numpy or the indexed
-  ``np.minimum.at`` fast path on numpy ≥ 1.24 (whichever measures faster).
+  ``np.minimum.at`` fast path on numpy ≥ 1.24 (whichever measures faster);
+* :func:`scatter_min` — indexed min over *unsorted* keys, the inner step
+  of the prefix engines (Algorithm 3 and its matching analogue).
 
 Every kernel optionally charges a :class:`~repro.pram.machine.Machine`
 with the CRCW-PRAM cost of the bulk step — linear work in the elements it
@@ -42,6 +44,7 @@ __all__ = [
     "decrement_counts",
     "advance_cursors",
     "sorted_segment_min",
+    "scatter_min",
 ]
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -301,3 +304,26 @@ def sorted_segment_min(
         np.minimum.at(out, sorted_keys, values)
         return
     _reduceat_segment_min(sorted_keys, values, out)
+
+
+def scatter_min(
+    out: np.ndarray,
+    keys: np.ndarray,
+    values: np.ndarray,
+    machine: Optional[Machine] = None,
+    tag: str = "scatter-min",
+) -> None:
+    """``out[k] = min(out[k], values where keys == k)``, keys in any order.
+
+    The indexed min both prefix engines run once per inner step: over the
+    prefix's internal arcs for MIS (each vertex's smallest live neighbor
+    rank) and at both endpoints of the live edges for MM (each vertex's
+    smallest live incident edge rank).  Unlike :func:`sorted_segment_min`
+    the keys need not be sorted, so no key column is kept in order between
+    steps.  Entries of *out* whose key is absent are left untouched, so
+    callers pre-fill the cells they read with their sentinel.  Work
+    ``O(len(values))``, depth ``O(log)``.  Mutates *out* in place.
+    """
+    if machine is not None:
+        machine.charge(values.size, log2_depth(max(int(values.size), 2)), tag=tag)
+    np.minimum.at(out, keys, values)

@@ -48,6 +48,7 @@ _ELEMENT_ARG: Dict[str, int] = {
     "decrement_counts": 1,   # targets
     "advance_cursors": 5,    # frontier
     "sorted_segment_min": 1, # values
+    "scatter_min": 2,        # values
 }
 
 #: Names of the wrapped frontier kernels.

@@ -5,8 +5,9 @@ Two families of faults, matching the two ways state can go bad:
 **Kernel faults** (injected live via :class:`ChaosInjector`) corrupt the
 output of a frontier primitive mid-run — a dropped or duplicated frontier
 vertex, a foreign vertex smuggled into a dedup result, a spurious parent
-count decrement, an off-by-one cursor advance.  These model the silent
-data races and logic slips the invariant guards exist to catch.
+count decrement, an off-by-one cursor advance, a neighborhood minimum
+lifted past its true value.  These model the silent data races and logic
+slips the invariant guards exist to catch.
 
 **Input faults** (:func:`corrupt_ranks`, :func:`corrupt_graph`) poison the
 arrays handed to the front doors — NaN or duplicated priorities, truncated
@@ -49,6 +50,7 @@ KERNEL_FAULTS: Dict[str, str] = {
     "foreign-frontier": "scatter_distinct",
     "count-extra": "decrement_counts",
     "cursor-skip": "advance_cursors",
+    "min-lift": "scatter_min",
 }
 
 #: Faults applied to a priority array before the front door sees it.
@@ -161,6 +163,26 @@ class ChaosInjector:
         cursors[v] += 1
         self.fired = True
 
+    def _strike_min(
+        self, out: np.ndarray, keys: np.ndarray, values: np.ndarray
+    ) -> None:
+        # Raise one cell this call set to the next-larger value scattered
+        # to the same key: the prefix engines then see a smaller-ranked
+        # live neighbor (MIS) or incident edge (MM) as absent, which can
+        # mint a false root or a false winner.
+        order = np.lexsort((values, keys))
+        k, v = keys[order], values[order]
+        # Positions holding a key's next-larger value right after the
+        # value that set its cell.
+        lift = np.flatnonzero(
+            (k[1:] == k[:-1]) & (v[1:] > v[:-1]) & (v[:-1] == out[k[:-1]])
+        ) + 1
+        if lift.size == 0:
+            return
+        j = int(lift[self._rng.integers(lift.size)])
+        out[k[j]] = v[j]
+        self.fired = True
+
     # -- wrapper construction ---------------------------------------------
 
     def _should_strike(self) -> bool:
@@ -185,6 +207,13 @@ class ChaosInjector:
                 if self._should_strike():
                     zeros = self._strike_counts(counts, zeros)
                 return zeros
+
+        elif KERNEL_FAULTS[kind] == "scatter_min":
+
+            def wrapper(out, keys, values, machine=None, tag="scatter-min"):
+                original(out, keys, values, machine, tag)
+                if self._should_strike():
+                    self._strike_min(out, keys, values)
 
         else:  # advance_cursors
 

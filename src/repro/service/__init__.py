@@ -6,10 +6,10 @@ admission queue and are executed in **subprocess workers** — a crash,
 OOM kill, or hang of one request cannot take down the service or affect
 siblings.  Failures are retried with exponential backoff; repeated
 failures of one engine trip a per-engine :class:`CircuitBreaker` and
-degrade requests along the registry's fallback chain
-(``rootset-vec → rootset → sequential``), which is output-invariant
-because every chain engine returns the bit-identical
-lexicographically-first answer.
+degrade requests along the registry's fallback chain: a request runs
+its engine (by default ``prefix``, the paper's Algorithm 3), then
+``rootset-vec → sequential``.  That is output-invariant because every
+chain engine returns the bit-identical lexicographically-first answer.
 
 Layout:
 

@@ -19,12 +19,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
+from repro.core.options import SolveOptions
 from repro.robustness.faults import KERNEL_FAULTS
 
 __all__ = ["ServiceConfig", "SolveRequest"]
 
 _START_METHODS = ("fork", "spawn", "forkserver")
 _PROBLEMS = ("mis", "matching", "mm", "call")
+
+#: The library front doors' default engine, read once so the service
+#: cannot drift from it.
+_LIBRARY_METHOD: str = SolveOptions.__dataclass_fields__["method"].default
 
 
 @dataclass(frozen=True)
@@ -42,7 +47,9 @@ class ServiceConfig:
         Multiprocessing start method (``fork``/``spawn``/``forkserver``).
     default_method:
         Engine used when a request does not name one.  The default is the
-        fastest member of the degradation chain (``rootset-vec``).
+        library's (:class:`~repro.core.options.SolveOptions` ``method``,
+        ``prefix``), so a request solves with the same engine in process
+        and through the service.
     default_guards:
         Guard mode handed to workers when the request does not set one.
     degrade:
@@ -136,7 +143,7 @@ class ServiceConfig:
     workers: int = 2
     max_queue: int = 64
     start_method: str = "fork"
-    default_method: str = "rootset-vec"
+    default_method: str = _LIBRARY_METHOD
     default_guards: Optional[str] = None
     degrade: bool = True
     max_retries: int = 2
@@ -320,8 +327,6 @@ class SolveRequest:
     options: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        from repro.core.options import SolveOptions
-
         if isinstance(self.options, SolveOptions):
             opts = self.options
             wire = opts.to_wire()  # rejects budget/tracer/machine
@@ -331,8 +336,7 @@ class SolveRequest:
             # at the default method expresses no choice, so it neither
             # conflicts with an explicit request method nor overrides the
             # service's default_method.
-            default_method = type(opts).__dataclass_fields__["method"].default
-            if opts.method != default_method:
+            if opts.method != _LIBRARY_METHOD:
                 if self.method is None:
                     self.method = opts.method
                 elif self.method != opts.method:

@@ -12,7 +12,8 @@ A solve object looks like::
      "graph":   {"n": 5, "edges": [[0, 1], [1, 2]]} | "<registered name>",
      "ranks":   [...],          # optional explicit priorities
      "seed":    7,              # optional (merged into options)
-     "method":  "rootset-vec",  # optional engine name
+     "method":  "prefix",       # optional engine name (default: the
+                                #   service's default_method)
      "guards":  "full",         # optional guard mode
      "budget_steps": 10000,     # optional step budget
      "timeout_s": 2.5,          # optional wall-clock deadline

@@ -86,9 +86,7 @@ class TestRegistryShape:
                 s.method for s in reversed(engine_specs(problem)) if s.fallback
             )
             assert fallback_chain(problem) == expected
-            assert fallback_chain(problem) == (
-                "rootset-vec", "rootset", "sequential"
-            )
+            assert fallback_chain(problem) == ("rootset-vec", "sequential")
 
     def test_unknown_method_error_lists_registered_names(self, graph):
         with pytest.raises(EngineError, match="unknown MIS method 'bogus'"):

@@ -14,6 +14,7 @@ import pytest
 from repro.core.matching.api import maximal_matching
 from repro.core.mis.api import maximal_independent_set
 from repro.core.orderings import random_priorities
+from repro.core.status import IN_SET
 from repro.graphs.generators import rmat_graph, uniform_random_graph
 from repro.observability import (
     JSONLSink,
@@ -190,7 +191,8 @@ class TestKernelCounters:
         """Every kernel-composed engine is counted, MIS and MM; parallel-vec
         runs on one worker so its kernels execute in this process."""
         el = graph.edge_list()
-        for method, knobs in (("rootset-vec", {}), ("parallel-vec", {"workers": 1})):
+        for method, knobs in (("rootset-vec", {}), ("parallel-vec", {"workers": 1}),
+                              ("prefix", {})):
             for solve, payload, ranks in (
                 (maximal_independent_set, graph, vranks),
                 (maximal_matching, el, eranks),
@@ -225,6 +227,30 @@ class TestKernelCounters:
                     solve(payload, ranks, method=method, **knobs)
                 calls[method] = {n: c.calls for n, c in kc.counters.items()}
             assert calls["parallel-vec"] == calls["rootset-vec"], solve.__name__
+
+    @pytest.mark.parametrize("prefix_frac", [None, 0.2])
+    def test_prefix_counts_one_scatter_min_per_endpoint_per_step(
+        self, graph, vranks, eranks, prefix_frac
+    ):
+        """The prefix engines' inner step is fully counted: MIS runs one
+        ``scatter_min`` and one roots gather per step plus one prefix
+        gather per round that has an undecided slot (exactly the rounds
+        holding a set member); MM runs one ``scatter_min`` per endpoint
+        per step and gathers nothing."""
+        with KernelCounters() as kc:
+            res = maximal_independent_set(graph, vranks, method="prefix",
+                                          prefix_frac=prefix_frac)
+        steps, k = res.stats.steps, res.stats.prefix_size
+        member_rounds = np.unique(vranks[res.status == IN_SET] // k).size
+        assert kc.counters["scatter_min"].calls == steps
+        assert kc.counters["frontier_gather"].calls == steps + member_rounds
+        assert kc.total_calls == 2 * steps + member_rounds
+
+        with KernelCounters() as kc:
+            res = maximal_matching(graph.edge_list(), eranks, method="prefix",
+                                   prefix_frac=prefix_frac)
+        assert kc.counters["scatter_min"].calls == 2 * res.stats.steps
+        assert kc.total_calls == 2 * res.stats.steps
 
     def test_patch_list_covers_every_kernel_import(self):
         """A module that imports a frontier kernel by name at module level

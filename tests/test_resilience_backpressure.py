@@ -127,9 +127,15 @@ class TestServiceBackpressure:
         assert stats.admission_limit is not None
 
     def test_queue_full_counts_as_overload(self):
-        # A tiny fixed queue fills before the scheduler's first pickup,
-        # so some rejections go down the queue-full path — each one is
-        # an overload signal that applies a multiplicative decrease.
+        # A tiny fixed queue fills during the burst, so some rejections go
+        # down the queue-full path — each one is an overload signal that
+        # applies a multiplicative decrease.  The burst holds the
+        # scheduler's (reentrant) lock, so no request is dispatched
+        # mid-burst: outstanding work is exactly the queue, which hits its
+        # bound of 2 before it exceeds the adaptive limit (2 = 2 * workers,
+        # and the limiter caps it at max_queue anyway).  Without the lock
+        # an early pickup would let outstanding work reach the limit
+        # before the queue fills.
         g = uniform_random_graph(150, 400, seed=4)
         config = ServiceConfig(
             workers=1, max_queue=2, backpressure=True,
@@ -137,14 +143,15 @@ class TestServiceBackpressure:
         )
         with SolverService(config) as svc:
             futures = []
-            for i in range(12):
-                try:
-                    futures.append(svc.submit(
-                        SolveRequest("mis", g, options={"seed": i}),
-                        block=False,
-                    ))
-                except QueueFullError:
-                    pass
+            with svc._lock:
+                for i in range(12):
+                    try:
+                        futures.append(svc.submit(
+                            SolveRequest("mis", g, options={"seed": i}),
+                            block=False,
+                        ))
+                    except QueueFullError:
+                        pass
             for fut in futures:
                 fut.result(timeout=60)
             stats = svc.stats()

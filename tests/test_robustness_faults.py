@@ -12,10 +12,12 @@ import pytest
 from repro.core.engines import fallback_chain
 from repro.core.matching.api import maximal_matching
 from repro.core.matching.parallel_vectorized import parallel_matching_vectorized
+from repro.core.matching.prefix import prefix_greedy_matching
 from repro.core.matching.rootset_vectorized import rootset_matching_vectorized
 from repro.core.matching.sequential import sequential_greedy_matching
 from repro.core.mis.api import maximal_independent_set
 from repro.core.mis.parallel_vectorized import parallel_mis_vectorized
+from repro.core.mis.prefix import prefix_greedy_mis
 from repro.core.mis.rootset_vectorized import rootset_mis_vectorized
 from repro.core.mis.sequential import sequential_greedy_mis
 from repro.core.orderings import random_priorities
@@ -38,22 +40,27 @@ from repro.robustness import (
 pytestmark = pytest.mark.chaos
 
 MIS_KERNEL_FAULTS = ("drop-frontier", "dup-frontier", "foreign-frontier",
-                     "count-extra")
+                     "count-extra", "min-lift")
 MM_KERNEL_FAULTS = ("drop-frontier", "dup-frontier", "foreign-frontier",
-                    "cursor-skip")
+                    "cursor-skip", "min-lift")
 LOUD = (InvariantViolationError, IndexError, ValueError, FloatingPointError,
         OverflowError)
 
-#: Guarded vectorized engines the kernel-fault matrices strike.  One
+#: Guarded kernel-composed engines the kernel-fault matrices strike.  One
 #: worker keeps parallel-vec's gathers local, so the patched kernels run
-#: on the coordinator.
+#: on the coordinator.  MIS prefix runs at a 50-slot prefix: the default
+#: n/50 (5 slots here) leaves almost no internal arcs, so no strike lands.
 MIS_FAULT_ENGINES = (
-    ("rootset-vec", rootset_mis_vectorized, {}),
-    ("parallel-vec", parallel_mis_vectorized, {"workers": 1}),
+    ("rootset-vec", rootset_mis_vectorized, {"use_cache": False}),
+    ("parallel-vec", parallel_mis_vectorized,
+     {"workers": 1, "use_cache": False}),
+    ("prefix", prefix_greedy_mis, {"prefix_frac": 0.2}),
 )
 MM_FAULT_ENGINES = (
-    ("rootset-vec", rootset_matching_vectorized, {}),
-    ("parallel-vec", parallel_matching_vectorized, {"workers": 1}),
+    ("rootset-vec", rootset_matching_vectorized, {"use_cache": False}),
+    ("parallel-vec", parallel_matching_vectorized,
+     {"workers": 1, "use_cache": False}),
+    ("prefix", prefix_greedy_matching, {}),
 )
 
 
@@ -81,8 +88,7 @@ def test_mis_kernel_faults_detected_or_harmless(instance, kind, after):
         try:
             with ChaosInjector(spec) as chaos:
                 status = engine(
-                    instance["g"], instance["vranks"], guards="full",
-                    use_cache=False, **knobs,
+                    instance["g"], instance["vranks"], guards="full", **knobs,
                 ).status
         except LOUD:
             continue  # detected
@@ -100,8 +106,7 @@ def test_mm_kernel_faults_detected_or_harmless(instance, kind, after):
         try:
             with ChaosInjector(spec) as chaos:
                 status = engine(
-                    instance["el"], instance["eranks"], guards="full",
-                    use_cache=False, **knobs,
+                    instance["el"], instance["eranks"], guards="full", **knobs,
                 ).status
         except LOUD:
             continue  # detected
@@ -113,18 +118,28 @@ def test_mm_kernel_faults_detected_or_harmless(instance, kind, after):
 
 def test_at_least_one_kernel_fault_is_caught_by_guards(instance):
     """The matrix above tolerates harmless strikes; this pins down that the
-    guard layer actually fires for a blatant corruption."""
-    caught = 0
-    for after in range(4):
-        try:
-            with ChaosInjector(FaultSpec("drop-frontier", seed=1, after=after)):
-                rootset_mis_vectorized(
-                    instance["g"], instance["vranks"], guards="full",
-                    use_cache=False,
-                )
-        except InvariantViolationError:
-            caught += 1
-    assert caught > 0
+    guard layer actually fires for a blatant corruption, and that the
+    min-lift fault reaches both prefix engines.  (Most MIS lifts are
+    harmless: the raised minimum must pass the vertex's own rank to mint
+    a false root, hence the seed sweep.)"""
+    for kind, engine, payload, ranks, knobs in (
+        ("drop-frontier", rootset_mis_vectorized, instance["g"],
+         instance["vranks"], {"use_cache": False}),
+        ("min-lift", prefix_greedy_mis, instance["g"], instance["vranks"],
+         {"prefix_frac": 0.2}),
+        ("min-lift", prefix_greedy_matching, instance["el"],
+         instance["eranks"], {}),
+    ):
+        caught = 0
+        for seed in range(10):
+            for after in range(4):
+                try:
+                    with ChaosInjector(FaultSpec(kind, seed=seed,
+                                                 after=after)):
+                        engine(payload, ranks, guards="full", **knobs)
+                except InvariantViolationError:
+                    caught += 1
+        assert caught > 0, f"{kind} on {engine.__name__}"
 
 
 @pytest.mark.parametrize("kind", RANK_FAULTS)
@@ -181,7 +196,7 @@ def test_cheap_guards_fault_must_degrade_with_attempt_log():
     """Coverage-gap case: the test above only checks degradation *if* it
     happens; this instance is pinned so the cheap guard provably fires in
     the faulted engine and the front door provably degrades to the next
-    engine of the chain (rootset-vec → rootset, parallel-vec →
+    engine of the chain (rootset-vec → sequential, parallel-vec →
     rootset-vec)."""
     g = uniform_random_graph(64, 200, seed=3)
     ranks = random_priorities(g.num_vertices, seed=5)

@@ -57,7 +57,8 @@ class TestParity:
     def test_mis_bit_identical_to_in_process(self, service, graph):
         res = service.solve(SolveRequest("mis", graph, options={"seed": 3}),
                             timeout=60)
-        ref = direct_solve("mis", graph, method="rootset-vec", seed=3)
+        ref = direct_solve("mis", graph, method=service.config.default_method,
+                           seed=3)
         assert np.array_equal(res.status, ref.status)
         assert np.array_equal(res.ranks, ref.ranks)
         assert res.stats.algorithm == ref.stats.algorithm
@@ -90,7 +91,7 @@ class TestParity:
         res = service.solve(SolveRequest("mis", graph, options={"seed": 0}),
                             timeout=60)
         aux = res.stats.aux["service"]
-        assert aux["engine"] == "rootset-vec"
+        assert aux["engine"] == service.config.default_method
         assert aux["retries"] == 0
         assert len(aux["attempts"]) == 1
         assert aux["attempts"][0]["outcome"] == "ok"
@@ -357,6 +358,13 @@ class TestConfigAndRequestValidation:
     def test_bad_request_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SolveRequest(**kwargs)
+
+    def test_service_default_method_is_the_library_default(self):
+        """One default engine for every front door: the service serves
+        what the library front doors run, the paper's Algorithm 3."""
+        from repro.core.options import SolveOptions
+
+        assert ServiceConfig().default_method == SolveOptions().method == "prefix"
 
     def test_options_default_method_is_not_an_explicit_choice(self):
         from repro.core.options import SolveOptions

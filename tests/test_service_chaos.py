@@ -10,6 +10,7 @@ deaths and breaker-driven engine degradation.
 import numpy as np
 import pytest
 
+from repro.core.engines import fallback_chain
 from repro.core.engines import solve as direct_solve
 from repro.errors import ReproError, WorkerCrashError
 from repro.graphs.generators import rmat_graph, uniform_random_graph
@@ -23,10 +24,10 @@ def graph():
     return uniform_random_graph(200, 650, seed=1)
 
 
-def _storm(graph, n):
+def _storm(graph, n, method=None):
     return [SolveRequest("mis" if i % 2 == 0 else "mm",
                          graph if i % 2 == 0 else graph.edge_list(),
-                         options={"seed": i})
+                         method=method, options={"seed": i})
             for i in range(n)]
 
 
@@ -43,6 +44,24 @@ def _assert_bit_identical(requests, results):
             f"{req.problem} seed={req.options['seed']} diverged: "
             f"{res.stats.aux['service']['attempts']}"
         )
+
+
+def _assert_storm_degraded(requests, results, stats, primary):
+    """A fault storm's bar: bit-identical answers, some retries, and some
+    requests served off *primary* after a failed attempt.  Returns the
+    degraded results."""
+    _assert_bit_identical(requests, results)
+    assert stats.retries > 0, "storm injected no effective faults"
+    degraded = [r for r in results
+                if r.stats.aux.get("degraded")]
+    assert degraded, "no request was served by a fallback engine"
+    for res in degraded:
+        aux = res.stats.aux["service"]
+        assert aux["engine"] != primary
+        assert any(a["outcome"].startswith("error")
+                   or a["outcome"] == "crash"
+                   for a in aux["attempts"][:-1])
+    return degraded
 
 
 class TestKillStorm:
@@ -96,23 +115,35 @@ class TestKillStorm:
 
 class TestFaultStorm:
     def test_kernel_faults_degrade_and_stay_bit_identical(self, graph):
-        requests = _storm(graph, 10)
+        requests = _storm(graph, 10, method="rootset-vec")
         with SolverService(workers=2, fault_probability=0.6, max_retries=8,
                            chaos_seed=3, backoff_base=0.002,
                            tick=0.005) as svc:
             results = svc.solve_many(requests, return_errors=True)
             stats = svc.stats()
-        _assert_bit_identical(requests, results)
-        assert stats.retries > 0, "storm injected no effective faults"
-        degraded = [r for r in results
-                    if r.stats.aux.get("degraded")]
-        assert degraded, "no request was served by a fallback engine"
-        for res in degraded:
-            aux = res.stats.aux["service"]
-            assert aux["engine"] != "rootset-vec"
-            assert any(a["outcome"].startswith("error")
-                       or a["outcome"] == "crash"
-                       for a in aux["attempts"][:-1])
+        _assert_storm_degraded(requests, results, stats, "rootset-vec")
+
+    def test_min_lift_storm_degrades_the_served_default(self, graph):
+        """Chaos reaches the engine the service serves by default: a
+        min-lift storm on a default-configured service lands on it, its
+        faulted attempts degrade down the chain, and every answer is
+        still bit-identical."""
+        requests = _storm(graph, 10)
+        with SolverService(workers=2, fault_probability=0.6,
+                           fault_kinds=("min-lift",), max_retries=8,
+                           chaos_seed=3, backoff_base=0.002,
+                           tick=0.005) as svc:
+            default = svc.config.default_method
+            results = svc.solve_many(requests, return_errors=True)
+            stats = svc.stats()
+        degraded = _assert_storm_degraded(requests, results, stats, default)
+        assert any(
+            a["method"] == default
+            and a["outcome"].startswith("error")
+            and a["chaos"]["fault"]["kind"] == "min-lift"
+            for res in degraded
+            for a in res.stats.aux["service"]["attempts"]
+        ), "no min-lift fault landed on the default engine"
 
     def test_combined_kill_and_fault_storm_on_skewed_graph(self):
         g = rmat_graph(8, 900, seed=2)
@@ -166,22 +197,25 @@ class TestIsolation:
 
 class TestBreakerDegradation:
     def test_open_breaker_routes_to_fallback_engine(self, graph):
-        """Trip the rootset-vec breaker by hand; the next requests must be
-        served by the next engine in the chain, bit-identically."""
+        """Trip the default engine's breaker by hand; the next requests
+        must be served by the next engine in the chain, bit-identically."""
         with SolverService(workers=1, breaker_threshold=2,
                            breaker_reset_seconds=60.0, tick=0.005) as svc:
-            b = svc.breaker("mis", "rootset-vec")
+            default = svc.config.default_method
+            b = svc.breaker("mis", default)
             b.record_failure()
             b.record_failure()
             assert b.state == "open"
             res = svc.solve(SolveRequest("mis", graph, options={"seed": 4}),
                             timeout=60)
-        ref = direct_solve("mis", graph, method="rootset-vec", seed=4)
+        ref = direct_solve("mis", graph, method=default, seed=4)
         assert np.array_equal(res.status, ref.status)
         aux = res.stats.aux
         assert aux["degraded"] is True
-        assert aux["service"]["engine"] == "rootset"
-        assert aux["service"]["requested_method"] == "rootset-vec"
+        assert aux["service"]["engine"] == next(
+            m for m in fallback_chain("mis") if m != default
+        )
+        assert aux["service"]["requested_method"] == default
 
     def test_degraded_attempt_strips_multicore_knobs(self, graph):
         """Regression: a parallel-vec request carrying engine-specific
@@ -215,12 +249,13 @@ class TestBreakerDegradation:
         with SolverService(workers=1, breaker_threshold=1,
                            breaker_reset_seconds=clock_cheat,
                            tick=0.005) as svc:
-            svc.breaker("mis", "rootset-vec").record_failure()
-            assert svc.breaker("mis", "rootset-vec").state == "open"
+            default = svc.config.default_method
+            svc.breaker("mis", default).record_failure()
+            assert svc.breaker("mis", default).state == "open"
             import time
             time.sleep(clock_cheat * 2)
             res = svc.solve(SolveRequest("mis", graph, options={"seed": 6}),
                             timeout=60)
         # The half-open probe went to the primary engine and succeeded.
-        assert res.stats.aux["service"]["engine"] == "rootset-vec"
+        assert res.stats.aux["service"]["engine"] == default
         assert not res.stats.aux.get("degraded")
