@@ -6,8 +6,11 @@ families, a slice of requests carrying wall-clock deadlines) at a
 :class:`repro.service.SolverService` while a seeded *fault storm* is
 armed: every attempt has a configurable probability of a worker hard
 kill (``os._exit``, pre or post compute) and of a kernel fault injected
-into the frontier primitives.  Afterwards it checks the three survival
-properties the service exists to provide:
+into the frontier primitives.  Requests run the served default engine
+(``prefix``), which only the ``min-lift`` fault reaches; the other kernel
+faults reach only attempts that degrade to ``rootset-vec``, so the report
+counts the armed faults that failed an attempt.  Afterwards it checks the
+three survival properties the service exists to provide:
 
 1. **No silent wrong answers** — every completed request is bit-identical
    to a clean in-process solve of the same instance.
@@ -98,6 +101,7 @@ def run_storm(args):
 
     mismatches, untyped, degraded, retried = [], [], 0, 0
     failures = []
+    faults = {"armed": 0, "landed": 0}
     for (req, key), res in zip(storm, results):
         name, problem, req_seed = key
         if isinstance(res, Exception):
@@ -106,6 +110,10 @@ def run_storm(args):
             )
             continue
         aux = res.stats.aux
+        for attempt in aux["service"]["attempts"]:
+            if "fault" in (attempt["chaos"] or {}):
+                faults["armed"] += 1
+                faults["landed"] += attempt["outcome"].startswith("error")
         if aux.get("degraded"):
             degraded += 1
         if aux["service"]["retries"]:
@@ -125,6 +133,7 @@ def run_storm(args):
         "failures": failures,
         "degraded": degraded,
         "retried": retried,
+        "faults": faults,
         "requests": args.requests,
     }
 
@@ -158,6 +167,8 @@ def render_report(outcome, args) -> str:
         f"- chaos: kill probability {config.kill_probability}, kernel-fault "
         f"probability {config.fault_probability}, chaos seed "
         f"{config.chaos_seed}",
+        f"- kernel faults on completed requests: {outcome['faults']['armed']} "
+        f"armed, {outcome['faults']['landed']} failed an attempt",
         f"- pool: {config.workers} workers, max {config.max_retries} retries",
         "",
         "## Survival",

@@ -175,7 +175,10 @@ SCENARIOS: Tuple[ChaosScenario, ...] = (
     ChaosScenario(
         "kernel-faults",
         "seeded kernel faults armed inside workers; every armed attempt "
-        "runs fully guarded, so faults are detected or harmless",
+        "runs fully guarded, so faults are detected or harmless "
+        "(requests pin rootset-vec, whose kernels every fault but "
+        "min-lift reaches; the served default, prefix, takes only "
+        "min-lift)",
         requests=12, fault_probability=0.35, max_retries=6, seed=202,
     ),
     ChaosScenario(
@@ -503,6 +506,10 @@ def _run_service(scenario: ChaosScenario, seed_offset: int) -> ScenarioOutcome:
                 # parallel-vec engine → shard pool inside the worker.
                 request.method = "parallel-vec"
                 request.options.update(workers=2, min_fanout=0)
+            if scenario.name == "kernel-faults":
+                # Every kernel fault but min-lift strikes a kernel that
+                # rootset-vec calls and the served default (prefix) does not.
+                request.method = "rootset-vec"
             try:
                 futures[i] = svc.submit(request, block=not scenario.queue_flood)
             except QueueFullError:

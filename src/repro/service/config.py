@@ -82,7 +82,9 @@ class ServiceConfig:
     fault_probability, fault_kinds:
         Chaos: probability that a seeded kernel
         :class:`~repro.robustness.FaultSpec` is armed inside the worker
-        for the attempt, and the kinds drawn from.
+        for the attempt, and the kinds drawn from.  A kind whose kernel
+        the attempt's engine never calls does nothing: of the default
+        kinds, only ``"min-lift"`` reaches the default ``prefix``.
     worker_sys_path:
         Extra ``sys.path`` entries prepended in workers (lets ``"call"``
         jobs import script modules).

@@ -22,6 +22,7 @@ from repro.kernels import (
     range_gather,
     rank_sorted_incidence,
     scatter_distinct,
+    scatter_min,
     sorted_segment_min,
     split_parents_children,
     stamp_dedup,
@@ -194,6 +195,33 @@ class TestSortedSegmentMin:
             for k in range(8):
                 seg = [v for kk, v in pairs if kk == k]
                 assert out[k] == (min(seg) if seg else 99)
+
+
+class TestScatterMin:
+    @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 50)), max_size=40))
+    def test_matches_naive_on_unsorted_keys(self, pairs):
+        keys = np.asarray([k for k, _ in pairs], dtype=np.int64)
+        vals = np.asarray([v for _, v in pairs], dtype=np.int64)
+        prior = np.arange(20, 36, 2, dtype=np.int64)
+        out = prior.copy()
+        scatter_min(out, keys, vals)
+        for k in range(8):
+            seg = [v for kk, v in pairs if kk == k]
+            assert out[k] == min(seg + [prior[k]])
+
+    def test_absent_keys_keep_their_prior_value(self):
+        out = np.array([9, -4, 9, 7, 9], dtype=np.int64)
+        scatter_min(out, np.array([4, 0, 4, 2], dtype=np.int64),
+                    np.array([5, 3, 1, 8], dtype=np.int64))
+        assert out.tolist() == [3, -4, 8, 7, 1]
+
+    def test_charges_values_size(self):
+        machine = Machine()
+        scatter_min(np.zeros(4, dtype=np.int64),
+                    np.array([3, 1, 3], dtype=np.int64),
+                    np.array([2, 2, 2], dtype=np.int64), machine)
+        assert machine.work == 3
+        assert machine.work_by_tag() == {"scatter-min": 3}
 
 
 class TestGroupedCSR:

@@ -121,17 +121,17 @@ def test_at_least_one_kernel_fault_is_caught_by_guards(instance):
     guard layer actually fires for a blatant corruption, and that the
     min-lift fault reaches both prefix engines.  (Most MIS lifts are
     harmless: the raised minimum must pass the vertex's own rank to mint
-    a false root, hence the seed sweep.)"""
-    for kind, engine, payload, ranks, knobs in (
-        ("drop-frontier", rootset_mis_vectorized, instance["g"],
+    a false root, hence the seed sweep on the min-lift rows.)"""
+    for kind, seeds, engine, payload, ranks, knobs in (
+        ("drop-frontier", (1,), rootset_mis_vectorized, instance["g"],
          instance["vranks"], {"use_cache": False}),
-        ("min-lift", prefix_greedy_mis, instance["g"], instance["vranks"],
-         {"prefix_frac": 0.2}),
-        ("min-lift", prefix_greedy_matching, instance["el"],
+        ("min-lift", range(10), prefix_greedy_mis, instance["g"],
+         instance["vranks"], {"prefix_frac": 0.2}),
+        ("min-lift", range(10), prefix_greedy_matching, instance["el"],
          instance["eranks"], {}),
     ):
         caught = 0
-        for seed in range(10):
+        for seed in seeds:
             for after in range(4):
                 try:
                     with ChaosInjector(FaultSpec(kind, seed=seed,
@@ -188,7 +188,8 @@ def test_fallback_degrades_around_a_faulted_engine(instance):
         pytest.skip("fault site never reached on this instance")
     assert np.array_equal(res.status, instance["mis_ref"])
     if res.stats.aux.get("degraded"):
-        assert res.stats.aux["fallback_engine"] in ("rootset", "sequential")
+        expected = next(m for m in fallback_chain("mis") if m != "rootset-vec")
+        assert res.stats.aux["fallback_engine"] == expected
         assert res.stats.aux["fallback_attempts"]
 
 

@@ -14,9 +14,15 @@ from repro.core.engines import fallback_chain
 from repro.core.engines import solve as direct_solve
 from repro.errors import ReproError, WorkerCrashError
 from repro.graphs.generators import rmat_graph, uniform_random_graph
+from repro.robustness import KERNEL_FAULTS
 from repro.service import SolveRequest, SolverService
 
 pytestmark = [pytest.mark.chaos, pytest.mark.service]
+
+#: The kernel faults rootset-vec's kernels can take.  min-lift strikes
+#: only the prefix engines' ``scatter_min``, so the storms pinned to
+#: rootset-vec leave it out of their draw.
+ROOTSET_VEC_FAULTS = tuple(k for k in KERNEL_FAULTS if k != "min-lift")
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +50,15 @@ def _assert_bit_identical(requests, results):
             f"{req.problem} seed={req.options['seed']} diverged: "
             f"{res.stats.aux['service']['attempts']}"
         )
+
+
+def _faulted_errors(results):
+    """The attempts a kernel fault made fail: proof the storm's faults
+    reached an engine, not just the kill half of the storm."""
+    return [a for res in results
+            for a in res.stats.aux["service"]["attempts"]
+            if a["outcome"].startswith("error")
+            and "fault" in (a["chaos"] or {})]
 
 
 def _assert_storm_degraded(requests, results, stats, primary):
@@ -138,22 +153,23 @@ class TestFaultStorm:
             stats = svc.stats()
         degraded = _assert_storm_degraded(requests, results, stats, default)
         assert any(
-            a["method"] == default
-            and a["outcome"].startswith("error")
-            and a["chaos"]["fault"]["kind"] == "min-lift"
-            for res in degraded
-            for a in res.stats.aux["service"]["attempts"]
+            a["method"] == default and a["chaos"]["fault"]["kind"] == "min-lift"
+            for a in _faulted_errors(degraded)
         ), "no min-lift fault landed on the default engine"
 
     def test_combined_kill_and_fault_storm_on_skewed_graph(self):
+        """Pinned to rootset-vec: the frontier faults reach its kernels,
+        while the served default takes only min-lift."""
         g = rmat_graph(8, 900, seed=2)
-        requests = _storm(g, 8)
+        requests = _storm(g, 8, method="rootset-vec")
         with SolverService(workers=2, kill_probability=0.25,
-                           fault_probability=0.25, max_retries=10,
+                           fault_probability=0.25,
+                           fault_kinds=ROOTSET_VEC_FAULTS, max_retries=10,
                            chaos_seed=11, backoff_base=0.002,
                            tick=0.005) as svc:
             results = svc.solve_many(requests, return_errors=True)
         _assert_bit_identical(requests, results)
+        assert _faulted_errors(results), "no kernel fault landed"
 
 
 class TestIsolation:
@@ -179,17 +195,20 @@ class TestIsolation:
 
     def test_chaos_batch_equals_clean_batch_bit_for_bit(self, graph):
         """The headline guarantee: a chaos-laden service run returns the
-        exact bytes a chaos-free service run returns."""
-        requests = _storm(graph, 8)
+        exact bytes a chaos-free service run returns.  Pinned to
+        rootset-vec, like the combined storm, so its kernel faults land."""
+        requests = _storm(graph, 8, method="rootset-vec")
         with SolverService(workers=2, tick=0.005) as svc:
             clean = svc.solve_many(requests)
         with SolverService(workers=2, kill_probability=0.3,
-                           fault_probability=0.3, max_retries=10,
+                           fault_probability=0.3,
+                           fault_kinds=ROOTSET_VEC_FAULTS, max_retries=10,
                            chaos_seed=99, backoff_base=0.002,
                            tick=0.005) as svc:
             chaotic = svc.solve_many(requests)
             stats = svc.stats()
         assert stats.worker_crashes + stats.retries > 0, "storm was a no-op"
+        assert _faulted_errors(chaotic), "no kernel fault landed"
         for a, b in zip(clean, chaotic):
             assert np.array_equal(a.status, b.status)
             assert np.array_equal(a.ranks, b.ranks)
