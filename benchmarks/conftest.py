@@ -1,7 +1,7 @@
 """Shared fixtures for the figure-regeneration benchmarks.
 
-Scale is controlled by ``REPRO_BENCH_SCALE`` (tiny/small/default/large,
-default ``small``); every figure's data table is written to ``results/``
+Scale is controlled by ``REPRO_BENCH_SCALE`` (tiny/small/default/large/
+paper, default ``small``); every figure's data table is written to ``results/``
 next to this directory so EXPERIMENTS.md can reference concrete runs.
 """
 

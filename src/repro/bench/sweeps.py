@@ -31,6 +31,7 @@ from repro.pram.cost_model import CostModel
 from repro.pram.machine import Machine
 from repro.pram.scheduler import speedup_curve
 from repro.robustness.budget import Budget
+from repro.util.arrays import sorted_unique
 from repro.util.rng import SeedLike
 from repro.util.timing import Timer
 
@@ -79,7 +80,7 @@ def default_prefix_sizes(total: int, points: int = 13) -> List[int]:
         raise ValueError(f"total must be >= 1, got {total}")
     if points < 2:
         raise ValueError(f"points must be >= 2, got {points}")
-    raw = np.unique(
+    raw = sorted_unique(
         np.round(np.logspace(0, np.log10(total), points)).astype(np.int64)
     )
     return [int(x) for x in raw]

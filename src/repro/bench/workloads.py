@@ -9,7 +9,9 @@ Defaults here shrink both by 100x while preserving the m = 5n ratio and
 the rMat parameterization; every plotted quantity in Figures 1–4 is
 normalized by input size, so shapes carry over (DESIGN.md §2).  Scale can
 be raised via the ``REPRO_BENCH_SCALE`` environment variable
-(``tiny`` / ``small`` / ``default`` / ``large``) or explicit arguments.
+(``tiny`` / ``small`` / ``default`` / ``large`` / ``paper``) or explicit
+arguments.  ``paper`` is the paper's own size; each of its inputs needs
+several GB to build (docs/performance.md records the build).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ _SCALES: Dict[str, Tuple[int, int, int, int]] = {
     "small": (20_000, 100_000, 14, 100_000),
     "default": (100_000, 500_000, 17, 500_000),
     "large": (400_000, 2_000_000, 19, 2_000_000),
+    "paper": (10_000_000, 50_000_000, 24, 50_000_000),
 }
 
 

@@ -61,6 +61,7 @@ from repro.kernels import (
 from repro.pram.machine import Machine, log2_depth
 from repro.robustness.budget import Budget
 from repro.robustness.guards import matching_guard
+from repro.util.arrays import sorted_unique
 from repro.util.rng import SeedLike
 
 __all__ = ["parallel_matching_vectorized"]
@@ -227,7 +228,7 @@ def parallel_matching_vectorized(
         if tracer is not None:
             tracer.round(
                 frontier=int(ready.size),
-                decided=int(ready.size) + int(np.unique(killed).size),
+                decided=int(ready.size) + int(sorted_unique(killed).size),
                 selected=int(ready.size),
                 tag="mm-step",
             )

@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.errors import VerificationError
 from repro.graphs.csr import EdgeList
+from repro.util.arrays import sorted_unique
 
 __all__ = [
     "is_matching",
@@ -40,7 +41,7 @@ def is_matching(edges: EdgeList, members) -> bool:
     mask = _as_mask(edges, members)
     ids = np.nonzero(mask)[0]
     endpoints = np.concatenate([edges.u[ids], edges.v[ids]])
-    return bool(np.unique(endpoints).size == endpoints.size)
+    return bool(sorted_unique(endpoints).size == endpoints.size)
 
 
 def is_maximal_matching(edges: EdgeList, members) -> bool:

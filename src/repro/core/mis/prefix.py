@@ -37,6 +37,7 @@ from repro.kernels import frontier_gather, scatter_min
 from repro.pram.machine import Machine, log2_depth
 from repro.robustness.budget import Budget
 from repro.robustness.guards import mis_guard
+from repro.util.arrays import sorted_unique
 from repro.util.rng import SeedLike
 from repro.util.validation import check_fraction, check_positive_int
 
@@ -229,7 +230,7 @@ def prefix_greedy_mis(
             if tracer is not None:
                 tracer.round(
                     frontier=int(live.size),
-                    decided=int(roots.size) + int(np.unique(victims).size),
+                    decided=int(roots.size) + int(sorted_unique(victims).size),
                     selected=int(roots.size),
                     tag="inner",
                 )

@@ -27,6 +27,7 @@ from repro.core.orderings import (
 from repro.core.result import RunStats, stats_from_machine
 from repro.graphs.csr import CSRGraph
 from repro.pram.machine import Machine, log2_depth
+from repro.util.arrays import sorted_unique
 from repro.util.rng import SeedLike
 
 __all__ = [
@@ -124,7 +125,7 @@ def parallel_greedy_coloring(
         children = c_dst[later]
         if children.size:
             np.subtract.at(pending, children, 1)
-            candidates = np.unique(children)
+            candidates = sorted_unique(children)
             ready = candidates[(pending[candidates] == 0) & (colors[candidates] < 0)]
         else:
             ready = np.empty(0, dtype=np.int64)

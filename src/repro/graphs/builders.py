@@ -1,10 +1,11 @@
 """Builders: turn edge soups, adjacency lists, or networkx graphs into CSR.
 
 All builders produce a *simple* undirected :class:`~repro.graphs.csr.CSRGraph`:
-self-loops are dropped and parallel edges are merged.  The canonicalization
-is fully vectorized: edges are encoded as ``min*n + max`` 64-bit keys,
-deduplicated with ``np.unique``, then symmetrized and counting-sorted into
-CSR.
+self-loops are dropped and parallel edges are merged.  Building is two
+sorts of 64-bit keys: edges are encoded as ``min*n + max`` keys and
+deduplicated by one sort (:func:`~repro.util.arrays.sorted_unique`); each
+edge then yields two arcs keyed ``src*n + dst``, and one more sort of those
+keys is the CSR layout (``dst = key % n``, degrees from ``key // n``).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 
 from repro.errors import InvalidGraphError
 from repro.graphs.csr import CSRGraph
+from repro.util.arrays import sorted_unique
 from repro.util.validation import check_index_array, check_int, require
 
 __all__ = [
@@ -43,16 +45,24 @@ def canonical_edges(
         Endpoint arrays of equal length (directed or undirected soup).
     """
     n = check_int(n, "n")
+    keys = _edge_keys(n, u, v)
+    return keys // n, keys % n
+
+
+def _edge_keys(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Sorted distinct ``min*n + max`` keys of the soup's non-loop edges."""
     u = check_index_array(u, n, "u")
     v = check_index_array(v, n, "v")
     require(u.size == v.size, "endpoint arrays must have equal length", InvalidGraphError)
     keep = u != v
-    u, v = u[keep], v[keep]
-    lo = np.minimum(u, v)
-    hi = np.maximum(u, v)
-    keys = lo * np.int64(n) + hi
-    keys = np.unique(keys)
-    return keys // n, keys % n
+    # Boolean indexing copies, so the in-place steps below never touch
+    # the caller's arrays.
+    lo, hi = u[keep], v[keep]
+    keys = np.minimum(lo, hi)
+    keys *= n
+    keys += np.maximum(lo, hi, out=hi)
+    del lo, hi  # free them before sorted_unique copies the keys
+    return sorted_unique(keys)
 
 
 def from_edges(
@@ -63,8 +73,9 @@ def from_edges(
     """Build a simple undirected CSR graph from endpoint arrays.
 
     Self-loops are removed and duplicate/parallel edges merged.  Neighbor
-    lists come out sorted by neighbor id (a counting-sort artifact that
-    tests rely on for reproducibility, though no algorithm requires it).
+    lists come out sorted by neighbor id (the layout is one sort of
+    ``src*n + dst`` arc keys); tests pin this layout byte for byte, though
+    no algorithm requires it.
 
     Examples
     --------
@@ -72,22 +83,20 @@ def from_edges(
     >>> g.num_edges   # {0,1} deduped, {0,0} self-loop dropped, {1,2} kept
     2
     """
-    cu, cv = canonical_edges(n, u, v)
-    # Symmetrize: each undirected edge contributes two directed arcs.
-    src = np.concatenate([cu, cv])
-    dst = np.concatenate([cv, cu])
-    order = np.argsort(src, kind="stable")
-    src_sorted = src[order]
-    dst_sorted = dst[order]
-    counts = np.bincount(src_sorted, minlength=n).astype(np.int64, copy=False)
+    n = check_int(n, "n")
+    keys = _edge_keys(n, u, v)
+    # Each undirected edge {lo, hi} contributes arcs lo->hi and hi->lo,
+    # keyed src*n + dst; sorted, the keys are the CSR layout.
+    arcs = np.concatenate([keys, keys % n])
+    reverse = arcs[keys.size:]
+    reverse *= n
+    reverse += keys // n
+    del keys
+    arcs.sort()
     offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    # Within each vertex, sort neighbors for a canonical layout.
-    neighbors = np.empty_like(dst_sorted)
-    # Vectorized per-segment sort: sort by (src, dst) pairs jointly.
-    pair_order = np.lexsort((dst, src))
-    neighbors = dst[pair_order]
-    return CSRGraph(offsets, neighbors)
+    np.cumsum(np.bincount(arcs // n, minlength=n), out=offsets[1:])
+    arcs %= n
+    return CSRGraph(offsets, arcs)
 
 
 def from_adjacency_lists(adjacency: Sequence[Iterable[int]]) -> CSRGraph:

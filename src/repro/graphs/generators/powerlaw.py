@@ -12,6 +12,7 @@ import numpy as np
 
 from repro.graphs.builders import canonical_edges, from_edges
 from repro.graphs.csr import CSRGraph
+from repro.util.arrays import sorted_unique
 from repro.util.rng import SeedLike, as_generator
 from repro.util.validation import check_positive_int, require
 
@@ -68,7 +69,7 @@ def barabasi_albert_graph(n: int, k: int, seed: SeedLike = None) -> CSRGraph:
     for new in range(seed_n, n):
         pool = np.asarray(endpoint_pool, dtype=np.int64)
         targets = rng.choice(pool, size=min(k, new), replace=False) if pool.size else np.arange(min(k, new))
-        targets = np.unique(targets)
+        targets = sorted_unique(targets)
         src = np.full(targets.size, new, dtype=np.int64)
         us.append(src)
         vs.append(targets)

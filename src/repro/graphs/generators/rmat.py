@@ -68,25 +68,51 @@ def rmat_graph(
     require(0.0 <= noise < 1.0, f"noise must lie in [0, 1), got {noise}", ValueError)
     rng = as_generator(seed)
     n = 1 << scale
+    bq = b / (b + c + d)
+    cq = c / (b + c + d)
     u = np.zeros(m, dtype=np.int64)
     v = np.zeros(m, dtype=np.int64)
+    # Per-level buffers, drawn and computed in place.  Every draw and
+    # floating-point operation keeps the order of the plain expressions in
+    # the comments, so the sample is bit-identical to them.
+    x = np.empty(m)
+    aa = np.empty(m)
+    ab = np.empty(m)
+    r = np.empty(m)
+    bit = np.empty(m, dtype=bool)
+    tmp = np.empty(m, dtype=bool)
     for _level in range(scale):
-        # Per-edge jittered quadrant probabilities (keeps ratios of b, c, d).
+        # Per-edge jittered quadrant probabilities (keeps ratios of b, c, d):
+        # aa = clip(a * (1 + noise * (U * 2 - 1)), 0, 1), else aa = a.
         if noise > 0.0:
-            jitter = 1.0 + noise * (rng.random(m) * 2.0 - 1.0)
-            aa = np.clip(a * jitter, 0.0, 1.0)
+            rng.random(out=x)
+            x *= 2.0
+            x -= 1.0
+            x *= noise
+            x += 1.0
+            np.multiply(x, a, out=aa)
+            np.clip(aa, 0.0, 1.0, out=aa)
         else:
-            aa = np.full(m, a)
-        rest = 1.0 - aa
-        denom = b + c + d
-        bb = rest * (b / denom)
-        cc = rest * (c / denom)
-        r = rng.random(m)
+            aa.fill(a)
+        np.subtract(1.0, aa, out=x)   # rest = 1 - aa
+        np.multiply(x, bq, out=ab)
+        ab += aa                      # ab = aa + bb
+        x *= cq
+        x += ab                       # x = aa + bb + cc
+        rng.random(out=r)
         # Quadrants: A = top-left (0,0), B = top-right (0,1),
         #            C = bottom-left (1,0), D = bottom-right (1,1).
-        in_b = (r >= aa) & (r < aa + bb)
-        in_c = (r >= aa + bb) & (r < aa + bb + cc)
-        in_d = r >= aa + bb + cc
-        u = (u << 1) | in_c | in_d
-        v = (v << 1) | in_b | in_d
+        # Row bit (C or D): r >= aa + bb, since cc >= 0.
+        np.greater_equal(r, ab, out=bit)
+        u <<= 1
+        u |= bit
+        # Column bit (B or D): aa <= r < aa + bb, or r >= aa + bb + cc.
+        np.greater_equal(r, aa, out=bit)
+        np.less(r, ab, out=tmp)
+        bit &= tmp
+        np.greater_equal(r, x, out=tmp)
+        bit |= tmp
+        v <<= 1
+        v |= bit
+    del x, aa, ab, r, bit, tmp  # free the level buffers before the build
     return from_edges(n, u, v)

@@ -45,6 +45,7 @@ import numpy as np
 from repro.errors import GraphFormatError, InvalidGraphError
 from repro.graphs.builders import from_edges
 from repro.graphs.csr import CSRGraph
+from repro.util.arrays import sorted_unique
 
 __all__ = [
     "ADJACENCY_HEADER",
@@ -149,8 +150,9 @@ def check_edge_soup(u: np.ndarray, v: np.ndarray, context: str = "edge list") ->
     """Reject self-loops and duplicate undirected edges.
 
     Raises :class:`~repro.errors.InvalidGraphError` naming the first
-    offending pair.  A duplicate is any repeated unordered pair — ``1 0``
-    after ``0 1`` counts.  Shared by the PBBS and SNAP edge readers (and
+    offending edge in input order, with its index.  A duplicate is any
+    repeated unordered pair — ``1 0`` after ``0 1`` counts, and the
+    ``1 0`` is the offender.  Shared by the PBBS and SNAP edge readers (and
     usable by any caller assembling an edge soup by hand).
     """
     u = np.asarray(u, dtype=np.int64)
@@ -168,14 +170,16 @@ def check_edge_soup(u: np.ndarray, v: np.ndarray, context: str = "edge list") ->
     hi = np.maximum(u, v)
     n = int(hi.max()) + 1
     keys = lo * np.int64(n) + hi
-    uniq, first, counts = np.unique(keys, return_index=True, return_counts=True)
-    dup = np.nonzero(counts > 1)[0]
-    if dup.size:
-        i = int(first[dup[0]])
-        extra = int(counts[dup].sum() - dup.size)
+    # A stable sort keeps each pair's first occurrence at the head of its
+    # run, so every later member of a run is a repeat.
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    repeats = order[1:][sorted_keys[1:] == sorted_keys[:-1]]
+    if repeats.size:
+        i = int(repeats.min())
         raise InvalidGraphError(
-            f"{context}: {extra} duplicate undirected edge(s); first "
-            f"duplicated pair is ({int(lo[i])}, {int(hi[i])})"
+            f"{context}: {repeats.size} duplicate undirected edge(s); first "
+            f"repeat is edge #{i} ({int(u[i])}, {int(v[i])})"
         )
 
 
@@ -267,7 +271,7 @@ def read_snap_edge_list(path: PathLike, *, strict: bool = True) -> CSRGraph:
         return from_edges(0, u, v)
     if min(int(u.min()), int(v.min())) < 0:
         raise GraphFormatError(f"{path}: negative vertex id")
-    labels = np.unique(np.concatenate([u, v]))
+    labels = sorted_unique(np.concatenate([u, v]))
     u = np.searchsorted(labels, u)
     v = np.searchsorted(labels, v)
     n = int(labels.size)

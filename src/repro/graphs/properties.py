@@ -12,6 +12,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from repro.graphs.csr import CSRGraph, expand_offsets
+from repro.util.arrays import sorted_unique
 
 __all__ = [
     "is_symmetric",
@@ -47,7 +48,7 @@ def has_parallel_edges(graph: CSRGraph) -> bool:
     src, dst = graph.arcs()
     n = max(graph.num_vertices, 1)
     keys = src * np.int64(n) + dst
-    return bool(np.unique(keys).size != keys.size)
+    return bool(sorted_unique(keys).size != keys.size)
 
 
 def is_simple_undirected(graph: CSRGraph) -> bool:
@@ -84,7 +85,7 @@ def connected_components(graph: CSRGraph) -> np.ndarray:
         frontier = np.array([start], dtype=np.int64)
         while frontier.size:
             _, nbrs = graph.gather(frontier)
-            nbrs = np.unique(nbrs)
+            nbrs = sorted_unique(nbrs)
             fresh = nbrs[labels[nbrs] == -1]
             labels[fresh] = start
             frontier = fresh
@@ -95,4 +96,4 @@ def num_connected_components(graph: CSRGraph) -> int:
     """Number of connected components (isolated vertices count)."""
     if graph.num_vertices == 0:
         return 0
-    return int(np.unique(connected_components(graph)).size)
+    return int(sorted_unique(connected_components(graph)).size)

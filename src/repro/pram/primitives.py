@@ -22,6 +22,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.pram.machine import Machine, log2_depth
+from repro.util.arrays import sorted_unique
 
 __all__ = [
     "plus_scan",
@@ -193,7 +194,7 @@ def remove_duplicates(
     Work ``O(n)`` expected (hashing on a PRAM), depth ``O(log n)``.
     """
     values = np.asarray(values)
-    out = np.unique(values)
+    out = sorted_unique(values)
     if machine is not None:
         machine.charge(values.size, log2_depth(max(values.size, 2)), tag=tag)
     return out

@@ -35,6 +35,7 @@ import numpy as np
 from repro.core.status import EDGE_DEAD, EDGE_LIVE, IN_SET, UNDECIDED
 from repro.errors import EngineError, InvariantViolationError
 from repro.graphs.csr import CSRGraph, EdgeList
+from repro.util.arrays import sorted_unique
 
 __all__ = [
     "GUARD_MODES",
@@ -61,7 +62,7 @@ def resolve_guard_mode(mode: Optional[str]) -> str:
 
 
 def _distinct(items: np.ndarray) -> bool:
-    return np.unique(items).size == items.size
+    return sorted_unique(items).size == items.size
 
 
 class MISInvariantGuard:
@@ -131,7 +132,7 @@ class MISInvariantGuard:
             if not _distinct(knocked):
                 self._fail("knocked frontier contains duplicate vertices")
         else:
-            knocked = np.unique(knocked)
+            knocked = sorted_unique(knocked)
         if knocked.size and np.any(status[knocked] == UNDECIDED):
             bad = int(knocked[status[knocked] == UNDECIDED][0])
             self._fail(f"knocked vertex {bad} is still undecided after the step")
@@ -258,7 +259,7 @@ class MatchingInvariantGuard:
             if not _distinct(killed):
                 self._fail("killed frontier contains duplicate edges")
         else:
-            killed = np.unique(killed)
+            killed = sorted_unique(killed)
         if killed.size and np.any(status[killed] != EDGE_DEAD):
             bad = int(killed[status[killed] != EDGE_DEAD][0])
             self._fail(f"killed edge {bad} is not dead after the step")

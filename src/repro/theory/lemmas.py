@@ -20,6 +20,7 @@ from repro.core.orderings import (
 )
 from repro.core.status import IN_SET, KNOCKED_OUT, UNDECIDED, new_vertex_status
 from repro.graphs.csr import CSRGraph
+from repro.util.arrays import sorted_unique
 from repro.util.rng import SeedLike
 from repro.util.validation import check_positive_int
 
@@ -168,4 +169,4 @@ def vertices_with_internal_edges(
     in_prefix[prefix] = True
     src, dst = graph.arcs()
     both = in_prefix[src] & in_prefix[dst]
-    return int(np.unique(src[both]).size)
+    return int(sorted_unique(src[both]).size)

@@ -58,6 +58,14 @@ class TestWorkloads:
         monkeypatch.setenv("REPRO_BENCH_SCALE", "tiny")
         assert bench_scale() == "tiny"
 
+    def test_env_scale_paper(self, monkeypatch):
+        # Only the tier's name and sizes: building it takes several GB.
+        from repro.bench.workloads import _SCALES
+
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "paper")
+        assert bench_scale() == "paper"
+        assert _SCALES["paper"] == (10_000_000, 50_000_000, 24, 50_000_000)
+
     def test_env_scale_invalid(self, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_SCALE", "galactic")
         with pytest.raises(ValueError, match="REPRO_BENCH_SCALE"):

@@ -1,9 +1,12 @@
 """Tests for graph builders: canonicalization, symmetry, conversions."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given
 
+from repro.bench.workloads import paper_random_graph, paper_rmat_graph
 from repro.graphs.builders import (
     canonical_edges,
     from_adjacency_lists,
@@ -11,9 +14,99 @@ from repro.graphs.builders import (
     from_networkx,
     to_networkx,
 )
+from repro.graphs.generators import powerlaw_cluster_graph
 from repro.graphs.properties import is_simple_undirected
 
 from conftest import graph_strategy
+
+
+def _soup(n, m, seed, dtype):
+    """A seeded soup over the lower half of ``[0, n)`` (the upper half stays
+    isolated), with planted self-loops, exact duplicates and reversed
+    copies."""
+    if n == 0:
+        return np.empty(0, dtype=dtype), np.empty(0, dtype=dtype)
+    rng = np.random.default_rng(seed)
+    hot = max(1, n // 2)
+    u = rng.integers(0, hot, m)
+    v = rng.integers(0, hot, m)
+    k = min(m, 3)
+    u = np.concatenate([u, u[:k], v[:k], u[:k]])
+    v = np.concatenate([v, v[:k], u[:k], u[:k]])
+    return u.astype(dtype), v.astype(dtype)
+
+
+def _naive_build(n, u, v):
+    """Reference builder: a Python set of ``(min, max)`` pairs, and CSR from
+    sorted per-vertex neighbor lists."""
+    pairs = sorted({(min(a, b), max(a, b))
+                    for a, b in zip(u.tolist(), v.tolist()) if a != b})
+    adjacency = [[] for _ in range(n)]
+    for a, b in pairs:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    offsets, neighbors = [0], []
+    for nbrs in adjacency:
+        neighbors.extend(sorted(nbrs))
+        offsets.append(len(neighbors))
+    return pairs, offsets, neighbors
+
+
+class TestAgainstNaiveReference:
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    @pytest.mark.parametrize("n,m,seed", [
+        (0, 0, 0), (1, 5, 1), (2, 6, 2), (7, 40, 3), (50, 300, 4),
+        (300, 2000, 5), (1000, 200, 6),
+    ])
+    def test_matches_reference(self, n, m, seed, dtype):
+        u, v = _soup(n, m, seed, dtype)
+        pairs, offsets, neighbors = _naive_build(n, u, v)
+        cu, cv = canonical_edges(n, u, v)
+        assert cu.dtype == cv.dtype == np.int64
+        assert list(zip(cu.tolist(), cv.tolist())) == pairs
+        g = from_edges(n, u, v)
+        assert g.offsets.dtype == g.neighbors.dtype == np.int64
+        assert g.offsets.tolist() == offsets
+        assert g.neighbors.tolist() == neighbors
+
+    def test_caller_arrays_untouched(self):
+        u, v = _soup(50, 300, 7, np.int64)
+        before = u.copy(), v.copy()
+        from_edges(50, u, v)
+        canonical_edges(50, u, v)
+        assert np.array_equal(u, before[0]) and np.array_equal(v, before[1])
+
+
+#: SHA-256 of ``offsets.tobytes() + neighbors.tobytes()``.  These are the
+#: perfbench inputs' generator paths and the seeded graphs many chaos and
+#: guard tests build; a layout change anywhere in building breaks them.
+LAYOUT_DIGESTS = {
+    "paper_random_graph(small)": (
+        lambda: paper_random_graph("small"),
+        "e6ef9c8782778cd2f53094f8435701ee3470f72991cb6951e6c5bf2bfeab89e4",
+    ),
+    "paper_rmat_graph(small)": (
+        lambda: paper_rmat_graph("small"),
+        "41edcbd063dcc65a84daf70d3203ca77f31340528c3049f3dab539389002ac36",
+    ),
+    "paper_rmat_graph(default, seed=5)": (
+        lambda: paper_rmat_graph("default", seed=5),
+        "1d8c384a7f275079d527f99c065f8cfca9bf39d4bbf664c3f6231fd4a9fcbb12",
+    ),
+    "powerlaw_cluster_graph(5000, 5, 0.5, seed=1)": (
+        lambda: powerlaw_cluster_graph(5000, 5, 0.5, seed=1),
+        "4b2924506dab4e4490a2e6170a5ecbb6a755a128172c612fd09deef1cccf0288",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_DIGESTS))
+def test_layout_digest_pinned(name):
+    build, digest = LAYOUT_DIGESTS[name]
+    g = build()
+    assert g.offsets.dtype == g.neighbors.dtype == np.int64
+    got = hashlib.sha256(g.offsets.tobytes() + g.neighbors.tobytes()).hexdigest()
+    assert got == digest
 
 
 class TestCanonicalEdges:

@@ -121,6 +121,44 @@ class TestRmat:
         g = rmat_graph(7, 300, seed=5, noise=0.0)
         assert g.num_vertices == 128
 
+    @pytest.mark.parametrize("a,b,c,noise", [
+        (0.5, 0.1, 0.1, 0.1),     # the PBBS defaults
+        (0.5, 0.1, 0.1, 0.0),     # no jitter
+        (0.45, 0.15, 0.15, 0.5),
+        (0.6, 0.2, 0.2, 0.9),     # d = 0, and jitter pushes aa past 1
+    ])
+    def test_sample_matches_plain_expressions(self, monkeypatch, a, b, c, noise):
+        import repro.graphs.generators.rmat as rmat_module
+        from repro.util.rng import as_generator
+
+        seen = {}
+        monkeypatch.setattr(rmat_module, "from_edges",
+                            lambda n, u, v: seen.update(u=u.copy(), v=v.copy()))
+        rmat_graph(10, 4000, seed=11, a=a, b=b, c=c, noise=noise)
+
+        # The level loop as plain array expressions: the in-place loop
+        # must draw and round exactly as this does.
+        rng = as_generator(11)
+        d = 1.0 - a - b - c
+        u = np.zeros(4000, dtype=np.int64)
+        v = np.zeros(4000, dtype=np.int64)
+        for _level in range(10):
+            if noise > 0.0:
+                jitter = 1.0 + noise * (rng.random(4000) * 2.0 - 1.0)
+                aa = np.clip(a * jitter, 0.0, 1.0)
+            else:
+                aa = np.full(4000, a)
+            bb = (1.0 - aa) * (b / (b + c + d))
+            cc = (1.0 - aa) * (c / (b + c + d))
+            r = rng.random(4000)
+            in_b = (r >= aa) & (r < aa + bb)
+            in_c = (r >= aa + bb) & (r < aa + bb + cc)
+            in_d = r >= aa + bb + cc
+            u = (u << 1) | in_c | in_d
+            v = (v << 1) | in_b | in_d
+        assert np.array_equal(seen["u"], u)
+        assert np.array_equal(seen["v"], v)
+
 
 class TestStructured:
     def test_empty_graph(self):

@@ -114,6 +114,22 @@ class TestEdgeListFormat:
         with pytest.raises(InvalidGraphError, match="self-loop"):
             read_edge_list(q)
 
+    def test_first_duplicate_in_input_order_is_named(self, tmp_path):
+        from repro.errors import InvalidGraphError
+        from repro.graphs.io import check_edge_soup
+
+        # (0, 1) is the smallest duplicated pair, but edge #2, (5, 6), is
+        # the first repeat in the input.
+        u, v = np.array([5, 0, 5, 0]), np.array([6, 1, 6, 1])
+        with pytest.raises(InvalidGraphError,
+                           match=r"2 duplicate undirected edge\(s\); first "
+                                 r"repeat is edge #2 \(5, 6\)"):
+            check_edge_soup(u, v)
+        p = tmp_path / "soup.edges"
+        p.write_text("EdgeArray\n0 1\n1 2\n2 1\n1 0\n")
+        with pytest.raises(InvalidGraphError, match=r"first repeat is edge #2 \(2, 1\)"):
+            read_edge_list(p)
+
     def test_non_strict_reader_canonicalizes(self, tmp_path):
         p = tmp_path / "soup.edges"
         p.write_text("EdgeArray\n1 0\n0 1\n2 2\n1 2\n")
