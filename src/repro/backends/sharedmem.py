@@ -1,6 +1,6 @@
 """Zero-copy graph bundles in POSIX shared memory.
 
-The service's worker pool (PR 4) pickles the full graph into every worker
+The service's worker pool pickles an unregistered graph into the worker
 on every request — ``O(n + m)`` bytes copied, deserialized, and
 re-validated per solve.  This module removes that copy: a
 :class:`SharedArrays` bundle packs any number of named ``numpy`` arrays
@@ -12,13 +12,10 @@ array bytes at 64-byte alignment), and any process that knows the segment
 :class:`SharedCSR` specializes the bundle for this repo's two graph
 payloads — a :class:`~repro.graphs.csr.CSRGraph` (``offsets``/
 ``neighbors``) or an :class:`~repro.graphs.csr.EdgeList` (``u``/``v``) —
-optionally together with the priority array π and the memoized partition
-arrays the linear-work engines derive from ``(graph, π)``
-(:func:`~repro.kernels.split_parents_children` /
-:func:`~repro.kernels.rank_sorted_incidence`).  Attaching in a worker and
-calling :meth:`SharedCSR.seed_caches` therefore makes the worker's first
-solve a *warm* solve: the partition cache is pre-populated from shared
-memory, closing the cold-start gap measured in ``BENCH_rootset.json``.
+optionally together with the priority array π.  Nothing derived from
+``(graph, π)`` is shipped: an engine that needs a priority partition
+builds it in the attaching process on first use and memoizes it there
+(:mod:`repro.kernels.partition`).
 
 Lifecycle rules (see ``docs/performance.md``):
 
@@ -51,19 +48,13 @@ import struct
 import threading
 import weakref
 from multiprocessing import resource_tracker, shared_memory
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Union
 
 import numpy as np
 
 from repro.backends.ledger import default_ledger
 from repro.errors import GraphFormatError
 from repro.graphs.csr import CSRGraph, EdgeList
-from repro.kernels.partition import (
-    rank_sorted_incidence,
-    seed_incidence_cache,
-    seed_split_cache,
-    split_parents_children,
-)
 
 __all__ = ["SharedArrays", "SharedCSR"]
 
@@ -300,7 +291,7 @@ def _fingerprint(*arrays: np.ndarray) -> str:
 
 
 class SharedCSR:
-    """A graph (plus optional π and partition arrays) in shared memory.
+    """A graph (plus optional π) in shared memory.
 
     Built with :meth:`create` from a :class:`~repro.graphs.csr.CSRGraph`
     or :class:`~repro.graphs.csr.EdgeList`; reopened anywhere with
@@ -312,7 +303,7 @@ class SharedCSR:
     naming a segment refers to the graph the caller registered.
     """
 
-    __slots__ = ("bundle", "_payload", "_seeded")
+    __slots__ = ("bundle", "_payload")
 
     def __init__(self, bundle: SharedArrays) -> None:
         if bundle.meta.get("kind") not in ("csr", "edges"):
@@ -322,7 +313,6 @@ class SharedCSR:
             )
         self.bundle = bundle
         self._payload: Optional[Union[CSRGraph, EdgeList]] = None
-        self._seeded = False
 
     # -- construction --------------------------------------------------------
 
@@ -333,16 +323,8 @@ class SharedCSR:
         ranks: Optional[np.ndarray] = None,
         *,
         name: Optional[str] = None,
-        precompute: bool = True,
     ) -> "SharedCSR":
-        """Pack *payload* (and optionally π + its partitions) into a segment.
-
-        With *ranks* given and ``precompute=True`` the memoized partition
-        arrays (parent/child split for a CSR graph, rank-sorted incidence
-        for an edge list) are computed here, in the owning process, and
-        shipped in the same segment — attachers then seed their local
-        caches instead of recomputing (:meth:`seed_caches`).
-        """
+        """Pack *payload* (and optionally π, as ``int64``) into a segment."""
         arrays: Dict[str, np.ndarray] = {}
         meta: Dict[str, Any]
         if isinstance(payload, CSRGraph):
@@ -371,18 +353,6 @@ class SharedCSR:
             ranks = np.ascontiguousarray(ranks, dtype=np.int64)
             arrays["ranks"] = ranks
             structural = structural + (ranks,)
-            if precompute:
-                if isinstance(payload, CSRGraph):
-                    p_off, p_nbr, c_off, c_nbr = split_parents_children(
-                        payload, ranks
-                    )
-                    arrays.update(
-                        p_off=p_off, p_nbr=p_nbr, c_off=c_off, c_nbr=c_nbr
-                    )
-                else:
-                    inc_off, inc_eids = rank_sorted_incidence(payload, ranks)
-                    arrays.update(inc_off=inc_off, inc_eids=inc_eids)
-                meta["precomputed"] = True
         meta["fingerprint"] = _fingerprint(*structural)
         return cls(SharedArrays.create(arrays, meta, name=name))
 
@@ -435,39 +405,6 @@ class SharedCSR:
                     self.bundle.meta["n"], arrays["u"], arrays["v"]
                 )
         return self._payload
-
-    def partition_arrays(self) -> Optional[Tuple[np.ndarray, ...]]:
-        """The shipped partition arrays, or ``None`` if not precomputed."""
-        arrays = self.bundle.arrays
-        if self.kind == "csr" and "p_off" in arrays:
-            return (
-                arrays["p_off"], arrays["p_nbr"],
-                arrays["c_off"], arrays["c_nbr"],
-            )
-        if self.kind == "edges" and "inc_off" in arrays:
-            return arrays["inc_off"], arrays["inc_eids"]
-        return None
-
-    def seed_caches(self) -> bool:
-        """Install the shipped partition arrays into this process's caches.
-
-        Returns ``True`` when something was seeded.  Idempotent per
-        attachment; a no-op when the bundle carries no π or was created
-        with ``precompute=False``.  Digests are computed locally because
-        byte hashes are salted per process.
-        """
-        if self._seeded:
-            return True
-        ranks = self.ranks
-        parts = self.partition_arrays()
-        if ranks is None or parts is None:
-            return False
-        if self.kind == "csr":
-            seed_split_cache(self.payload, ranks, parts)
-        else:
-            seed_incidence_cache(self.payload, ranks, parts)
-        self._seeded = True
-        return True
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -70,6 +70,9 @@ def uniform_random_graph(
     u = rng.integers(0, n, size=batch, dtype=np.int64)
     v = rng.integers(0, n, size=batch, dtype=np.int64)
     cu, cv = canonical_edges(n, u, v)
+    # Each soup is dead once canonicalized; dropping it here keeps it out
+    # of the peak of the subsample and of from_edges.
+    del u, v
     attempts = 0
     while exact and cu.size < m:
         attempts += 1
@@ -85,11 +88,13 @@ def uniform_random_graph(
         au = np.concatenate([cu, nu])
         av = np.concatenate([cv, nv])
         cu, cv = canonical_edges(n, au, av)
+        del nu, nv, au, av
     if cu.size > m:
         # Drop a uniform subset to hit exactly m (order within the
         # canonical list carries no information).
         keep = rng.choice(cu.size, size=m, replace=False)
         cu, cv = cu[keep], cv[keep]
+        del keep
     return from_edges(n, cu, cv)
 
 

@@ -24,8 +24,6 @@ from repro.kernels.partition import (
     grouped_csr,
     partition_cache_stats,
     rank_sorted_incidence,
-    seed_incidence_cache,
-    seed_split_cache,
     split_parents_children,
 )
 
@@ -60,8 +58,6 @@ __all__ = [
     "grouped_csr",
     "split_parents_children",
     "rank_sorted_incidence",
-    "seed_split_cache",
-    "seed_incidence_cache",
     "clear_partition_caches",
     "partition_cache_stats",
 ]

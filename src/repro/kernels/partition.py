@@ -36,8 +36,6 @@ __all__ = [
     "grouped_csr",
     "split_parents_children",
     "rank_sorted_incidence",
-    "seed_split_cache",
-    "seed_incidence_cache",
     "clear_partition_caches",
     "partition_cache_stats",
 ]
@@ -89,36 +87,6 @@ def clear_partition_caches() -> None:
 def partition_cache_stats() -> dict:
     """Hit/miss counters of the partition caches (reset by ``clear``)."""
     return dict(_stats)
-
-
-def seed_split_cache(
-    graph: CSRGraph,
-    ranks: np.ndarray,
-    split: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-) -> None:
-    """Install a precomputed parent/child split for ``(graph, ranks)``.
-
-    The zero-copy attach path of :mod:`repro.backends.sharedmem` carries
-    partition arrays that were computed in another process; seeding them
-    here lets the first solve in this process hit the memo cache instead
-    of recomputing.  The digest is computed locally because ``hash`` of
-    bytes is salted per process.  Arrays are frozen read-only, matching
-    what :func:`split_parents_children` would have returned.
-    """
-    _store(_split_cache, graph, _digest(ranks), _freeze(*split))
-
-
-def seed_incidence_cache(
-    edges: EdgeList,
-    ranks: np.ndarray,
-    index: Tuple[np.ndarray, np.ndarray],
-) -> None:
-    """Install a precomputed rank-sorted incidence index for ``(edges, ranks)``.
-
-    The matching twin of :func:`seed_split_cache`; see that function for
-    the shared-memory rationale.
-    """
-    _store(_incidence_cache, edges, _digest(ranks), _freeze(*index))
 
 
 def grouped_csr(

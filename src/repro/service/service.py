@@ -18,11 +18,11 @@
   because every chain engine returns the bit-identical
   sequential-greedy answer;
 * zero-copy graph registration (:meth:`SolverService.register_graph`):
-  a registered graph lives in one shared-memory segment
-  (:class:`~repro.backends.SharedCSR`), its partition arrays precomputed
-  at registration, and requests for it send only the segment name plus a
-  content fingerprint — no per-request pickling; unregistered graphs
-  fall back to the array-pickling path transparently;
+  a registered graph (and its π, when given) lives in one shared-memory
+  segment (:class:`~repro.backends.SharedCSR`), and requests for it send
+  only the segment name plus a content fingerprint — no per-request
+  pickling; unregistered graphs fall back to the array-pickling path
+  transparently;
 * every attempt recorded in ``result.stats.aux["service"]``, a
   :class:`~repro.service.stats.ServiceStats` snapshot, and graceful
   drain/shutdown (which also unlinks every registered segment);
@@ -334,20 +334,18 @@ class SolverService:
 
     # -- shared-memory graph registration ----------------------------------
 
-    def register_graph(self, payload, ranks=None, *, precompute: bool = True):
+    def register_graph(self, payload, ranks=None):
         """Place *payload* in shared memory; later requests skip pickling.
 
         Returns the :class:`~repro.backends.SharedCSR` bundle.  Every
         subsequent :class:`~repro.service.SolveRequest` whose ``payload``
         **is** this object (identity) sends only the segment name plus a
         content fingerprint; workers attach once and reuse zero-copy
-        views.  With *ranks* given, π ships in the same segment and the
-        memoized partition arrays (parent/child split or rank-sorted
-        incidence) are precomputed **here, at registration** — attaching
-        workers seed their caches from shared memory instead of
-        recomputing, so their first solve for ``(payload, ranks)`` runs
-        warm.  Requests whose ``ranks`` equal the registered array reuse
-        the shared copy without shipping it.
+        views.  With *ranks* given, π ships in the same segment, and
+        requests whose ``ranks`` equal the registered array reuse the
+        shared copy without shipping it.  Nothing else is shipped: an
+        engine that needs a priority partition builds it in the worker on
+        first use and memoizes it there.
 
         The service owns the segment: :meth:`release_graph` or
         :meth:`shutdown` unlinks it.  Registering the same object again
@@ -359,7 +357,7 @@ class SolverService:
             entry = self._shared.get(id(payload))
             if entry is not None:
                 return entry[1]
-            shared = SharedCSR.create(payload, ranks, precompute=precompute)
+            shared = SharedCSR.create(payload, ranks)
             self._shared[id(payload)] = (payload, shared)
             return shared
 

@@ -5,9 +5,7 @@ The request path for a graph registered with
 "shared", "name": <segment>, "fingerprint": <hash>}`` across the pipe —
 no arrays.  The worker resolves the name through this module:
 :func:`attach_shared` attaches the segment once per process, verifies the
-fingerprint against what the parent registered, seeds the memoized
-partition caches from the shipped arrays
-(:meth:`~repro.backends.SharedCSR.seed_caches`), and caches the
+fingerprint against what the parent registered, and caches the
 attachment so every later request for the same graph reuses one zero-copy
 :class:`~repro.graphs.csr.CSRGraph` / :class:`~repro.graphs.csr.EdgeList`
 object — which is exactly what makes the engine-layer memo caches hit.
@@ -44,14 +42,12 @@ def _attachments() -> Dict[str, SharedCSR]:
 
 
 def attach_shared(name: str, fingerprint: str = None) -> SharedCSR:
-    """Attach (or reuse) the named graph bundle and seed local caches.
+    """Attach (or reuse) the named graph bundle.
 
     Verifies *fingerprint* (when given) against the bundle's stored
     content hash — a mismatch means the name was recycled or the request
     is stale, and raises :class:`~repro.errors.GraphFormatError` (a
-    non-retryable input error: every retry would fail identically).  The
-    first attach per process also seeds the memoized partition caches
-    from the shipped arrays, so the first solve runs warm.
+    non-retryable input error: every retry would fail identically).
     """
     cache = _attachments()
     shared = cache.get(name)
@@ -66,7 +62,6 @@ def attach_shared(name: str, fingerprint: str = None) -> SharedCSR:
             f"request expects {fingerprint}, segment holds {shared.fingerprint} "
             "(was the graph released and the name recycled?)"
         )
-    shared.seed_caches()
     return shared
 
 

@@ -84,8 +84,8 @@ def decode_payload(encoded: Dict[str, Any]) -> Union[CSRGraph, EdgeList]:
     ``kind="shared"`` payloads carry no arrays at all — just a segment
     name and a content fingerprint.  The graph is resolved through the
     per-process attachment registry (:mod:`repro.service.shared`): one
-    zero-copy attach per worker, partition caches seeded from the shipped
-    arrays, every later request reusing the same views.
+    zero-copy attach per worker, every later request reusing the same
+    views.
     """
     if encoded["kind"] == "csr":
         return CSRGraph(encoded["offsets"], encoded["neighbors"])

@@ -172,6 +172,37 @@ class TestDocsFilesExist:
         assert len(path.read_text()) > 200, f"{rel} suspiciously short"
 
 
+class TestScriptReferences:
+    """Every ``scripts/<name>.py`` the living docs name must exist.
+
+    History files (CHANGELOG.md, CHANGES.md, ROADMAP.md and
+    ``perfbench/``) record retired scripts on purpose and are not read.
+    """
+
+    DOCS = (
+        "README.md", "DESIGN.md", "EXPERIMENTS.md", "CONTRIBUTING.md",
+        "docs/*.md", ".claude/skills/*/SKILL.md",
+    )
+
+    def test_every_named_script_exists(self):
+        import re
+
+        root = SRC.parent.parent
+        named, missing = 0, []
+        for pattern in self.DOCS:
+            for doc in sorted(root.glob(pattern)):
+                for script in set(re.findall(
+                    r"(?<![\w/.-])scripts/[\w-]+\.py", doc.read_text()
+                )):
+                    named += 1
+                    if not (root / script).is_file():
+                        missing.append(f"{doc.relative_to(root)}: {script}")
+        assert named, "no script references found; is the doc list stale?"
+        assert not missing, "docs name missing scripts:\n" + "\n".join(
+            sorted(missing)
+        )
+
+
 class TestDocsMatchRegistry:
     """docs/api.md must document exactly what the engine registry exposes."""
 

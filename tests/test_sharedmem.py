@@ -115,53 +115,19 @@ class TestSharedCSRGraph:
                 s.close()
                 s.unlink()
 
-    def test_precomputed_partitions_match_engine_caches(self):
-        from repro.kernels.partition import split_parents_children
-
+    def test_segment_carries_graph_and_ranks_only(self):
         g = uniform_random_graph(150, 500, seed=3)
-        ranks = random_priorities(150, seed=4)
-        shared = SharedCSR.create(g, ranks, precompute=True)
-        try:
-            arrays = shared.partition_arrays()
-            assert arrays is not None
-            expected = split_parents_children(g, ranks)
-            for got, want in zip(arrays, expected):
-                np.testing.assert_array_equal(got, want)
-        finally:
-            shared.close()
-            shared.unlink()
-
-    def test_seed_caches_makes_first_solve_warm(self):
-        from repro.kernels.partition import (
-            partition_cache_stats,
-            split_parents_children,
-        )
-
-        g = uniform_random_graph(120, 400, seed=5)
-        ranks = random_priorities(120, seed=6)
-        shared = SharedCSR.create(g, ranks, precompute=True)
-        try:
-            twin = SharedCSR.attach(shared.name)
+        el = g.edge_list()
+        for payload, ranks, keys in (
+            (g, random_priorities(150, seed=4), {"offsets", "neighbors", "ranks"}),
+            (el, random_priorities(el.num_edges, seed=5), {"u", "v", "ranks"}),
+        ):
+            shared = SharedCSR.create(payload, ranks)
             try:
-                before = partition_cache_stats()["hits"]
-                assert twin.seed_caches() is True
-                split_parents_children(twin.payload, twin.ranks)
-                assert partition_cache_stats()["hits"] > before
+                assert set(shared.bundle.arrays) == keys
             finally:
-                twin.close()
-        finally:
-            shared.close()
-            shared.unlink()
-
-    def test_no_precompute_option(self):
-        g = cycle_graph(16)
-        shared = SharedCSR.create(g, precompute=False)
-        try:
-            assert shared.partition_arrays() is None
-            assert shared.seed_caches() is False
-        finally:
-            shared.close()
-            shared.unlink()
+                shared.close()
+                shared.unlink()
 
 
 class TestWorkerAttachmentRegistry:
