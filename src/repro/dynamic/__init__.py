@@ -8,19 +8,28 @@ toward higher ranks.  This package exploits that three ways:
   :class:`~repro.dynamic.incremental.IncrementalMIS` /
   :class:`~repro.dynamic.incremental.IncrementalMatching` maintainers
   that re-peel only the affected region per mutation batch,
-  bit-identical to from-scratch sequential greedy on the mutated graph.
+  bit-identical to from-scratch sequential greedy on the mutated graph,
+  whose state travels as numpy arrays
+  (:func:`~repro.dynamic.incremental.result_from_state` answers from it
+  without a maintainer).
 * :mod:`repro.dynamic.streaming` — batched edge-arrival ingestion over
   either maintainer.
 * :mod:`repro.dynamic.jobs` + :mod:`repro.dynamic.store` — the
   pure (state, batch) → (state', stats) worker entry points and the
-  atomic snapshot store that let :class:`repro.service.SolverService`
-  serve maintainers as long-lived crash-safe sessions.
+  atomic, checksummed snapshot store (arrays as raw bytes) that let
+  :class:`repro.service.SolverService` serve maintainers as long-lived
+  crash-safe sessions.
 
 Layering: sits above :mod:`repro.core`/:mod:`repro.graphs` and below
 :mod:`repro.service` (which imports it lazily in workers).
 """
 
-from repro.dynamic.incremental import IncrementalMIS, IncrementalMatching, edge_priority
+from repro.dynamic.incremental import (
+    IncrementalMatching,
+    IncrementalMIS,
+    edge_priority,
+    result_from_state,
+)
 from repro.dynamic.streaming import stream_edges
 from repro.dynamic.store import SnapshotStore
 from repro.dynamic import incremental, jobs, store, streaming
@@ -29,6 +38,7 @@ __all__ = [
     "IncrementalMIS",
     "IncrementalMatching",
     "edge_priority",
+    "result_from_state",
     "stream_edges",
     "SnapshotStore",
     "incremental",

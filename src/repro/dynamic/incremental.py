@@ -19,11 +19,22 @@ from scratch on the mutated graph (the mutation-parity suite asserts
 this after every batch, against the ``rootset-vec`` / ``parallel-vec``
 engines too).
 
+State as arrays.  The peel walks adjacency sets, but each maintainer also
+keeps its edges as a sorted array of canonical keys ``u*n + v`` (``u <
+v``) with aligned state rows — ``(u, v)`` for MIS, ``(u, v, priority,
+matched)`` for MM — and patches them per batch with ``np.searchsorted``
+and one slice-and-concatenate pass.  So
+:meth:`~IncrementalMIS.to_state` is a few array copies, with no Python
+loop over edges, and :func:`result_from_state` builds the answer from a
+state's arrays without rebuilding a maintainer.  ``from_state`` also
+takes the ``tolist()`` form of a state (format-1 snapshot files,
+portable JSON snapshots).
+
 Work accounting: each batch records the affected-region size (items
 popped), the flips, the arcs scanned, and the incremental-vs-scratch
 work ratio against the ``items + 2·arcs`` cost a from-scratch peel would
 pay — the ``aux["dynamic"]`` block that flows through session results
-into ``BENCH_9.json``.
+and perfbench's ``dynamic.*`` per-layer metrics.
 """
 
 from __future__ import annotations
@@ -40,9 +51,15 @@ from repro.errors import InvalidGraphError, InvariantViolationError
 from repro.graphs.builders import from_edges
 from repro.graphs.csr import CSRGraph, EdgeList
 from repro.robustness.validate import check_ranks
+from repro.util.arrays import sorted_unique
 from repro.util.rng import SeedLike
 
-__all__ = ["IncrementalMIS", "IncrementalMatching", "edge_priority"]
+__all__ = [
+    "IncrementalMIS",
+    "IncrementalMatching",
+    "edge_priority",
+    "result_from_state",
+]
 
 EdgePair = Tuple[int, int]
 
@@ -94,6 +111,76 @@ def _check_batch(
             raise InvalidGraphError(f"batch mentions edge {pair} twice")
         seen.add(pair)
     return ins, dels
+
+
+def _state_array(value: object, tail: Tuple[int, ...], name: str) -> np.ndarray:
+    """A fresh int64 copy of state field *value* (array or ``tolist()`` form).
+
+    The array must hold integers (or bools) and have shape ``(k, *tail)``.
+    """
+    try:
+        arr = np.asarray(value)
+    except (TypeError, ValueError) as exc:  # ragged nested lists
+        raise InvalidGraphError(f"state {name}: not an integer array ({exc})") from None
+    if arr.shape == (0,):  # an empty JSON list carries no dtype or width
+        arr = np.empty((0,) + tail, dtype=np.int64)
+    if arr.dtype.kind not in "iub" or arr.shape[1:] != tail or arr.ndim != 1 + len(tail):
+        raise InvalidGraphError(
+            f"state {name}: expected integers of shape (k, {', '.join(map(str, tail))}), "
+            f"got {arr.dtype} {arr.shape}"
+        )
+    return arr.astype(np.int64)
+
+
+def _state_edges(rows: np.ndarray, n: int) -> np.ndarray:
+    """Validate state edge rows; return their sorted canonical keys."""
+    u, v = rows[:, 0], rows[:, 1]
+    if u.size and (u.min() < 0 or v.max() >= n or bool(np.any(u >= v))):
+        raise InvalidGraphError(f"state edges must be pairs 0 <= u < v < {n}")
+    keys = u * n + v
+    if keys.size > 1 and bool(np.any(keys[1:] <= keys[:-1])):
+        raise InvalidGraphError("state edges must be sorted and distinct")
+    return keys
+
+
+def _splice(
+    keys: np.ndarray,
+    rows: np.ndarray,
+    n: int,
+    dels: Sequence[EdgePair],
+    new_rows: Sequence[Sequence[int]],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Drop the rows of *dels* and add *new_rows*, keeping *keys* sorted.
+
+    One pass: the kept slices of the old arrays and the new rows are
+    joined by one ``np.concatenate`` per array, a plain copy
+    (``np.delete``/``np.insert`` along axis 0 of a 2-D array is about 10x
+    slower).  Both edge sets are canonical and validated against the
+    maintainer's adjacency already, so every deletion is present and
+    every insertion absent.
+    """
+    new = np.asarray(new_rows, dtype=np.int64).reshape(-1, rows.shape[1])
+    new_keys = new[:, 0] * n + new[:, 1]
+    at = np.searchsorted(keys, new_keys).tolist()
+    gone = np.searchsorted(keys, [a * n + b for a, b in dels]).tolist()
+    # (old position, 0 = insert new row i before it / 1 = drop it, key, i)
+    events = sorted(
+        [(pos, 0, key, i) for i, (pos, key) in enumerate(zip(at, new_keys.tolist()))]
+        + [(pos, 1, 0, -1) for pos in gone]
+    )
+    key_parts, row_parts, prev = [], [], 0
+    for pos, drop, _, i in events:
+        key_parts.append(keys[prev:pos])
+        row_parts.append(rows[prev:pos])
+        if drop:
+            prev = pos + 1
+        else:
+            key_parts.append(new_keys[i:i + 1])
+            row_parts.append(new[i:i + 1])
+            prev = pos
+    key_parts.append(keys[prev:])
+    row_parts.append(rows[prev:])
+    return np.concatenate(key_parts), np.concatenate(row_parts)
 
 
 class _DynamicCounters:
@@ -152,6 +239,61 @@ class _DynamicCounters:
         self.total_scratch_work = int(data.get("total_scratch_work", 0))
         self.last = dict(data.get("last_batch", {}))
 
+    def run_stats(self, algorithm: str, n: int, m: int) -> RunStats:
+        """Result stats: cumulative re-peel work, one step per batch."""
+        return RunStats(
+            algorithm=algorithm,
+            n=n,
+            m=m,
+            work=self.total_work,
+            depth=self.total_work,
+            steps=self.batches,
+            rounds=self.batches,
+            aux={"dynamic": self.aux()},
+        )
+
+
+def result_from_state(state: Dict[str, object]) -> Union[MISResult, MatchingResult]:
+    """The answer a :meth:`~IncrementalMIS.to_state` state encodes.
+
+    Built from the state's arrays (or their ``tolist()`` form) without a
+    maintainer: MIS copies ``status`` and ``ranks``; MM turns the
+    ``matched`` column into a status vector over the canonical edge list
+    and ranks each edge by its ``(priority, u, v)`` position.  State rows
+    are sorted by ``(u, v)``, so one stable sort by priority gives that
+    order (about 3x faster than ``np.lexsort`` of the three columns).
+    Every returned array is a fresh copy, so a caller that writes into
+    the result never changes *state*.  The state is trusted (it was
+    validated when committed); :meth:`~IncrementalMIS.from_state`
+    validates.
+    """
+    problem = state.get("problem")
+    counters = _DynamicCounters()
+    counters.load(dict(state.get("counters", {})))
+    n = int(state["n"])
+    if problem == "mis":
+        return MISResult(
+            status=np.array(state["status"], dtype=np.int8),
+            ranks=np.array(state["ranks"], dtype=np.int64),
+            stats=counters.run_stats("mis/incremental", n, len(state["edges"])),
+        )
+    if problem == "matching":
+        rows = np.asarray(state["edges"], dtype=np.int64).reshape(-1, 4)
+        m = rows.shape[0]
+        u, v = rows[:, 0].copy(), rows[:, 1].copy()
+        status = np.full(m, EDGE_DEAD, dtype=np.int8)
+        status[rows[:, 3] != 0] = EDGE_MATCHED
+        ranks = np.empty(m, dtype=np.int64)
+        ranks[np.argsort(rows[:, 2], kind="stable")] = np.arange(m)
+        return MatchingResult(
+            status=status,
+            edge_u=u,
+            edge_v=v,
+            ranks=ranks,
+            stats=counters.run_stats("mm/incremental", n, m),
+        )
+    raise InvalidGraphError(f"unknown session problem {problem!r}")
+
 
 class IncrementalMIS:
     """Maintain the lexicographically-first MIS under edge mutations.
@@ -196,19 +338,34 @@ class IncrementalMIS:
         if ranks is None:
             ranks = random_priorities(n, seed)
         ranks = check_ranks(ranks, n)
-        self.n = n
-        self.ranks = ranks.copy()
-        self._rank = ranks.tolist()
-        self._adj: List[Set[int]] = [set() for _ in range(n)]
         el = graph.edge_list()
-        for a, b in zip(el.u.tolist(), el.v.tolist()):
-            self._adj[a].add(b)
-            self._adj[b].add(a)
-        self.m = el.num_edges
-        self.status = np.full(n, KNOCKED_OUT, dtype=np.int8)
+        keys = sorted_unique(el.u * n + el.v)
+        rows = np.stack((keys // n, keys % n), axis=1)
+        self._load(n, ranks.copy(), keys, rows, np.full(n, KNOCKED_OUT, dtype=np.int8))
         self.counters = _DynamicCounters()
         self._graph_cache: Optional[CSRGraph] = graph
         self._peel(range(n))
+
+    def _load(
+        self,
+        n: int,
+        ranks: np.ndarray,
+        keys: np.ndarray,
+        rows: np.ndarray,
+        status: np.ndarray,
+    ) -> None:
+        """Adopt *ranks*, sorted *keys*, aligned ``(u, v)`` *rows*, *status*."""
+        self.n = n
+        self.ranks = ranks
+        self._rank = ranks.tolist()
+        self._keys = keys
+        self._rows = rows
+        self.status = status
+        self._adj: List[Set[int]] = [set() for _ in range(n)]
+        for a, b in zip(rows[:, 0].tolist(), rows[:, 1].tolist()):
+            self._adj[a].add(b)
+            self._adj[b].add(a)
+        self._graph_cache = None
 
     # -- mutation --------------------------------------------------------
 
@@ -244,7 +401,7 @@ class IncrementalMIS:
             self._adj[a].discard(b)
             self._adj[b].discard(a)
             seeds.add(a if rank[a] > rank[b] else b)
-        self.m += len(ins) - len(dels)
+        self._keys, self._rows = _splice(self._keys, self._rows, self.n, dels, ins)
         self._graph_cache = None
         affected, flipped, scanned = self._peel(seeds)
         return self.counters.record(
@@ -289,6 +446,16 @@ class IncrementalMIS:
 
     # -- queries ---------------------------------------------------------
 
+    @property
+    def m(self) -> int:
+        """Current edge count."""
+        return int(self._keys.size)
+
+    @property
+    def size(self) -> int:
+        """Current independent-set size."""
+        return int(np.count_nonzero(self.status == IN_SET))
+
     def members(self) -> List[int]:
         """Current independent-set vertex ids (sorted)."""
         return np.nonzero(self.status == IN_SET)[0].tolist()
@@ -296,18 +463,7 @@ class IncrementalMIS:
     def graph(self) -> CSRGraph:
         """The current mutated graph as a CSR (cached between mutations)."""
         if self._graph_cache is None:
-            us = []
-            vs = []
-            for a in range(self.n):
-                for b in self._adj[a]:
-                    if a < b:
-                        us.append(a)
-                        vs.append(b)
-            self._graph_cache = from_edges(
-                self.n,
-                np.asarray(us, dtype=np.int64),
-                np.asarray(vs, dtype=np.int64),
-            )
+            self._graph_cache = from_edges(self.n, self._rows[:, 0], self._rows[:, 1])
         return self._graph_cache
 
     def result(self) -> MISResult:
@@ -316,25 +472,15 @@ class IncrementalMIS:
         ``stats.aux["dynamic"]`` carries the cumulative and last-batch
         re-peel accounting.
         """
-        aux = {"dynamic": self.counters.aux()}
-        stats = RunStats(
-            algorithm="mis/incremental",
-            n=self.n,
-            m=self.m,
-            work=self.counters.total_work,
-            depth=self.counters.total_work,
-            steps=self.counters.batches,
-            rounds=self.counters.batches,
-            aux=aux,
-        )
-        return MISResult(status=self.status.copy(), ranks=self.ranks.copy(), stats=stats)
+        return result_from_state(self.to_state())
 
     def verify(self) -> None:
         """Re-check the greedy fixpoint on every vertex (guards hook).
 
         Raises :class:`~repro.errors.InvariantViolationError` if any
         vertex's status disagrees with the greedy rule — the full-guard
-        invariant for sessions.
+        invariant for sessions — or if the edge arrays that
+        :meth:`to_state` ships disagree with the adjacency the peel walks.
         """
         rank = self._rank
         for v in range(self.n):
@@ -347,23 +493,27 @@ class IncrementalMIS:
                 raise InvariantViolationError(
                     f"incremental MIS fixpoint violated at vertex {v}"
                 )
+        n = self.n
+        live = sorted(a * n + b for a in range(n) for b in self._adj[a] if a < b)
+        if live != self._keys.tolist() or not np.array_equal(
+            self._rows[:, 0] * n + self._rows[:, 1], self._keys
+        ):
+            raise InvariantViolationError(
+                "incremental MIS edge arrays disagree with its adjacency"
+            )
 
     # -- state (snapshot / worker replay) --------------------------------
 
     def to_state(self) -> Dict[str, object]:
-        """JSON-safe state capturing graph, ranks, status, and counters."""
-        edges = []
-        for a in range(self.n):
-            for b in self._adj[a]:
-                if a < b:
-                    edges.append([a, b])
-        edges.sort()
+        """State as arrays: ``ranks`` int64[n], ``status`` int8[n], and
+        ``edges`` int64[m, 2] of canonical ``u < v`` rows in sorted order,
+        plus the counters.  Every array is a fresh copy."""
         return {
             "problem": "mis",
             "n": self.n,
-            "ranks": self.ranks.tolist(),
-            "edges": edges,
-            "status": self.status.tolist(),
+            "ranks": self.ranks.copy(),
+            "edges": self._rows.copy(),
+            "status": self.status.copy(),
             "counters": self.counters.aux(),
         }
 
@@ -371,7 +521,11 @@ class IncrementalMIS:
     def from_state(cls, state: Dict[str, object]) -> "IncrementalMIS":
         """Rebuild a maintainer from :meth:`to_state` output.
 
-        The stored status is trusted (it was a verified fixpoint when
+        Takes the array form or its ``tolist()`` form and copies it, so
+        the maintainer never aliases *state*.  Shapes, endpoint ranges,
+        ``u < v``, strictly increasing edge keys and the status vector
+        are checked (:class:`~repro.errors.InvalidGraphError`).  The
+        stored status is trusted (it was a verified fixpoint when
         snapshotted) so restore is O(n + m) with no re-peel; call
         :meth:`verify` to re-check it.
         """
@@ -380,24 +534,18 @@ class IncrementalMIS:
                 f"expected a 'mis' session state, got {state.get('problem')!r}"
             )
         n = int(state["n"])
-        obj = cls.__new__(cls)
-        obj.n = n
-        obj.ranks = check_ranks(np.asarray(state["ranks"], dtype=np.int64), n)
-        obj._rank = obj.ranks.tolist()
-        obj._adj = [set() for _ in range(n)]
-        edges = [(int(a), int(b)) for a, b in state["edges"]]
-        for a, b in edges:
-            pair = _canon_pair(a, b, n, "state")
-            obj._adj[pair[0]].add(pair[1])
-            obj._adj[pair[1]].add(pair[0])
-        obj.m = len(edges)
-        status = np.asarray(state["status"], dtype=np.int8)
+        ranks = check_ranks(_state_array(state["ranks"], (), "ranks"), n)
+        rows = _state_array(state["edges"], (2,), "edges")
+        keys = _state_edges(rows, n)
+        status = _state_array(state["status"], (), "status")
         if status.shape != (n,):
             raise InvalidGraphError("state status length does not match n")
-        obj.status = status.copy()
+        if not bool(np.all((status == IN_SET) | (status == KNOCKED_OUT))):
+            raise InvalidGraphError("state status holds a code other than IN_SET/KNOCKED_OUT")
+        obj = cls.__new__(cls)
+        obj._load(n, ranks, keys, rows, status.astype(np.int8))
         obj.counters = _DynamicCounters()
         obj.counters.load(dict(state.get("counters", {})))
-        obj._graph_cache = None
         return obj
 
 
@@ -439,25 +587,39 @@ class IncrementalMatching:
         self.n = n
         self.seed = int(seed) if seed is not None else 0
         if ranks is not None:
-            ranks = check_ranks(ranks, m)
-            prios = ranks.tolist()
+            prios = check_ranks(ranks, m)
         else:
-            prios = [
-                edge_priority(self.seed, int(a), int(b))
-                for a, b in zip(el.u.tolist(), el.v.tolist())
-            ]
-        # key -> [priority, matched]
-        self._edges: Dict[EdgePair, List] = {}
+            prios = np.fromiter(
+                (edge_priority(self.seed, a, b) for a, b in zip(el.u.tolist(), el.v.tolist())),
+                dtype=np.int64,
+                count=m,
+            )
+        keys = el.u * n + el.v
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        if keys.size > 1 and bool(np.any(keys[1:] == keys[:-1])):
+            dup = int(keys[1:][keys[1:] == keys[:-1]][0])
+            raise InvalidGraphError(
+                f"duplicate edge {(dup // n, dup % n)} in initial edge list"
+            )
+        self._edges: Dict[EdgePair, List] = {}  # key -> [priority, matched]
         self._incident: List[Set[EdgePair]] = [set() for _ in range(n)]
-        for a, b, p in zip(el.u.tolist(), el.v.tolist(), prios):
+        for a, b, p in zip(el.u.tolist(), el.v.tolist(), prios.tolist()):
             key = (a, b)
-            if key in self._edges:
-                raise InvalidGraphError(f"duplicate edge {key} in initial edge list")
-            self._edges[key] = [int(p), False]
+            self._edges[key] = [p, False]
             self._incident[a].add(key)
             self._incident[b].add(key)
         self.counters = _DynamicCounters()
         self._peel(list(self._edges))
+        rows = np.zeros((m, 4), dtype=np.int64)
+        rows[:, 0] = el.u[order]
+        rows[:, 1] = el.v[order]
+        rows[:, 2] = prios[order]
+        rows[:, 3] = [
+            self._edges[key][1] for key in zip(rows[:, 0].tolist(), rows[:, 1].tolist())
+        ]
+        self._keys = keys
+        self._rows = rows
 
     # -- ordering --------------------------------------------------------
 
@@ -499,13 +661,21 @@ class IncrementalMatching:
         # A later deletion in the same batch may remove an edge an earlier
         # deletion marked dirty; only surviving edges get re-peeled.
         dirty = {key for key in dirty if key in self._edges}
+        new_rows = []
         for key in ins:
             a, b = key
-            self._edges[key] = [edge_priority(self.seed, a, b), False]
+            prio = edge_priority(self.seed, a, b)
+            self._edges[key] = [prio, False]
             self._incident[a].add(key)
             self._incident[b].add(key)
             dirty.add(key)
-        affected, flipped, scanned = self._peel(dirty)
+            new_rows.append((a, b, prio, 0))
+        self._keys, self._rows = _splice(self._keys, self._rows, self.n, dels, new_rows)
+        affected, flipped, scanned, changed = self._peel(dirty)
+        if changed:
+            n = self.n
+            at = np.searchsorted(self._keys, [a * n + b for a, b in changed])
+            self._rows[at, 3] = [self._edges[key][1] for key in changed]
         return self.counters.record(
             inserted=len(ins),
             deleted=len(dels),
@@ -516,11 +686,13 @@ class IncrementalMatching:
             arcs=len(self._edges),
         )
 
-    def _peel(self, dirty: Iterable[EdgePair]) -> Tuple[int, int, int]:
+    def _peel(self, dirty: Iterable[EdgePair]) -> Tuple[int, int, int, List[EdgePair]]:
+        """Re-peel *dirty* in edge order; also returns the flipped edges."""
         heap = [(self._order(key), key) for key in dirty]
         heapq.heapify(heap)
         queued = {key for (_, key) in heap}
-        affected = flipped = scanned = 0
+        affected = scanned = 0
+        changed: List[EdgePair] = []
         edges = self._edges
         while heap:
             order, key = heapq.heappop(heap)
@@ -542,7 +714,7 @@ class IncrementalMatching:
             if rec[1] == new:
                 continue
             rec[1] = new
-            flipped += 1
+            changed.append(key)
             for nbr in self._incident[a] | self._incident[b]:
                 if nbr == key:
                     continue
@@ -550,30 +722,27 @@ class IncrementalMatching:
                 if (edges[nbr][0], nbr[0], nbr[1]) > order and nbr not in queued:
                     queued.add(nbr)
                     heapq.heappush(heap, ((edges[nbr][0], nbr[0], nbr[1]), nbr))
-        return affected, flipped, scanned
+        return affected, len(changed), scanned, changed
 
     # -- queries ---------------------------------------------------------
 
     @property
     def m(self) -> int:
         """Current edge count."""
-        return len(self._edges)
+        return int(self._keys.size)
 
-    def matched_pairs(self) -> List[EdgePair]:
-        """Currently matched edges (sorted canonical pairs)."""
-        return sorted(key for key, rec in self._edges.items() if rec[1])
+    @property
+    def size(self) -> int:
+        """Current matching size."""
+        return int(np.count_nonzero(self._rows[:, 3]))
 
     def edge_list(self) -> EdgeList:
         """Current edges in canonical ``(u, v)``-sorted order."""
-        keys = sorted(self._edges)
-        u = np.asarray([k[0] for k in keys], dtype=np.int64)
-        v = np.asarray([k[1] for k in keys], dtype=np.int64)
-        return EdgeList(self.n, u, v)
+        return EdgeList(self.n, self._rows[:, 0].copy(), self._rows[:, 1].copy())
 
     def graph(self) -> CSRGraph:
         """The current mutated graph as a CSR."""
-        el = self.edge_list()
-        return from_edges(self.n, el.u, el.v)
+        return from_edges(self.n, self._rows[:, 0], self._rows[:, 1])
 
     def current_ranks(self) -> np.ndarray:
         """Dense edge-rank permutation over :meth:`edge_list` order.
@@ -582,42 +751,15 @@ class IncrementalMatching:
         session's total edge order — feed this to a from-scratch engine to
         reproduce the maintained matching bit-for-bit.
         """
-        keys = sorted(self._edges)
-        orders = sorted(range(len(keys)), key=lambda i: self._order(keys[i]))
-        ranks = np.empty(len(keys), dtype=np.int64)
-        for pos, i in enumerate(orders):
-            ranks[i] = pos
-        return ranks
+        return self.result().ranks
 
     def result(self) -> MatchingResult:
         """Current answer as a :class:`~repro.core.result.MatchingResult`."""
-        keys = sorted(self._edges)
-        status = np.fromiter(
-            (EDGE_MATCHED if self._edges[k][1] else EDGE_DEAD for k in keys),
-            dtype=np.int8,
-            count=len(keys),
-        )
-        aux = {"dynamic": self.counters.aux()}
-        stats = RunStats(
-            algorithm="mm/incremental",
-            n=self.n,
-            m=len(keys),
-            work=self.counters.total_work,
-            depth=self.counters.total_work,
-            steps=self.counters.batches,
-            rounds=self.counters.batches,
-            aux=aux,
-        )
-        return MatchingResult(
-            status=status,
-            edge_u=np.asarray([k[0] for k in keys], dtype=np.int64),
-            edge_v=np.asarray([k[1] for k in keys], dtype=np.int64),
-            ranks=self.current_ranks(),
-            stats=stats,
-        )
+        return result_from_state(self.to_state())
 
     def verify(self) -> None:
-        """Re-check the greedy matching fixpoint on every edge."""
+        """Re-check the greedy matching fixpoint on every edge, and that the
+        state rows agree with the edge map the peel walks."""
         for key, rec in self._edges.items():
             order = (rec[0], key[0], key[1])
             blocked = False
@@ -632,43 +774,57 @@ class IncrementalMatching:
                 raise InvariantViolationError(
                     f"incremental matching fixpoint violated at edge {key}"
                 )
+        live = [[a, b, p, int(hit)] for (a, b), (p, hit) in sorted(self._edges.items())]
+        if live != self._rows.tolist() or not np.array_equal(
+            self._rows[:, 0] * self.n + self._rows[:, 1], self._keys
+        ):
+            raise InvariantViolationError(
+                "incremental matching edge rows disagree with its edge map"
+            )
 
     # -- state -----------------------------------------------------------
 
     def to_state(self) -> Dict[str, object]:
-        """JSON-safe state: per-edge priorities and matched flags."""
-        edges = [
-            [k[0], k[1], rec[0], bool(rec[1])]
-            for k, rec in sorted(self._edges.items())
-        ]
+        """State as arrays: ``edges`` int64[m, 4] with rows ``(u, v,
+        priority, matched)`` in canonical sorted order, plus the seed and
+        counters.  The array is a fresh copy."""
         return {
             "problem": "matching",
             "n": self.n,
             "seed": self.seed,
-            "edges": edges,
+            "edges": self._rows.copy(),
             "counters": self.counters.aux(),
         }
 
     @classmethod
     def from_state(cls, state: Dict[str, object]) -> "IncrementalMatching":
-        """Rebuild a maintainer from :meth:`to_state` output."""
+        """Rebuild a maintainer from :meth:`to_state` output.
+
+        Takes the array form or its ``tolist()`` form (``matched`` may be
+        a bool) and copies it; checks as :meth:`IncrementalMIS.from_state`
+        does, plus a 0/1 ``matched`` column.
+        """
         if state.get("problem") != "matching":
             raise InvalidGraphError(
                 f"expected a 'matching' session state, got {state.get('problem')!r}"
             )
         n = int(state["n"])
+        rows = _state_array(state["edges"], (4,), "edges")
+        keys = _state_edges(rows, n)
+        if not bool(np.all((rows[:, 3] == 0) | (rows[:, 3] == 1))):
+            raise InvalidGraphError("state edges: matched flags must be 0 or 1")
         obj = cls.__new__(cls)
         obj.n = n
         obj.seed = int(state.get("seed", 0))
+        obj._keys = keys
+        obj._rows = rows
         obj._edges = {}
         obj._incident = [set() for _ in range(n)]
-        for a, b, prio, matched in state["edges"]:
-            key = _canon_pair(a, b, n, "state")
-            if key in obj._edges:
-                raise InvalidGraphError(f"duplicate edge {key} in session state")
-            obj._edges[key] = [int(prio), bool(matched)]
-            obj._incident[key[0]].add(key)
-            obj._incident[key[1]].add(key)
+        for a, b, prio, hit in rows.tolist():
+            key = (a, b)
+            obj._edges[key] = [prio, bool(hit)]
+            obj._incident[a].add(key)
+            obj._incident[b].add(key)
         obj.counters = _DynamicCounters()
         obj.counters.load(dict(state.get("counters", {})))
         return obj

@@ -19,6 +19,12 @@ to (or could) see the idempotency key: by the time a duplicate reaches
 the dedup check it is answered from the recorded outcome and never
 ships to a worker at all.
 
+The state crossing the pipe in both directions is the maintainers'
+array form (:meth:`~repro.dynamic.incremental.IncrementalMIS.to_state`:
+a few flat int64/int8 arrays), so shipping it costs a memory copy rather
+than pickling O(m) Python lists, and the summary's ``size`` and ``m``
+come from the arrays.
+
 A small per-process cache keyed by ``(epoch, version)`` lets a worker
 that already holds the maintainer for the committed version skip the
 state rebuild; cache misses rebuild from the shipped state, so the
@@ -72,16 +78,12 @@ def _maintainer_from_state(state: Dict[str, Any]) -> Maintainer:
 
 
 def _summary(maintainer: Maintainer, dynamic: Dict[str, Any]) -> Dict[str, Any]:
-    if isinstance(maintainer, IncrementalMIS):
-        size = len(maintainer.members())
-    else:
-        size = len(maintainer.matched_pairs())
     return {
         "state": maintainer.to_state(),
         "dynamic": dynamic,
         "n": maintainer.n,
         "m": maintainer.m,
-        "size": size,
+        "size": maintainer.size,
     }
 
 

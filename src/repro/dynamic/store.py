@@ -1,4 +1,4 @@
-"""Durable session snapshots: atomic, checksummed JSON files, one per session.
+"""Durable session snapshots: atomic, checksummed files, one per session.
 
 The service keeps the authoritative session state in memory and commits
 a new state after every successful mutation; this store persists those
@@ -7,6 +7,22 @@ respawns.  Writes follow the same temp-file + ``os.replace`` discipline
 as the bench checkpoint machinery: a crash mid-write leaves the previous
 snapshot intact, never a torn file.
 
+On disk (format 2, what :meth:`SnapshotStore.save` writes) a snapshot
+file ``<session_id>.json`` is one line of JSON followed by raw bytes:
+
+* line 1 is the envelope ``{"format":2,"sha256":…,"snapshot":…}``, in
+  which every numpy array of the snapshot is replaced by a descriptor
+  ``{"__array__": [index, dtype, shape]}``;
+* after the newline come the arrays' raw bytes, in index order.
+
+Only fixed-width integer and bool arrays are stored.  The SHA-256 covers
+the canonical (sorted-key, compact) header JSON followed by the array
+bytes; with no arrays that is :func:`snapshot_checksum`, the digest of
+format 1 — a single JSON envelope whose state holds lists — which
+:meth:`SnapshotStore.load` still reads.  Files are never pickled: a
+pickle could run code when loaded, and ``repro recover`` could not
+inspect it.
+
 Two durability hazards remain even with atomic replacement, and both
 are handled here rather than left to callers:
 
@@ -14,23 +30,26 @@ are handled here rather than left to callers:
   ``os.replace`` leaks its temp file.  The store sweeps ``*.tmp``
   debris on construction (:attr:`SnapshotStore.tmp_swept`), and the
   resilience reaper reports the same sweep on its timer.
-* **Corruption** — every snapshot is wrapped in an envelope carrying a
-  SHA-256 of its canonical JSON encoding.  A load that fails to parse
-  or fails the checksum renames the file to a ``.corrupt`` quarantine
-  and raises the typed
+* **Corruption** — a load that fails to parse, fails the checksum, or
+  names an array the tail does not hold (a dtype other than a
+  fixed-width integer or bool, a shape the bytes do not fill) renames
+  the file to a ``.corrupt`` quarantine and raises the typed
   :class:`~repro.errors.SnapshotCorruptError` — never a raw
-  ``json.JSONDecodeError`` — so the exit-code/status taxonomy holds,
-  retries cannot re-read the poison, and ``repro recover`` can inspect
-  what was quarantined.
+  ``json.JSONDecodeError`` or ``ValueError`` — so the exit-code/status
+  taxonomy holds, retries cannot re-read the poison, and
+  ``repro recover`` can inspect what was quarantined.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
-from typing import Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.errors import ReproError, SnapshotCorruptError
 
@@ -38,25 +57,109 @@ __all__ = ["SnapshotStore", "snapshot_checksum"]
 
 PathLike = Union[str, os.PathLike]
 
+#: Key of the header object that stands in for one stored array.
+_ARRAY = "__array__"
+#: dtype kinds a snapshot array may have: signed, unsigned, bool.
+_ARRAY_KINDS = "iub"
+
+
+def _canonical(obj: Any, default=None) -> bytes:
+    return json.dumps(
+        obj, separators=(",", ":"), sort_keys=True, default=default
+    ).encode("utf-8")
+
 
 def snapshot_checksum(snapshot: Dict[str, object]) -> str:
     """SHA-256 over the canonical JSON encoding of *snapshot*.
 
-    Canonical means sorted keys and compact separators — exactly the
-    bytes :meth:`SnapshotStore.save` writes — so the digest is a pure
-    function of content, not of dict ordering.
+    Canonical means sorted keys and compact separators, so the digest is
+    a pure function of content, not of dict ordering.  This is the whole
+    digest of a snapshot without arrays (every format-1 file); format 2
+    continues the same hash over the array bytes.
     """
-    body = json.dumps(snapshot, separators=(",", ":"), sort_keys=True)
-    return hashlib.sha256(body.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_canonical(snapshot)).hexdigest()
+
+
+def _encode(snapshot: Dict[str, object]) -> Tuple[bytes, List[np.ndarray]]:
+    """Canonical header JSON of *snapshot* and its arrays in index order."""
+    arrays: List[np.ndarray] = []
+
+    def describe(obj: Any) -> Dict[str, list]:
+        if not isinstance(obj, np.ndarray):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        if obj.dtype.kind not in _ARRAY_KINDS:
+            raise TypeError(
+                f"snapshot arrays must hold fixed-width integers or bools, got {obj.dtype}"
+            )
+        arrays.append(np.ascontiguousarray(obj).reshape(-1).view(np.uint8))
+        return {_ARRAY: [len(arrays) - 1, obj.dtype.str, list(obj.shape)]}
+
+    return _canonical(snapshot, describe), arrays
+
+
+def _array_slots(node: Any, slots: List[Tuple[Any, Any, Any]]) -> List[Tuple[Any, Any, Any]]:
+    """``(container, key, descriptor)`` for every array descriptor under *node*."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        if isinstance(value, dict) and len(value) == 1 and _ARRAY in value:
+            slots.append((node, key, value[_ARRAY]))
+        elif isinstance(value, (dict, list)):
+            _array_slots(value, slots)
+    return slots
+
+
+def _attach_arrays(header: Dict[str, Any], tail: bytes) -> None:
+    """Replace the descriptors in *header* by the arrays *tail* holds.
+
+    Raises ``ValueError`` for a malformed descriptor, a dtype other than
+    a fixed-width integer or bool, or a tail whose length is not exactly
+    the arrays' total size.
+    """
+    slots = _array_slots(header, [])
+    specs: Dict[int, Tuple[np.dtype, Tuple[int, ...]]] = {}
+    for _, _, desc in slots:
+        if not (isinstance(desc, list) and len(desc) == 3):
+            raise ValueError(f"malformed array descriptor {desc!r}")
+        index, dtype, shape = desc
+        if (
+            type(index) is not int or index in specs
+            or not isinstance(dtype, str)
+            or not isinstance(shape, list)
+            or any(type(d) is not int or d < 0 for d in shape)
+        ):
+            raise ValueError(f"malformed array descriptor {desc!r}")
+        try:
+            dt = np.dtype(dtype)
+        except TypeError:
+            raise ValueError(f"unknown array dtype {dtype!r}") from None
+        if dt.kind not in _ARRAY_KINDS:
+            raise ValueError(f"array dtype {dtype!r} is not a fixed-width integer or bool")
+        specs[index] = (dt, tuple(shape))
+    if sorted(specs) != list(range(len(specs))):
+        raise ValueError(f"array indices {sorted(specs)} are not 0..{len(specs) - 1}")
+    arrays = []
+    offset = 0
+    for index in range(len(specs)):
+        dt, shape = specs[index]
+        count = math.prod(shape)
+        end = offset + count * dt.itemsize
+        if end > len(tail):
+            raise ValueError(f"array bytes end at {len(tail)}, the header needs {end}")
+        arrays.append(np.frombuffer(tail, dtype=dt, count=count, offset=offset).reshape(shape))
+        offset = end
+    if offset != len(tail):
+        raise ValueError(f"{len(tail) - offset} array bytes beyond what the header names")
+    for container, key, desc in slots:
+        container[key] = arrays[desc[0]].copy()
 
 
 class SnapshotStore:
     """Directory of ``<session_id>.json`` snapshot files.
 
     Session ids are restricted to ``[A-Za-z0-9_.-]`` so an id can never
-    escape the store directory.  On disk each file is an envelope
-    ``{"format": 1, "sha256": …, "snapshot": …}``; :meth:`load` verifies
-    the digest before handing the payload back.
+    escape the store directory.  :meth:`save` writes format 2 (a JSON
+    envelope line, then raw array bytes); :meth:`load` reads formats 1
+    and 2 and verifies the digest before handing the payload back, with
+    its arrays as writable numpy arrays.
     """
 
     def __init__(self, root: PathLike) -> None:
@@ -90,17 +193,27 @@ class SnapshotStore:
         return os.path.join(self.root, f"{session_id}.json")
 
     def save(self, session_id: str, snapshot: Dict[str, object]) -> str:
-        """Atomically persist *snapshot*; returns the file path."""
+        """Atomically persist *snapshot*; returns the file path.
+
+        The snapshot is JSON-encoded once; its arrays (fixed-width
+        integer or bool only) are written as raw bytes after it.
+        """
         path = self._path(session_id)
-        envelope = {
-            "format": 1,
-            "sha256": snapshot_checksum(snapshot),
-            "snapshot": snapshot,
-        }
+        head, arrays = _encode(snapshot)
+        digest = hashlib.sha256(head)
+        for blob in arrays:
+            digest.update(blob)
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(envelope, fh, separators=(",", ":"), sort_keys=True)
+            with os.fdopen(fd, "wb") as fh:
+                # The canonical encoding of the envelope: its keys sort as
+                # format < sha256 < snapshot.
+                fh.write(b'{"format":2,"sha256":"%s","snapshot":'
+                         % digest.hexdigest().encode("ascii"))
+                fh.write(head)
+                fh.write(b"}\n")
+                for blob in arrays:
+                    fh.write(blob)
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
@@ -126,13 +239,14 @@ class SnapshotStore:
     def load(self, session_id: str) -> Optional[Dict[str, object]]:
         """Read a snapshot back, or ``None`` if absent.
 
-        A file that fails to parse or fails its embedded checksum is
-        renamed to ``<file>.corrupt`` and raises
+        A file that fails to parse, fails its embedded checksum, or
+        names arrays its tail does not hold is renamed to
+        ``<file>.corrupt`` and raises
         :class:`~repro.errors.SnapshotCorruptError`.
         """
         path = self._path(session_id)
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(path, "rb") as fh:
                 raw = fh.read()
         except FileNotFoundError:
             return None
@@ -140,24 +254,42 @@ class SnapshotStore:
             raise SnapshotCorruptError(
                 f"unreadable session snapshot {path!r}: {exc}"
             ) from exc
+        line, _, tail = raw.partition(b"\n")
         try:
-            envelope = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise self._quarantine(path, f"not valid JSON ({exc})") from exc
+            envelope = json.loads(line)
+        except ValueError:
+            # A format-1 file is one JSON document, possibly indented.
+            try:
+                envelope = json.loads(raw)
+            except ValueError as exc:
+                raise self._quarantine(path, f"not valid JSON ({exc})") from exc
+            tail = b""
         if (
             not isinstance(envelope, dict)
             or not isinstance(envelope.get("snapshot"), dict)
             or not isinstance(envelope.get("sha256"), str)
         ):
             raise self._quarantine(path, "missing checksum envelope")
+        fmt = envelope.get("format", 1)
+        if fmt not in (1, 2):
+            raise self._quarantine(path, f"unknown snapshot format {fmt!r}")
+        if fmt == 1 and tail.strip():
+            raise self._quarantine(path, "bytes after a format-1 envelope")
         snapshot = envelope["snapshot"]
-        digest = snapshot_checksum(snapshot)
-        if digest != envelope["sha256"]:
+        digest = hashlib.sha256(_canonical(snapshot))
+        if fmt == 2:
+            digest.update(tail)
+        if digest.hexdigest() != envelope["sha256"]:
             raise self._quarantine(
                 path,
                 f"checksum mismatch (recorded {envelope['sha256'][:12]}…, "
-                f"recomputed {digest[:12]}…)",
+                f"recomputed {digest.hexdigest()[:12]}…)",
             )
+        if fmt == 2:
+            try:
+                _attach_arrays(snapshot, tail)
+            except ValueError as exc:
+                raise self._quarantine(path, f"bad array section ({exc})") from exc
         return snapshot
 
     def delete(self, session_id: str) -> bool:

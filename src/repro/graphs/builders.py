@@ -84,14 +84,21 @@ def from_edges(
     2
     """
     n = check_int(n, "n")
-    keys = _edge_keys(n, u, v)
+    return _csr_from_keys(n, _edge_keys(n, u, v))
+
+
+def _csr_from_keys(n: int, keys: np.ndarray) -> CSRGraph:
+    """The CSR layout of distinct ``min*n + max`` edge keys, in any order.
+
+    A generator that already holds distinct keys calls this directly and
+    skips :func:`from_edges`' dedup sort; the output is the same bytes.
+    """
     # Each undirected edge {lo, hi} contributes arcs lo->hi and hi->lo,
     # keyed src*n + dst; sorted, the keys are the CSR layout.
     arcs = np.concatenate([keys, keys % n])
     reverse = arcs[keys.size:]
     reverse *= n
     reverse += keys // n
-    del keys
     arcs.sort()
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(arcs // n, minlength=n), out=offsets[1:])

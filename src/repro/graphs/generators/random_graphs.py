@@ -12,8 +12,9 @@ from typing import Optional
 
 import numpy as np
 
-from repro.graphs.builders import canonical_edges, from_edges
+from repro.graphs.builders import _csr_from_keys, _edge_keys, from_edges
 from repro.graphs.csr import CSRGraph
+from repro.util.arrays import sorted_unique
 from repro.util.rng import SeedLike, as_generator
 from repro.util.validation import check_positive_int, require
 
@@ -65,37 +66,39 @@ def uniform_random_graph(
         e = np.empty(0, dtype=np.int64)
         return from_edges(n, e, e)
 
-    # Oversample to absorb expected collision/loop losses.
+    # Oversample to absorb expected collision/loop losses.  The sample is
+    # kept as sorted distinct ``min*n + max`` edge keys throughout, so the
+    # final layout needs no second dedup.
     batch = int(m * 1.15) + 16
     u = rng.integers(0, n, size=batch, dtype=np.int64)
     v = rng.integers(0, n, size=batch, dtype=np.int64)
-    cu, cv = canonical_edges(n, u, v)
-    # Each soup is dead once canonicalized; dropping it here keeps it out
-    # of the peak of the subsample and of from_edges.
+    keys = _edge_keys(n, u, v)
+    # Each soup is dead once keyed; dropping it here keeps it out of the
+    # peak of the subsample and of the layout.
     del u, v
     attempts = 0
-    while exact and cu.size < m:
+    while exact and keys.size < m:
         attempts += 1
         if attempts > max_attempts:
             raise RuntimeError(
                 f"failed to collect {m} distinct edges after {max_attempts} "
                 f"rounds (n={n}); graph too dense for rejection sampling"
             )
-        deficit = m - cu.size
+        deficit = m - keys.size
         extra = max(4 * deficit + 16, 64)
         nu = rng.integers(0, n, size=extra, dtype=np.int64)
         nv = rng.integers(0, n, size=extra, dtype=np.int64)
-        au = np.concatenate([cu, nu])
-        av = np.concatenate([cv, nv])
-        cu, cv = canonical_edges(n, au, av)
-        del nu, nv, au, av
-    if cu.size > m:
+        keys = sorted_unique(np.concatenate([keys, _edge_keys(n, nu, nv)]))
+        del nu, nv
+    if keys.size > m:
         # Drop a uniform subset to hit exactly m (order within the
-        # canonical list carries no information).
-        keep = rng.choice(cu.size, size=m, replace=False)
-        cu, cv = cu[keep], cv[keep]
+        # canonical list carries no information).  A sorted index keeps
+        # the keys sorted, which the layout sort finishes faster.
+        keep = rng.choice(keys.size, size=m, replace=False)
+        keep.sort()
+        keys = keys[keep]
         del keep
-    return from_edges(n, cu, cv)
+    return _csr_from_keys(n, keys)
 
 
 def gnp_random_graph(n: int, p: float, seed: SeedLike = None) -> CSRGraph:

@@ -612,11 +612,12 @@ class SolverService:
         return self.sessions.info(session_id)
 
     def session_snapshot(self, session_id):
-        """A portable snapshot of the committed version."""
+        """A portable, JSON-safe snapshot of the committed version."""
         return self.sessions.snapshot(session_id)
 
     def restore_session(self, snapshot=None, **kwargs):
-        """Revive a session from a snapshot or the persistent store."""
+        """Revive a session from a snapshot (array or list state) or the
+        persistent store."""
         return self.sessions.restore(snapshot, **kwargs)
 
     def close_session(self, session_id, **kwargs):

@@ -3,11 +3,10 @@
 A *session* is a long-lived incremental MIS/matching maintainer
 (:mod:`repro.dynamic.incremental`) served through the
 :class:`~repro.service.SolverService` worker pool.  The parent holds the
-**committed state** — the JSON-safe ``to_state()`` snapshot of the last
-successful version — and runs every state transition inside a worker via
-the generic ``"call"`` job kind pointing at
-:mod:`repro.dynamic.jobs`.  That split is what makes sessions survive
-worker crashes:
+**committed state** — the ``to_state()`` arrays of the last successful
+version — and runs every state transition inside a worker via the
+generic ``"call"`` job kind pointing at :mod:`repro.dynamic.jobs`.  That
+split is what makes sessions survive worker crashes:
 
 1. A mutation ships ``(committed state, batch)`` to a worker, which
    replays the maintainer and applies the batch.
@@ -19,13 +18,18 @@ worker crashes:
    reproduces the bit-identical result.  Half-applied state can never
    be observed because it never leaves the dead worker.
 
-Queries (:meth:`SessionManager.result`) are read-only reconstructions
-from the committed state and run in-parent — they cannot corrupt
-anything and need no isolation.
+Queries (:meth:`SessionManager.result`) build the answer from the
+committed arrays in-parent
+(:func:`~repro.dynamic.incremental.result_from_state`, no maintainer
+rebuild) and hand back fresh copies — they cannot corrupt anything and
+need no isolation.
 
 With a :class:`~repro.dynamic.store.SnapshotStore` attached, every
-committed version is also persisted atomically, so sessions additionally
-survive full service restarts via :meth:`SessionManager.restore`.
+committed version is also persisted atomically (the arrays as raw bytes
+under a checksummed JSON header), so sessions additionally survive full
+service restarts via :meth:`SessionManager.restore`.
+:meth:`SessionManager.snapshot` returns the portable JSON-safe form
+(arrays as lists); :meth:`SessionManager.restore` takes either form.
 
 Worker-crash retries are safe because the *service* retries from the
 same committed input — but a **client** retry after an ambiguous outcome
@@ -150,8 +154,6 @@ class _SessionRecord:
         default_factory=OrderedDict
     )
     lock: threading.Lock = field(default_factory=threading.Lock)
-    # (version, result) — queries rebuild from committed state lazily.
-    _result_cache: Optional[Tuple[int, Any]] = None
 
     def info(self) -> SessionInfo:
         return SessionInfo(
@@ -425,7 +427,6 @@ class SessionManager:
             record.m = summary["m"]
             record.size = summary["size"]
             record.dynamic = summary["dynamic"]
-            record._result_cache = None
             outcome = dict(
                 summary["dynamic"],
                 version=record.version,
@@ -447,48 +448,52 @@ class SessionManager:
     def result(self, session_id: str, *, with_version: bool = False):
         """The full result object for the committed version.
 
-        A read-only reconstruction from committed state (deterministic,
-        no worker round-trip); cached per version.  With
+        Built from the committed arrays by
+        :func:`~repro.dynamic.incremental.result_from_state`
+        (deterministic, no worker round-trip, no maintainer rebuild);
+        every call returns fresh arrays, so no caller aliases the
+        committed state or another caller's result.  With
         ``with_version=True`` returns ``(result, version)`` read under
         the record lock, so callers that echo the version alongside the
         payload (the gateway) cannot pair a result with the version of a
         concurrent later mutation.
         """
-        from repro.dynamic.jobs import _maintainer_from_state
+        from repro.dynamic.incremental import result_from_state
 
         record = self._record(session_id)
         with record.lock:
-            cached = record._result_cache
-            if cached is not None and cached[0] == record.version:
-                result = cached[1]
-            else:
-                result = _maintainer_from_state(record.state).result()
-                record._result_cache = (record.version, result)
+            result = result_from_state(record.state)
             return (result, record.version) if with_version else result
 
     def info(self, session_id: str) -> SessionInfo:
         return self._record(session_id).info()
 
     def snapshot(self, session_id: str) -> Dict[str, Any]:
-        """A portable snapshot of the committed version.
+        """A portable, JSON-safe snapshot of the committed version.
 
-        Deep-copied, so callers can serialize or mutate it freely; feed
-        it back through :meth:`restore` (possibly on a different
+        The state's arrays come back as lists (``tolist()``) and the rest
+        is deep-copied, so callers can ``json.dump`` or mutate it freely;
+        feed it back through :meth:`restore` (possibly on a different
         service) to revive the session.
         """
         record = self._record(session_id)
         with record.lock:
-            return copy.deepcopy({
+            return {
                 "session_id": record.session_id,
                 "problem": record.problem,
                 "version": record.version,
                 "guards": record.guards,
-                "state": record.state,
-                "dynamic": record.dynamic,
+                "state": {
+                    key: value.tolist() if isinstance(value, np.ndarray)
+                    else copy.deepcopy(value)
+                    for key, value in record.state.items()
+                },
+                "dynamic": copy.deepcopy(record.dynamic),
                 "applied": [
-                    [mid, out] for mid, out in record.applied.items()
+                    [mid, copy.deepcopy(out)]
+                    for mid, out in record.applied.items()
                 ],
-            })
+            }
 
     def restore(
         self,
@@ -499,9 +504,11 @@ class SessionManager:
     ) -> SessionInfo:
         """Revive a session from a snapshot (or the persistent store).
 
-        The snapshot is validated by rebuilding the maintainer inside a
-        worker (with the session's guard mode), so a corrupt snapshot
-        fails loudly here instead of poisoning later mutations.
+        The snapshot's state may hold arrays (the store's format) or
+        lists (:meth:`snapshot`'s portable form).  It is validated by
+        rebuilding the maintainer inside a worker (with the session's
+        guard mode), so a corrupt snapshot fails loudly here instead of
+        poisoning later mutations; the worker's array form is committed.
 
         Refuses to replace a *live* session (``InvalidGraphError``):
         silently swapping the timeline under a concurrent mutation would

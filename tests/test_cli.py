@@ -483,3 +483,32 @@ class TestCompareCommand:
         capsys.readouterr()
         assert main(["compare", str(base), str(cand)]) == 1
         assert "DRIFT" in capsys.readouterr().out
+
+
+@pytest.mark.sessions
+class TestSessionSnapshotFile:
+    """``session run --snapshot-out`` writes a JSON file that
+    ``session restore`` revives at the same version and answer size."""
+
+    @pytest.mark.parametrize("target", ["mis", "mm"])
+    def test_snapshot_out_then_restore_verify(self, graph_file, tmp_path,
+                                              capsys, target):
+        import json
+        import re
+
+        snap_path = tmp_path / "snap.json"
+        assert main(["session", "run", str(graph_file), "--target", target,
+                     "--batches", "3", "--workers", "1", "--verify",
+                     "--snapshot-out", str(snap_path)]) == 0
+        out = capsys.readouterr().out
+        size = int(re.search(r"verify: +OK \(.*size (\d+)\)", out).group(1))
+        snap = json.loads(snap_path.read_text())
+        assert snap["version"] == 3
+        assert f"(version {snap['version']})" in out
+
+        assert main(["session", "restore", str(snap_path), "--workers", "1",
+                     "--verify", "--json"]) == 0
+        body = json.loads(capsys.readouterr().out)
+        assert body["verified"] is True
+        assert body["version"] == snap["version"]
+        assert body["size"] == size

@@ -20,10 +20,13 @@ from repro.core.orderings import random_priorities
 from repro.dynamic import (
     IncrementalMatching,
     IncrementalMIS,
+    edge_priority,
     stream_edges,
 )
+from repro.dynamic.incremental import result_from_state
 from repro.errors import InvalidGraphError
 from repro.graphs.builders import from_edges
+from repro.graphs.csr import EdgeList
 from repro.graphs.generators import (
     powerlaw_cluster_graph,
     triangular_grid_graph,
@@ -193,3 +196,160 @@ def test_localized_mutations_repeel_sublinearly():
     aux = inc.counters.aux()
     assert aux["total_work_ratio"] < 0.25
     assert aux["last_batch"]["affected"] < graph.num_vertices // 4
+
+
+# -- array state -------------------------------------------------------------
+
+
+def _tolist(state):
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in state.items()}
+
+
+def _states_equal(a, b):
+    assert a.keys() == b.keys()
+    for key in a:
+        if isinstance(a[key], np.ndarray):
+            assert a[key].dtype == b[key].dtype and np.array_equal(a[key], b[key]), key
+        else:
+            assert a[key] == b[key], key
+
+
+def _scratch(problem, n, live, ranks, seed):
+    """Sequential greedy on the mutated graph: the reference answer.
+
+    MM ranks come from a Python sort of ``(priority, u, v)`` — the loop
+    the array path replaced.
+    """
+    edges = np.array(sorted(live), dtype=np.int64).reshape(-1, 2)
+    if problem == "mis":
+        graph = from_edges(n, edges[:, 0], edges[:, 1])
+        return maximal_independent_set(graph, ranks, method="sequential")
+    keys = [(edge_priority(seed, a, b), a, b) for a, b in edges.tolist()]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    mm_ranks = np.empty(len(keys), dtype=np.int64)
+    mm_ranks[order] = np.arange(len(keys))
+    return maximal_matching(EdgeList(n, edges[:, 0], edges[:, 1]), mm_ranks,
+                            method="sequential")
+
+
+def _toggle_batches(rng, n, live, count):
+    """Seeded batches, then one that deletes every edge, then a refill."""
+    for _ in range(count):
+        ins, dels = _random_batch(rng, n, live, size=6)
+        yield ins, dels
+        live = _apply(live, ins, dels)
+    yield [], sorted(live)
+    ins, _ = _random_batch(rng, n, set(), size=2 * min(n * (n - 1) // 2, 4))
+    yield ins, []
+
+
+@pytest.mark.parametrize("problem", ["mis", "matching"])
+@pytest.mark.parametrize("n, m, seed", [(1, 0, 1), (2, 1, 2), (40, 110, 3), (70, 260, 4)])
+def test_array_state_parity_under_toggle_batches(problem, n, m, seed):
+    graph = uniform_random_graph(n, m, seed=seed)
+    ranks = random_priorities(n, seed=seed)
+    if problem == "mis":
+        inc = IncrementalMIS(graph, ranks)
+    else:
+        inc = IncrementalMatching(graph.edge_list(), seed=seed)
+    live = _live_edges(graph)
+    rng = np.random.default_rng(seed)
+    for ins, dels in _toggle_batches(rng, n, live, count=5):
+        state = inc.to_state()
+        arr_twin = type(inc).from_state(state)
+        list_twin = type(inc).from_state(_tolist(state))
+        stats = [twin.apply_batch(insertions=ins, deletions=dels)
+                 for twin in (inc, arr_twin, list_twin)]
+        assert stats[1] == stats[2]
+        # scanned_arcs depends on set iteration order, which a rebuilt
+        # maintainer need not share with one that lived through mutations.
+        same = ("inserted", "deleted", "affected", "flipped")
+        assert [stats[0][k] for k in same] == [stats[1][k] for k in same]
+        live = _apply(live, ins, dels)
+        state = inc.to_state()
+        _states_equal(arr_twin.to_state(), list_twin.to_state())
+        twin_state = arr_twin.to_state()
+        del twin_state["counters"]  # total work: scanned_arcs again
+        _states_equal({k: v for k, v in state.items() if k != "counters"}, twin_state)
+        edges = state["edges"]
+        assert edges.dtype == np.int64 and edges.shape == (len(live), 2 if problem == "mis" else 4)
+        assert edges[:, :2].tolist() == [list(e) for e in sorted(live)]
+        inc.verify()
+
+        got = result_from_state(state)
+        ref = _scratch(problem, n, live, ranks, seed)
+        assert np.array_equal(got.status, ref.status)
+        assert np.array_equal(got.ranks, ref.ranks)
+        if problem == "matching":
+            assert np.array_equal(got.edge_u, ref.edge_u)
+            assert np.array_equal(got.edge_v, ref.edge_v)
+        assert (got.stats.n, got.stats.m) == (n, len(live))
+        assert got.stats.aux == inc.result().stats.aux
+
+
+@pytest.mark.parametrize("problem", ["mis", "matching"])
+def test_rejected_batch_leaves_state_unchanged(problem):
+    graph = triangular_grid_graph(5, 5)
+    if problem == "mis":
+        inc = IncrementalMIS(graph, random_priorities(25, seed=1))
+    else:
+        inc = IncrementalMatching(graph.edge_list(), seed=1)
+    before = inc.to_state()
+    for bad_ins, bad_del in [
+        ([(0, 1)], [(0, 5)]),           # present insert after a valid delete
+        ([(0, 7)], [(0, 24)]),          # absent deletion after a valid insert
+        ([(3, 3)], []),                 # self-loop
+        ([(0, 7), (7, 0)], []),         # in-batch duplicate
+    ]:
+        with pytest.raises(InvalidGraphError):
+            inc.apply_batch(insertions=bad_ins, deletions=bad_del)
+        _states_equal(inc.to_state(), before)
+
+
+@pytest.mark.parametrize("problem", ["mis", "matching"])
+def test_results_never_alias_state(problem):
+    graph = uniform_random_graph(30, 70, seed=5)
+    if problem == "mis":
+        inc = IncrementalMIS(graph, random_priorities(30, seed=5))
+    else:
+        inc = IncrementalMatching(graph.edge_list(), seed=5)
+    fields = ("status", "ranks") + (("edge_u", "edge_v") if problem == "matching" else ())
+    state = inc.to_state()
+    first = result_from_state(state)
+    expected = {f: getattr(first, f).copy() for f in fields}
+    for result in (first, inc.result()):
+        for f in fields:
+            getattr(result, f)[:] = 0
+    for again in (result_from_state(state), inc.result()):
+        for f in fields:
+            assert np.array_equal(getattr(again, f), expected[f]), f
+    for value in state.values():  # the state is a copy, too
+        if isinstance(value, np.ndarray):
+            value[:] = 0
+    again = inc.result()
+    for f in fields:
+        assert np.array_equal(getattr(again, f), expected[f]), f
+
+
+@pytest.mark.parametrize("bad, match", [
+    ({"edges": [[1, 0]]}, "u < v"),
+    ({"edges": [[0, 2], [0, 1]]}, "sorted and distinct"),
+    ({"edges": [[0, 1], [0, 1]]}, "sorted and distinct"),
+    ({"edges": [[0, 9]]}, "u < v"),
+    ({"edges": [[0.5, 1.0]]}, "integers"),
+    ({"edges": [[0, 1, 2]]}, "shape"),
+    ({"status": [1, 2]}, "length"),
+    ({"status": [1, 2, 0]}, "IN_SET"),
+])
+def test_from_state_rejects_malformed_mis_state(bad, match):
+    state = dict(IncrementalMIS(from_edges(3, np.array([0]), np.array([1])),
+                                np.arange(3)).to_state(), **bad)
+    with pytest.raises(InvalidGraphError, match=match):
+        IncrementalMIS.from_state(state)
+
+
+def test_from_state_rejects_a_non_flag_matched_column():
+    state = IncrementalMatching(uniform_random_graph(6, 5, seed=1).edge_list()).to_state()
+    state["edges"][0, 3] = 2
+    with pytest.raises(InvalidGraphError, match="0 or 1"):
+        IncrementalMatching.from_state(state)
