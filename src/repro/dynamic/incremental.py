@@ -34,7 +34,10 @@ Work accounting: each batch records the affected-region size (items
 popped), the flips, the arcs scanned, and the incremental-vs-scratch
 work ratio against the ``items + 2·arcs`` cost a from-scratch peel would
 pay — the ``aux["dynamic"]`` block that flows through session results
-and perfbench's ``dynamic.*`` per-layer metrics.
+and perfbench's ``dynamic.*`` per-layer metrics.  Every scan of an
+item's neighbours is charged at its full neighbour count, so the
+numbers are a pure function of (state, batch): a maintainer rebuilt by
+``from_state`` reports what the live one reports.
 """
 
 from __future__ import annotations
@@ -427,9 +430,13 @@ class IncrementalMIS:
             rv, v = heapq.heappop(heap)
             queued.discard(v)
             affected += 1
+            nbrs = adj[v]
+            # Charged as the neighbour count, not the arcs visited before
+            # the break: that number depends on set iteration order, which
+            # a maintainer rebuilt by from_state need not share.
+            scanned += len(nbrs)
             new = IN_SET
-            for w in adj[v]:
-                scanned += 1
+            for w in nbrs:
                 if rank[w] < rv and status[w] == IN_SET:
                     new = KNOCKED_OUT
                     break
@@ -437,8 +444,8 @@ class IncrementalMIS:
                 continue
             status[v] = new
             flipped += 1
-            for w in adj[v]:
-                scanned += 1
+            scanned += len(nbrs)
+            for w in nbrs:
                 if rank[w] > rv and w not in queued:
                     queued.add(w)
                     heapq.heappush(heap, (rank[w], w))
@@ -701,11 +708,14 @@ class IncrementalMatching:
                 continue
             affected += 1
             a, b = key
+            nbrs = self._incident[a] | self._incident[b]
+            # Every edge sharing an endpoint, the edge itself excluded;
+            # charged in full for the reason given in IncrementalMIS._peel.
+            scanned += len(nbrs) - 1
             new = True
-            for nbr in self._incident[a] | self._incident[b]:
+            for nbr in nbrs:
                 if nbr == key:
                     continue
-                scanned += 1
                 rec = edges[nbr]
                 if rec[1] and (rec[0], nbr[0], nbr[1]) < order:
                     new = False
@@ -715,10 +725,10 @@ class IncrementalMatching:
                 continue
             rec[1] = new
             changed.append(key)
-            for nbr in self._incident[a] | self._incident[b]:
+            scanned += len(nbrs) - 1
+            for nbr in nbrs:
                 if nbr == key:
                     continue
-                scanned += 1
                 if (edges[nbr][0], nbr[0], nbr[1]) > order and nbr not in queued:
                     queued.add(nbr)
                     heapq.heappush(heap, ((edges[nbr][0], nbr[0], nbr[1]), nbr))

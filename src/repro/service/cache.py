@@ -41,7 +41,10 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["CacheEntry", "ResultCache", "content_digest", "request_key"]
+__all__ = [
+    "CacheEntry", "ResultCache", "content_digest", "key_graph_digest",
+    "request_key",
+]
 
 
 def content_digest(*arrays: np.ndarray) -> str:
@@ -111,6 +114,16 @@ def request_key(
         ranks_part,
         knob_part,
     ])
+
+
+def key_graph_digest(key: str) -> str:
+    """The graph digest a :func:`request_key` address carries.
+
+    Lets a caller that keeps state per graph content (the gateway's
+    encoded edge arrays) key it without hashing the payload again.
+    Only the knob part, which comes last, can hold a ``|``.
+    """
+    return key.split("|", 4)[3]
 
 
 class CacheEntry:

@@ -64,8 +64,10 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.options import SolveOptions
+from repro.core.result import MatchingResult
 from repro.errors import DeadlineExceededError, EngineError, ReproError
 from repro.service import schema as wire_schema
+from repro.service.cache import key_graph_digest
 from repro.service.config import ServiceConfig, SolveRequest
 from repro.service.service import SolverService
 
@@ -218,7 +220,15 @@ class GatewayConfig:
 
 @dataclass
 class _GraphRecord:
-    """One registered graph: CSR + edge-list views and the default π."""
+    """One registered graph: the CSR, its default π and its segment.
+
+    Requests for the graph solve over ``graph`` for both problems.
+    ``edges`` (the canonical edge list, ``graph.edge_list()``) is not on
+    the request path; it stays because perfbench's traced replay reads
+    it.  ``edge_fields`` holds the serialized ``edge_u``/``edge_v`` that
+    every matching body of this graph echoes, under the graph digest
+    they were written for (see :meth:`HTTPGateway._edge_fields`).
+    """
 
     name: str
     graph: Any
@@ -227,6 +237,7 @@ class _GraphRecord:
     segment: Optional[str] = None
     fingerprint: Optional[str] = None
     warmed: int = 0
+    edge_fields: Optional[Tuple[str, Dict[str, bytes]]] = None
 
 
 class _Request:
@@ -357,6 +368,7 @@ class HTTPGateway:
             )
 
     def _release_record(self, record: _GraphRecord) -> None:
+        record.edge_fields = None
         self.service.release_graph(record.graph)
 
     # -- lifecycle ---------------------------------------------------------
@@ -803,7 +815,12 @@ class HTTPGateway:
             raise _HTTPError(400, "BadRequestError", str(exc))
 
     def _registered_payload(self, name: str, problem: str):
-        """Graph-name resolver handed to the schema decoder."""
+        """Graph-name resolver handed to the schema decoder.
+
+        Both problems get the registered CSR itself, the object whose
+        segment the service holds, so a matching job crosses the pipe as
+        the segment name too.  π is the default order of MIS only.
+        """
         with self._graphs_lock:
             record = self._graphs.get(name)
         if record is None:
@@ -811,9 +828,7 @@ class HTTPGateway:
                 404, "UnknownGraphError",
                 f"no registered graph named {name!r}",
             )
-        if problem == "mis":
-            return record.graph, record.ranks
-        return record.edges, None
+        return record.graph, (record.ranks if problem == "mis" else None)
 
     def _build_graph(self, obj: Dict[str, Any]):
         try:
@@ -857,8 +872,36 @@ class HTTPGateway:
                 f"(gateway allowance {allowance:.3f}s)"
             )
 
+    def _edge_fields(
+        self, obj: Any, key: Optional[str], request: SolveRequest, result: Any
+    ) -> Optional[Dict[str, bytes]]:
+        """The serialized ``edge_u``/``edge_v`` of a registered graph.
+
+        A matching body echoes the graph's canonical edge list, which the
+        service re-joins from the registered CSR, so every body of one
+        graph carries the same edge bytes.  They are written on the
+        first matching body and kept on the graph's record (one entry
+        per graph, dropped on release) under the graph digest that the
+        content address *key* carries; a different digest rewrites them.
+        Inline-graph and uncacheable requests get ``None`` and encode
+        the arrays as usual.
+        """
+        if key is None or not isinstance(result, MatchingResult):
+            return None
+        name = obj.get("graph") if isinstance(obj, dict) else None
+        with self._graphs_lock:
+            record = self._graphs.get(name) if isinstance(name, str) else None
+        if record is None or record.graph is not request.payload:
+            return None
+        digest = key_graph_digest(key)
+        if record.edge_fields is None or record.edge_fields[0] != digest:
+            record.edge_fields = (
+                digest, wire_schema.dump_edge_fields(result.edge_u, result.edge_v),
+            )
+        return record.edge_fields[1]
+
     def _encoded_body(
-        self, key: Optional[str], request: SolveRequest, result: Any
+        self, obj: Any, key: Optional[str], request: SolveRequest, result: Any
     ) -> bytes:
         """Serialized response body, reused across requests for one
         content address.  The body holds only fields that are a pure
@@ -874,7 +917,9 @@ class HTTPGateway:
                 self._body_cache.move_to_end(key)
                 self._body_cache_hits += 1
                 return cached
-        payload = wire_schema.dump_result(request, result)
+        payload = wire_schema.dump_result(
+            request, result, encoded=self._edge_fields(obj, key, request, result)
+        )
         if key is not None:
             while len(self._body_cache) >= self._body_cache_max:
                 self._body_cache.popitem(last=False)
@@ -882,15 +927,14 @@ class HTTPGateway:
         return payload
 
     async def _handle_solve(self, request: _Request):
-        solve_req, timeout_s = self._parse_solve(
-            self._json_body(request), request.headers
-        )
+        obj = self._json_body(request)
+        solve_req, timeout_s = self._parse_solve(obj, request.headers)
         result, source, key = await self._solve_one(solve_req, timeout_s)
         extra = {"X-Repro-Cache": source}
         if source == "stale":
             self._stale_served += 1
             extra["X-Repro-Degraded"] = "stale"
-        return 200, self._encoded_body(key, solve_req, result), extra
+        return 200, self._encoded_body(obj, key, solve_req, result), extra
 
     async def _handle_batch(self, request: _Request):
         obj = self._json_body(request)
@@ -904,7 +948,7 @@ class HTTPGateway:
             """``(ok, serialized item)`` for one batch entry."""
             try:
                 solve_req, timeout_s = self._parse_solve(item, request.headers)
-                result, source, _ = await self._solve_one(solve_req, timeout_s)
+                result, source, key = await self._solve_one(solve_req, timeout_s)
             except _HTTPError as exc:
                 return False, _dumps({
                     "ok": False, "http_status": exc.status,
@@ -924,7 +968,9 @@ class HTTPGateway:
             if source == "stale":
                 self._stale_served += 1
             return True, wire_schema.dump_result(
-                solve_req, result, ok=True, cache=source
+                solve_req, result,
+                encoded=self._edge_fields(item, key, solve_req, result),
+                ok=True, cache=source,
             )
 
         results = await asyncio.gather(*(one(item) for item in items))

@@ -52,6 +52,7 @@ __all__ = [
     "build_inline_graph",
     "decode_mutate",
     "decode_solve",
+    "dump_edge_fields",
     "dump_result",
     "encode_solve",
     "encode_result",
@@ -303,7 +304,9 @@ def _dump_int_array(values: np.ndarray) -> bytes:
     cell, then its 4-digit groups from :data:`_DIGITS` with leading
     zeros as NUL bytes; one compaction pass drops the NULs.  The cells
     take 12 bytes per element below 10**8, where ``tolist`` allocates a
-    Python int per element.  Only 1-D integer arrays are accepted
+    Python int per element.  Arrays whose values all lie in [0, 9], such
+    as every ``status`` array, skip the cells: one interleave of commas
+    and digits writes them.  Only 1-D integer arrays are accepted
     (``TypeError`` otherwise; there is no ``tolist`` fallback).
     """
     if values.dtype.kind not in "iu" or values.ndim != 1:
@@ -313,6 +316,15 @@ def _dump_int_array(values: np.ndarray) -> bytes:
     if values.size == 0:
         return b"[]"
     lo, hi = int(values.min()), int(values.max())
+    if lo >= 0 and hi <= 9:
+        # One digit per element (every status array): interleave commas
+        # and ASCII digits, then bracket the ends.
+        out = np.full(2 * values.size + 1, ord(","), dtype=np.uint8)
+        digits = out[1::2]
+        digits[:] = values
+        digits += ord("0")
+        out[0], out[-1] = ord("["), ord("]")
+        return out.tobytes()
     top = max(hi, -lo)
     mag = values.astype(np.uint32 if top < 2**32 else np.uint64)
     groups = 1
@@ -397,8 +409,22 @@ def _dump(value: Any) -> bytes:
     return json.dumps(value, separators=(",", ":"), sort_keys=True).encode()
 
 
+def dump_edge_fields(edge_u: np.ndarray, edge_v: np.ndarray) -> Dict[str, bytes]:
+    """The serialized ``edge_u``/``edge_v`` fields of a matching body.
+
+    A caller that sends many bodies over one edge list (the gateway, per
+    registered graph) writes them once and passes them to
+    :func:`dump_result` as *encoded*.
+    """
+    return {"edge_u": _dump_int_array(edge_u), "edge_v": _dump_int_array(edge_v)}
+
+
 def dump_result(
-    request: Union[SolveRequest, str], result: Any, **extra: Any
+    request: Union[SolveRequest, str],
+    result: Any,
+    *,
+    encoded: Optional[Dict[str, bytes]] = None,
+    **extra: Any,
 ) -> bytes:
     """The serialized result body, with *extra* fields merged in.
 
@@ -406,15 +432,20 @@ def dump_result(
     ``json.dumps(dict(encode_result(request, result), **extra),
     separators=(",", ":"), sort_keys=True).encode()``, but
     writes the integer arrays with numpy instead of ``tolist`` plus
-    ``json.dumps`` (see :func:`_dump_int_array`).  The gateway's solve,
-    batch and session-result routes and ``repro batch --file`` all
-    write result bodies through it.
+    ``json.dumps`` (see :func:`_dump_int_array`).  *encoded* maps result
+    fields to bytes already written for the same values (see
+    :func:`dump_edge_fields`); they are spliced in as given unless an
+    *extra* field replaces them.  The gateway's solve, batch and
+    session-result routes and ``repro batch --file`` all write result
+    bodies through it.
     """
     body = _result_fields(request, result)
     body.update(extra)
+    raw = {k: v for k, v in (encoded or {}).items() if k not in extra}
     return b"{" + b",".join(
         _dump(key) + b":" + (
-            _dump_int_array(value) if isinstance(value, np.ndarray)
+            raw[key] if key in raw
+            else _dump_int_array(value) if isinstance(value, np.ndarray)
             else _dump(value)
         )
         for key, value in sorted(body.items())

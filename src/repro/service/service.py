@@ -23,6 +23,9 @@
   only the segment name plus a content fingerprint — no per-request
   pickling; unregistered graphs fall back to the array-pickling path
   transparently;
+* answers, not inputs, on the way back: a worker returns ``status``,
+  the stats, and π only when it drew π from a seed; the parent re-joins
+  π (copied) and a matching's edge arrays from the request;
 * every attempt recorded in ``result.stats.aux["service"]``, a
   :class:`~repro.service.stats.ServiceStats` snapshot, and graceful
   drain/shutdown (which also unlinks every registered segment);
@@ -61,10 +64,12 @@ from repro.core.result import MatchingResult, MISResult, RunStats
 from repro.errors import (
     CircuitOpenError,
     DeadlineExceededError,
+    GraphFormatError,
     QueueFullError,
     ServiceError,
     WorkerCrashError,
 )
+from repro.graphs.csr import EdgeList
 from repro.service.breaker import CircuitBreaker
 from repro.service.cache import ResultCache, request_key
 from repro.service.config import ServiceConfig, SolveRequest
@@ -341,11 +346,20 @@ class SolverService:
         subsequent :class:`~repro.service.SolveRequest` whose ``payload``
         **is** this object (identity) sends only the segment name plus a
         content fingerprint; workers attach once and reuse zero-copy
-        views.  With *ranks* given, π ships in the same segment, and
-        requests whose ``ranks`` equal the registered array reuse the
-        shared copy without shipping it.  Nothing else is shipped: an
-        engine that needs a priority partition builds it in the worker on
-        first use and memoizes it there.
+        views.  A registered CSR serves both problems: a matching request
+        on it solves the CSR's canonical edge list, which each worker
+        builds once per attachment.  With *ranks* given, π ships in the
+        same segment, and requests whose ``ranks`` equal the registered
+        array reuse the shared copy without shipping it.  Nothing else
+        is shipped: an engine that needs a priority partition builds it
+        in the worker on first use and memoizes it there.
+
+        Nothing comes back but the answer either.  The worker returns
+        ``status`` and the stats (plus ``ranks`` when it drew π from a
+        seed); the result's π is a private copy of the request's, and a
+        matching's ``edge_u``/``edge_v`` are the payload's own edge
+        arrays (``edge_list()`` of a CSR), shared by every result on the
+        graph.
 
         The service owns the segment: :meth:`release_graph` or
         :meth:`shutdown` unlinks it.  Registering the same object again
@@ -444,6 +458,8 @@ class SolverService:
             ticket = _Ticket(next(self._ids), request, time.monotonic())
             self._queue.append(ticket)
             self._stats.bump("submitted")
+            if request.ranks is not None:
+                self._stats.bump("explicit_ranks")
             self._cond.notify_all()
         return ticket.future
 
@@ -980,13 +996,17 @@ class SolverService:
             return
         if reply.get("ok"):
             attempt["outcome"] = "ok"
+            try:
+                value = self._build_result(ticket, attempt, reply, now)
+            except GraphFormatError as exc:
+                attempt["outcome"] = "error:GraphFormatError"
+                self._finish_error(ticket, exc, now)
+                return
             if attempt.get("hedge"):
                 self._stats.bump("hedge_wins")
             if ticket.request.problem != "call":
                 self.breaker(ticket.request.problem, attempt["method"]).record_success()
-            self._finish_ok(
-                ticket, self._build_result(ticket, attempt, reply, now), now
-            )
+            self._finish_ok(ticket, value, now)
         else:
             self._handle_worker_error(ticket, attempt, reply, now)
 
@@ -1022,14 +1042,25 @@ class SolverService:
             "attempts": [dict(a) for a in ticket.attempts],
         }
         stats = RunStats(**{**stats_dict, "aux": aux})
+        status = reply["status"]
+        ranks = reply.get("ranks")
+        if ranks is None:
+            # The worker solved the request's own π.  Copy it: a caller
+            # may mutate π in place later, and a cached result must not
+            # change with it.
+            ranks = np.array(ticket.request.ranks, dtype=np.int64)
         if reply["kind"] == "mis":
-            return MISResult(status=reply["status"], ranks=reply["ranks"], stats=stats)
+            return MISResult(status=status, ranks=ranks, stats=stats)
+        payload = ticket.request.payload
+        edges = payload if isinstance(payload, EdgeList) else payload.edge_list()
+        if status.size != edges.num_edges:
+            raise GraphFormatError(
+                f"worker solved {status.size} edges but the request's graph "
+                f"has {edges.num_edges} (was a registered graph changed "
+                "after register_graph?)"
+            )
         return MatchingResult(
-            status=reply["status"],
-            edge_u=reply["edge_u"],
-            edge_v=reply["edge_v"],
-            ranks=reply["ranks"],
-            stats=stats,
+            status=status, edge_u=edges.u, edge_v=edges.v, ranks=ranks, stats=stats,
         )
 
     def _handle_worker_error(

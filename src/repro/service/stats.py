@@ -28,6 +28,9 @@ class ServiceStats:
     the instant of the snapshot; counters are monotone since service
     start; ``latency_p50``/``latency_p95`` are seconds over the recent
     completion window (0.0 until something completes).
+    ``explicit_ranks`` counts submitted solves that carry their own π
+    (``ranks``) rather than a seed, so the share of caller-chosen orders
+    is known.
     """
 
     queue_depth: int
@@ -43,6 +46,7 @@ class ServiceStats:
     worker_restarts: int
     deadline_failures: int
     breaker_trips: int
+    explicit_ranks: int = 0
     hedges: int = 0
     hedge_wins: int = 0
     overloads: int = 0
@@ -74,6 +78,7 @@ class ServiceStats:
             "worker_restarts": self.worker_restarts,
             "deadline_failures": self.deadline_failures,
             "breaker_trips": self.breaker_trips,
+            "explicit_ranks": self.explicit_ranks,
             "hedges": self.hedges,
             "hedge_wins": self.hedge_wins,
             "overloads": self.overloads,
@@ -153,6 +158,7 @@ class StatsCollector:
         "worker_restarts",
         "deadline_failures",
         "breaker_trips",
+        "explicit_ranks",
         "hedges",
         "hedge_wins",
         "overloads",
@@ -211,6 +217,7 @@ class StatsCollector:
                 worker_restarts=self.worker_restarts,
                 deadline_failures=self.deadline_failures,
                 breaker_trips=self.breaker_trips,
+                explicit_ranks=self.explicit_ranks,
                 hedges=self.hedges,
                 hedge_wins=self.hedge_wins,
                 overloads=self.overloads,

@@ -14,8 +14,13 @@ Job kinds:
     bytes fail loudly inside the worker), then run
     :func:`repro.core.engines.solve` with the requested method, guards,
     and a :class:`~repro.robustness.Budget` derived from the propagated
-    deadline.  The reply carries the status/rank arrays plus the
-    :class:`~repro.core.result.RunStats` fields.
+    deadline.  A registered graph arrives as its segment name for both
+    problems; a matching job takes the canonical edge list of the
+    attached CSR, built once per attachment.  The reply carries only
+    what the parent does not hold: the ``status`` array, the
+    :class:`~repro.core.result.RunStats` fields, and ``ranks`` when the
+    job carried no π (the worker drew it from the seed).  The parent
+    re-joins π and a matching's ``edge_u``/``edge_v`` from the request.
 ``"call"``
     Import ``module.func`` and call it with ``args``/``kwargs`` — generic
     crash-isolated execution used by ``scripts/run_experiments.py`` to
@@ -169,12 +174,10 @@ def _solve_reply(job: Dict[str, Any]) -> Dict[str, Any]:
         "ok": True,
         "kind": "matching" if job["problem"] in ("mm", "matching") else "mis",
         "status": result.status,
-        "ranks": result.ranks,
         "stats": encode_stats(result.stats),
     }
-    if reply["kind"] == "matching":
-        reply["edge_u"] = result.edge_u
-        reply["edge_v"] = result.edge_v
+    if job.get("ranks") is None and not job.get("ranks_shared"):
+        reply["ranks"] = result.ranks  # drawn here from the seed
     return reply
 
 

@@ -260,17 +260,11 @@ def test_array_state_parity_under_toggle_batches(problem, n, m, seed):
         list_twin = type(inc).from_state(_tolist(state))
         stats = [twin.apply_batch(insertions=ins, deletions=dels)
                  for twin in (inc, arr_twin, list_twin)]
-        assert stats[1] == stats[2]
-        # scanned_arcs depends on set iteration order, which a rebuilt
-        # maintainer need not share with one that lived through mutations.
-        same = ("inserted", "deleted", "affected", "flipped")
-        assert [stats[0][k] for k in same] == [stats[1][k] for k in same]
+        assert stats[0] == stats[1] == stats[2]
         live = _apply(live, ins, dels)
         state = inc.to_state()
         _states_equal(arr_twin.to_state(), list_twin.to_state())
-        twin_state = arr_twin.to_state()
-        del twin_state["counters"]  # total work: scanned_arcs again
-        _states_equal({k: v for k, v in state.items() if k != "counters"}, twin_state)
+        _states_equal(state, arr_twin.to_state())
         edges = state["edges"]
         assert edges.dtype == np.int64 and edges.shape == (len(live), 2 if problem == "mis" else 4)
         assert edges[:, :2].tolist() == [list(e) for e in sorted(live)]

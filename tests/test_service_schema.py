@@ -269,6 +269,29 @@ def test_int_array_writer_random_arrays(dtype):
             assert schema._dump_int_array(variant) == _list_dump(variant)
 
 
+@pytest.mark.parametrize("dtype", INT_DTYPES, ids=lambda d: np.dtype(d).name)
+@pytest.mark.parametrize("size", [0, 1, 1000], ids=lambda k: f"len{k}")
+@pytest.mark.parametrize("top", [9, 10], ids=lambda t: f"max{t}")
+def test_int_array_writer_single_digit_arrays(dtype, size, top):
+    """Arrays within [0, 9] take the one-interleave path; a maximum of 10,
+    like any other array, takes the general one.  Same bytes either way."""
+    rng = np.random.default_rng(size + top)
+    values = rng.integers(0, top, size, dtype=dtype, endpoint=True)
+    if size:
+        values[-1] = top
+    for variant in (values, values[::3], values.astype(values.dtype.newbyteorder())):
+        assert schema._dump_int_array(variant) == _list_dump(variant)
+
+
+@pytest.mark.parametrize("values", [
+    np.array([-1], dtype=np.int8),
+    np.array([0, 9, -1, 5], dtype=np.int8),
+    np.array([-9, -1, 0], dtype=np.int64),
+], ids=["minus-one", "digits-and-minus-one", "negative-digits"])
+def test_int_array_writer_negative_values_keep_the_general_path(values):
+    assert schema._dump_int_array(values) == _list_dump(values)
+
+
 @pytest.mark.parametrize("values", [
     np.array([0.0, 1.0]),
     np.array([], dtype=np.float64),
@@ -330,3 +353,15 @@ def test_dump_result_equals_reference_dump(seed):
                 assert schema.dump_result(req, result, **extra) == (
                     _reference_dump(req, result, **extra)
                 ), (problem, result.stats.algorithm, extra)
+
+
+def test_dump_result_splices_encoded_edge_fields():
+    """Pre-written edge fields give the same body; an extra field that
+    replaces one of them still wins."""
+    graph = uniform_random_graph(30, 80, seed=2)
+    result = maximal_matching(graph.edge_list(), seed=2)
+    fields = schema.dump_edge_fields(result.edge_u, result.edge_v)
+    for extra in ({}, {"ok": True, "cache": "miss"}, {"edge_u": "overridden"}):
+        assert schema.dump_result("matching", result, encoded=fields, **extra) == (
+            _reference_dump("matching", result, **extra)
+        ), extra
