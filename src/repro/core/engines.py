@@ -315,7 +315,11 @@ def front_door(problem: str, payload, ranks, size: int, options):
 
     Rejects every gated knob *options* sets that its engine does not take
     (:data:`_GATED_KNOBS`), checks *ranks* as a permutation of
-    ``0..size-1``, and dispatches.  With ``options.fallback``, an engine
+    ``0..size-1``, and dispatches.  The result owns its π: when the check
+    hands back the caller's array (or a view of other memory), the
+    engines get a copy, so mutating π after a solve leaves
+    ``result.ranks`` and the answer as they were.  With
+    ``options.fallback``, an engine
     failing with one of :data:`_FALLBACK_CATCH` is retried down
     ``method → fallback_chain(problem)``; the result then carries
     ``stats.aux["degraded"]``, ``["fallback_engine"]`` and
@@ -325,7 +329,10 @@ def front_door(problem: str, payload, ranks, size: int, options):
     spec = get_engine(problem, options.method)
     _reject_gated_knobs(spec, options)
     if ranks is not None:
-        ranks = validate_priorities(ranks, size)
+        checked = validate_priorities(ranks, size)
+        if checked is ranks or checked.base is not None:
+            checked = checked.copy()
+        ranks = checked
         if not spec.supports_ranks:
             raise EngineError(
                 f"method={spec.method!r} regenerates priorities every round "

@@ -3,9 +3,18 @@
 The edge analogue of Algorithm 3: each round takes the next ``prefix_size``
 positions of the edge priority order, resolves that prefix with the
 step-synchronous kernel of Algorithm 4, and moves on.  Edges whose
-endpoints were matched by earlier rounds cost one status check when their
-slot is scanned — they are not packed out, so rounds = ceil(m / prefix),
-matching the Figure 2b/2e lines.
+endpoints were matched by earlier rounds cost one endpoint check when
+their slot is scanned — they are not packed out, so rounds =
+ceil(m / prefix), matching the Figure 2b/2e lines.
+
+The engine walks π in order.  It scatters the endpoints into priority
+order once per solve (``pu[ranks] = u``, ``pv[ranks] = v``), so the edge
+of rank ``p`` sits at position ``p``: a round's window is the slice
+``[pos, pos + k)`` and a slot's position is its rank, which is what
+``scatter_min`` takes as its value.  Every slot of a fresh window is still
+live (only a window's own steps decide its edges), so no status scan
+precedes the endpoint check.  One ``pstatus[ranks]`` gather at the end
+returns the edge-indexed status.
 
 Within a round, only edges *inside* the prefix can block each other: all
 earlier edges are decided (if one had matched an endpoint, this edge would
@@ -19,18 +28,14 @@ from typing import Optional
 import numpy as np
 
 from repro.core.mis.prefix import resolve_prefix_size
-from repro.core.orderings import (
-    permutation_from_ranks,
-    random_priorities,
-    validate_priorities,
-)
+from repro.core.orderings import random_priorities, validate_priorities
 from repro.core.result import MatchingResult, stats_from_machine
-from repro.core.status import EDGE_DEAD, EDGE_LIVE, EDGE_MATCHED, new_edge_status
+from repro.core.status import EDGE_DEAD, EDGE_MATCHED, new_edge_status
 from repro.graphs.csr import EdgeList
 from repro.kernels import scatter_min
 from repro.pram.machine import Machine, log2_depth
 from repro.robustness.budget import Budget
-from repro.robustness.guards import matching_guard
+from repro.robustness.guards import MatchingInvariantGuard, resolve_guard_mode
 from repro.util.rng import SeedLike
 
 __all__ = ["prefix_greedy_matching"]
@@ -66,7 +71,10 @@ def prefix_greedy_matching(
         exclusive with the other two knobs, mirroring the MIS engine.
     guards:
         Invariant-check mode (``off|cheap|full``); violations raise
-        :class:`~repro.errors.InvariantViolationError`.
+        :class:`~repro.errors.InvariantViolationError`.  The guard watches
+        the relabelled instance ``EdgeList(n, pu, pv)`` under identity
+        ranks, the same problem, so the edge ids its messages name are π
+        positions: edge ``p`` is the edge of rank ``p``.
     budget:
         Optional :class:`~repro.robustness.Budget`; one step is spent per
         inner synchronous step.
@@ -79,7 +87,18 @@ def prefix_greedy_matching(
     if ranks is None:
         ranks = random_priorities(m, seed)
     ranks = validate_priorities(ranks, m)
-    guard = matching_guard(guards, edges, ranks, "mm/prefix")
+    # Endpoints in priority order: position p holds the edge of rank p.
+    pu = np.empty(m, dtype=np.int64)
+    pv = np.empty(m, dtype=np.int64)
+    pu[ranks] = edges.u
+    pv[ranks] = edges.v
+    mode = resolve_guard_mode(guards)
+    guard = None
+    if mode != "off":
+        guard = MatchingInvariantGuard(
+            EdgeList(n, pu, pv), np.arange(m, dtype=np.int64), mode,
+            "mm/prefix (edge ids are π positions)",
+        )
     if budget is not None:
         budget.start()
     if machine is None:
@@ -99,70 +118,70 @@ def prefix_greedy_matching(
     if tracer is not None:
         tracer.begin_run("mm/prefix", n, m, machine=machine)
 
-    status = new_edge_status(m)
+    pstatus = new_edge_status(m)
     matched_v = np.zeros(n, dtype=bool)
-    perm = permutation_from_ranks(ranks)
-    eu = edges.u
-    ev = edges.v
     min_at = np.full(n, m, dtype=np.int64)
     rounds = 0
     steps = 0
     pos = 0
-    slot_scans = 0
     item_exams = 0
     while pos < m:
         machine.begin_round()
         if schedule is not None:
             k = schedule[min(rounds, len(schedule) - 1)]
         rounds += 1
-        slots = perm[pos:pos + k]
-        pos += slots.size
-        slot_scans += int(slots.size)
-        machine.charge(slots.size, log2_depth(int(slots.size)), tag="scan")
-        # Lazy status update: an undecided slot whose endpoint was matched
-        # by an earlier round dies now.
-        undecided = slots[status[slots] == EDGE_LIVE]
-        if undecided.size == 0:
-            continue
-        stale = matched_v[eu[undecided]] | matched_v[ev[undecided]]
-        status[undecided[stale]] = EDGE_DEAD
-        live = undecided[~stale]
-        machine.charge(undecided.size, log2_depth(max(int(undecided.size), 2)), tag="filter")
-        if guard is not None and np.any(stale):
+        # The window is the slice [pos, end): a slot's position is its
+        # rank, and every slot is still live, as only a window's own
+        # steps decide its edges.
+        end = min(pos + k, m)
+        size = end - pos
+        lu = pu[pos:end]
+        lv = pv[pos:end]
+        machine.charge(size, log2_depth(size), tag="scan")
+        # Lazy status update: a slot whose endpoint was matched by an
+        # earlier round dies now.
+        stale = matched_v[lu] | matched_v[lv]
+        dead = pos + np.flatnonzero(stale)
+        pstatus[dead] = EDGE_DEAD
+        machine.charge(size, log2_depth(max(size, 2)), tag="filter")
+        if guard is not None and dead.size:
             # Lazily discovered kills from earlier rounds: account them so
             # the guard's live-edge ledger stays exact.
-            guard.check_step(
-                status, np.empty(0, dtype=np.int64), undecided[stale]
-            )
+            guard.check_step(pstatus, np.empty(0, dtype=np.int64), dead)
+        # Compact through index arrays: a boolean mask with a mixed
+        # pattern costs several times more per element to apply.
+        keep = np.flatnonzero(~stale)
+        live, lu, lv = pos + keep, lu[keep], lv[keep]
+        pos = end
         while live.size:
             if budget is not None:
                 budget.spend_steps()
             item_exams += int(live.size)
-            lu = eu[live]
-            lv = ev[live]
-            lr = ranks[live]
             min_at[lu] = m
             min_at[lv] = m
-            scatter_min(min_at, lu, lr)
-            scatter_min(min_at, lv, lr)
-            winners = live[(min_at[lu] == lr) & (min_at[lv] == lr)]
+            scatter_min(min_at, lu, live)
+            scatter_min(min_at, lv, live)
+            won = (min_at[lu] == live) & (min_at[lv] == live)
+            w = np.flatnonzero(won)
+            winners = live[w]
             if guard is not None:
-                guard.check_ready(status, winners, matched_v)
-            status[winners] = EDGE_MATCHED
-            matched_v[eu[winners]] = True
-            matched_v[ev[winners]] = True
+                guard.check_ready(pstatus, winners, matched_v)
+            pstatus[winners] = EDGE_MATCHED
+            matched_v[lu[w]] = True
+            matched_v[lv[w]] = True
             machine.charge(
                 3 * live.size + winners.size,
                 log2_depth(max(int(live.size), 2)),
                 tag="inner",
             )
             steps += 1
-            alive_mask = status[live] == EDGE_LIVE
+            # Winners touch their own matched endpoints: every touched
+            # slot is decided, and the touched losers die.
             touched = matched_v[lu] | matched_v[lv]
-            dead = live[alive_mask & touched]
-            status[dead] = EDGE_DEAD
+            dead = live[np.flatnonzero(touched & ~won)]
+            pstatus[dead] = EDGE_DEAD
             if guard is not None:
-                guard.check_step(status, winners, dead)
+                guard.check_step(pstatus, winners, dead)
             if tracer is not None:
                 tracer.round(
                     frontier=int(live.size),
@@ -170,19 +189,21 @@ def prefix_greedy_matching(
                     selected=int(winners.size),
                     tag="inner",
                 )
-            live = live[alive_mask & ~touched]
+            keep = np.flatnonzero(~touched)
+            live, lu, lv = live[keep], lu[keep], lv[keep]
     if guard is not None:
-        guard.finalize(status)
+        guard.finalize(pstatus)
     stats = stats_from_machine(
         "mm/prefix", n, m, machine, steps=steps, rounds=rounds, prefix_size=k,
-        aux={"slot_scans": slot_scans, "item_examinations": item_exams},
+        # Every slot of the order is scanned exactly once.
+        aux={"slot_scans": m, "item_examinations": item_exams},
     )
     if tracer is not None:
         tracer.end_run(stats)
     return MatchingResult(
-        status=status,
-        edge_u=eu,
-        edge_v=ev,
+        status=pstatus[ranks],
+        edge_u=edges.u,
+        edge_v=edges.v,
         ranks=ranks,
         stats=stats,
         machine=machine,

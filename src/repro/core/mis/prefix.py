@@ -16,6 +16,13 @@ Accounting mirrors the paper's implementation:
   are processed once, Lemma 4.3's point);
 * the *internal* arcs are re-examined once per inner step — the redundant
   work that grows with prefix size.
+
+That one gather per round also serves every inner step's knock-out: it
+holds every arc of every undecided prefix vertex, so a step takes its new
+members' arcs from it (the arcs whose source just joined the set) and
+then drops them, keeping the arcs whose source was undecided before the
+step's knock-out.  A round calls ``frontier_gather`` once, however many
+steps it runs.
 """
 
 from __future__ import annotations
@@ -211,10 +218,11 @@ def prefix_greedy_mis(
                 guard.check_roots(status, roots)
             status[roots] = IN_SET
             # Knock out ALL graph neighbors of new set members, inside and
-            # outside the prefix (the V' = V \ (P ∪ N(W)) update).
-            _, r_dst = frontier_gather(
-                graph.offsets, graph.neighbors, roots, need_owner=False
-            )
+            # outside the prefix (the V' = V \ (P ∪ N(W)) update).  The
+            # window's gather holds every arc of every undecided prefix
+            # vertex, so the new members' arcs are its IN_SET-source arcs.
+            g_status = status[g_src]
+            r_dst = g_dst[g_status == IN_SET]
             victims = r_dst[status[r_dst] == UNDECIDED]
             status[victims] = KNOCKED_OUT
             if guard is not None:
@@ -237,6 +245,13 @@ def prefix_greedy_mis(
             keep = (status[src] == UNDECIDED) & (status[dst] == UNDECIDED)
             src, dst = src[keep], dst[keep]
             live = live[status[live] == UNDECIDED]
+            if live.size:
+                # Drop the new members' arcs, so the next step's IN_SET
+                # sources are exactly its new members.  A source knocked
+                # out in this step is never IN_SET; its arcs go at the
+                # next step's drop.
+                keep = g_status == UNDECIDED
+                g_src, g_dst = g_src[keep], g_dst[keep]
         in_prefix[prefix] = False
     if guard is not None:
         guard.finalize(status)

@@ -100,3 +100,34 @@ def test_front_doors_reject_wrong_container_types():
         maximal_matching([(0, 1), (1, 2)])
     with pytest.raises((EngineError, AttributeError, TypeError)):
         maximal_independent_set(np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("problem", ["mis", "matching"])
+@pytest.mark.parametrize("kind", ["array", "view", "memmap"])
+def test_results_own_their_pi(problem, kind, tmp_path):
+    """A contiguous int64 π passes the rank check uncopied (a view or a
+    memory map as the very memory the caller holds); the result must
+    still not alias it, or mutating π after the solve rewrites the
+    result.  Both front doors and ``repro.solve`` share this path."""
+    from repro import solve
+
+    payload = G if problem == "mis" else G.edge_list()
+    size = G.num_vertices if problem == "mis" else G.num_edges
+    front_door = (maximal_independent_set if problem == "mis"
+                  else maximal_matching)
+    pi = np.random.default_rng(3).permutation(size)
+    if kind == "view":
+        pi = np.concatenate([pi, [size]])[:size]
+    elif kind == "memmap":
+        mapped = np.memmap(tmp_path / "pi.bin", dtype=np.int64, mode="w+",
+                           shape=(size,))
+        mapped[:] = pi
+        pi = mapped
+    for entry in (front_door, lambda p, r: solve(problem, p, r)):
+        result = entry(payload, pi)
+        ranks, status = result.ranks.copy(), result.status.copy()
+        assert result.ranks is not pi
+        assert not np.shares_memory(result.ranks, pi)
+        pi[:] = pi[::-1]
+        assert np.array_equal(result.ranks, ranks)
+        assert np.array_equal(result.status, status)
