@@ -112,7 +112,8 @@ def mis_step_numbers(
     n = graph.num_vertices
     if ranks is None:
         ranks = random_priorities(n, seed)
-    ranks = validate_priorities(ranks, n)
+    else:
+        ranks = validate_priorities(ranks, n)
     status = new_vertex_status(n)
     step_no = np.zeros(n, dtype=np.int64)
     live = np.arange(n, dtype=np.int64)
@@ -213,7 +214,8 @@ def matching_step_numbers(
     m = edges.num_edges
     if ranks is None:
         ranks = random_priorities(m, seed)
-    ranks = validate_priorities(ranks, m)
+    else:
+        ranks = validate_priorities(ranks, m)
     n = edges.num_vertices
     from repro.core.status import EDGE_DEAD, EDGE_LIVE, EDGE_MATCHED, new_edge_status
 

@@ -6,8 +6,8 @@ choices, and the docs-integrity checks all read from this module, so an
 engine added here is simultaneously dispatchable, listed, and documented.
 The front doors validate their graph payload and then hand the rest of
 the request to :func:`front_door`, the one body they share: gated-knob
-rejection, the priority check, dispatch, and ``fallback=True``
-degradation.
+rejection, dispatch (the engine checks π at its own boundary, once per
+solve), a result that owns its π, and ``fallback=True`` degradation.
 
 Each engine is described by a frozen :class:`EngineSpec` carrying the
 dotted module path, the callable name, and honest capability flags:
@@ -39,6 +39,8 @@ import importlib
 import inspect
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.orderings import validate_priorities
 from repro.errors import EngineError, InvariantViolationError
@@ -310,15 +312,26 @@ def _reject_gated_knobs(spec: EngineSpec, options) -> None:
         )
 
 
+def _own_pi(result, ranks):
+    """Copy ``result.ranks`` when it shares memory with the caller's π."""
+    if isinstance(ranks, np.ndarray) and np.may_share_memory(result.ranks, ranks):
+        result.ranks = result.ranks.copy()
+    return result
+
+
 def front_door(problem: str, payload, ranks, size: int, options):
     """The body both front doors share once their payload is validated.
 
     Rejects every gated knob *options* sets that its engine does not take
-    (:data:`_GATED_KNOBS`), checks *ranks* as a permutation of
-    ``0..size-1``, and dispatches.  The result owns its π: when the check
-    hands back the caller's array (or a view of other memory), the
-    engines get a copy, so mutating π after a solve leaves
-    ``result.ranks`` and the answer as they were.  With
+    (:data:`_GATED_KNOBS`) and dispatches.  π is checked once per solve:
+    an engine that takes *ranks* checks them as a permutation of
+    ``0..size-1`` at its own boundary (and checks none it draws from a
+    seed), so the front door checks them itself only for an engine that
+    takes none, where a corrupt π still reads as an ordering error.  The
+    result owns its π: when ``result.ranks`` shares memory with the
+    caller's array (the check hands back a contiguous int64 π, a view or
+    a memory map uncopied), it is copied after the solve, so mutating π
+    afterwards leaves ``result.ranks`` and the answer as they were.  With
     ``options.fallback``, an engine
     failing with one of :data:`_FALLBACK_CATCH` is retried down
     ``method → fallback_chain(problem)``; the result then carries
@@ -328,19 +341,15 @@ def front_door(problem: str, payload, ranks, size: int, options):
     """
     spec = get_engine(problem, options.method)
     _reject_gated_knobs(spec, options)
-    if ranks is not None:
-        checked = validate_priorities(ranks, size)
-        if checked is ranks or checked.base is not None:
-            checked = checked.copy()
-        ranks = checked
-        if not spec.supports_ranks:
-            raise EngineError(
-                f"method={spec.method!r} regenerates priorities every round "
-                "and ignores ranks; omit the ranks argument"
-            )
+    if ranks is not None and not spec.supports_ranks:
+        validate_priorities(ranks, size)
+        raise EngineError(
+            f"method={spec.method!r} regenerates priorities every round "
+            "and ignores ranks; omit the ranks argument"
+        )
     kwargs = options.engine_kwargs()
     if not options.fallback:
-        return dispatch(problem, spec.method, payload, ranks, **kwargs)
+        return _own_pi(dispatch(problem, spec.method, payload, ranks, **kwargs), ranks)
     attempts = []
     chain = [spec.method] + [
         m for m in fallback_chain(problem) if m != spec.method
@@ -357,7 +366,7 @@ def front_door(problem: str, payload, ranks, size: int, options):
             result.stats.aux["degraded"] = True
             result.stats.aux["fallback_engine"] = method
             result.stats.aux["fallback_attempts"] = attempts
-        return result
+        return _own_pi(result, ranks)
     raise EngineError(
         f"all fallback engines failed for method {spec.method!r}: "
         + "; ".join(f"{a['method']}: {a['error']}" for a in attempts)

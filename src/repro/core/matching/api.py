@@ -5,8 +5,8 @@ Like the MIS front door, dispatch goes exclusively through the
 it, and the request runs through the shared
 :func:`repro.core.engines.front_door` body), and this is the validation
 boundary: graph / edge-list arrays are re-checked against their
-structural invariants and *ranks* must be a permutation of the edge ids
-before any engine dispatch.  ``guards``, ``budget``, ``tracer`` and
+structural invariants and *ranks* must be a permutation of the edge ids,
+checked once, at the engine's boundary, before any engine work.  ``guards``, ``budget``, ``tracer`` and
 ``fallback`` mirror :func:`repro.core.mis.api.maximal_independent_set`.
 """
 
@@ -75,8 +75,8 @@ def maximal_matching(
     ranks:
         Edge priorities π (edge id → rank).  Random from *seed* when
         omitted.  Must be a permutation of ``0..m-1``; anything else
-        raises :class:`~repro.errors.InvalidOrderingError` before
-        dispatch.
+        raises :class:`~repro.errors.InvalidOrderingError` before any
+        engine work (the engine's boundary check, the solve's only one).
     method:
         One of :data:`MM_METHODS`; every method returns the
         lexicographically-first matching for *ranks*.

@@ -45,7 +45,8 @@ def parallel_greedy_matching(
     n = edges.num_vertices
     if ranks is None:
         ranks = random_priorities(m, seed)
-    ranks = validate_priorities(ranks, m)
+    else:
+        ranks = validate_priorities(ranks, m)
     if budget is not None:
         budget.start()
     if machine is None:

@@ -95,7 +95,8 @@ def parallel_matching_vectorized(
     n = edges.num_vertices
     if ranks is None:
         ranks = random_priorities(m, seed)
-    ranks = validate_priorities(ranks, m)
+    else:
+        ranks = validate_priorities(ranks, m)
     nworkers = resolve_workers(workers)
     if min_fanout is None:
         min_fanout = DEFAULT_MIN_FANOUT

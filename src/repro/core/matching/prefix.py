@@ -4,8 +4,12 @@ The edge analogue of Algorithm 3: each round takes the next ``prefix_size``
 positions of the edge priority order, resolves that prefix with the
 step-synchronous kernel of Algorithm 4, and moves on.  Edges whose
 endpoints were matched by earlier rounds cost one endpoint check when
-their slot is scanned — they are not packed out, so rounds =
-ceil(m / prefix), matching the Figure 2b/2e lines.
+their slot is scanned — they are not packed out, so under an explicit
+``prefix_size`` or ``prefix_frac``, rounds = ceil(m / prefix), matching
+the Figure 2b/2e lines.  With no prefix knob set, the windows follow the
+order's share of live edges instead
+(:func:`repro.core.mis.prefix.default_window`, target t = ``m // 50``):
+they grow as the order thins, and none holds more than t live edges.
 
 The engine walks π in order.  It scatters the endpoints into priority
 order once per solve (``pu[ranks] = u``, ``pv[ranks] = v``), so the edge
@@ -27,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.mis.prefix import resolve_prefix_size
+from repro.core.mis.prefix import default_window, resolve_prefix_size
 from repro.core.orderings import random_priorities, validate_priorities
 from repro.core.result import MatchingResult, stats_from_machine
 from repro.core.status import EDGE_DEAD, EDGE_MATCHED, new_edge_status
@@ -64,8 +68,10 @@ def prefix_greedy_matching(
     ranks:
         Edge priorities; random from *seed* when omitted.
     prefix_size, prefix_frac:
-        Absolute or fractional prefix of the *edge* order per round
-        (default ``m // 50``).
+        Absolute or fractional prefix of the *edge* order per round.
+        With none of the three prefix knobs set, the windows follow the
+        order's share of live edges (target ``m // 50``; see
+        :func:`~repro.core.mis.prefix.default_window`).
     prefix_sizes:
         Explicit per-round slot counts (last entry repeats); mutually
         exclusive with the other two knobs, mirroring the MIS engine.
@@ -86,7 +92,8 @@ def prefix_greedy_matching(
     n = edges.num_vertices
     if ranks is None:
         ranks = random_priorities(m, seed)
-    ranks = validate_priorities(ranks, m)
+    else:
+        ranks = validate_priorities(ranks, m)
     # Endpoints in priority order: position p holds the edge of rank p.
     pu = np.empty(m, dtype=np.int64)
     pv = np.empty(m, dtype=np.int64)
@@ -115,6 +122,10 @@ def prefix_greedy_matching(
     else:
         schedule = None
         k = resolve_prefix_size(m, prefix_size, prefix_frac)
+    # With no knob set, k is the target t of the default windows.
+    default = prefix_size is None and prefix_frac is None and schedule is None
+    target = k
+    first_window = min(k, max(m, 1))
     if tracer is not None:
         tracer.begin_run("mm/prefix", n, m, machine=machine)
 
@@ -134,13 +145,20 @@ def prefix_greedy_matching(
         # rank, and every slot is still live, as only a window's own
         # steps decide its edges.
         end = min(pos + k, m)
-        size = end - pos
         lu = pu[pos:end]
         lv = pv[pos:end]
-        machine.charge(size, log2_depth(size), tag="scan")
         # Lazy status update: a slot whose endpoint was matched by an
-        # earlier round dies now.
+        # earlier round dies now.  Compact through index arrays: a
+        # boolean mask with a mixed pattern costs several times more per
+        # element to apply.
         stale = matched_v[lu] | matched_v[lv]
+        keep = np.flatnonzero(~stale)
+        size = end - pos
+        if default:
+            size, keep, k = default_window(target, size, keep)
+            end = pos + size
+            stale = stale[:size]
+        machine.charge(size, log2_depth(size), tag="scan")
         dead = pos + np.flatnonzero(stale)
         pstatus[dead] = EDGE_DEAD
         machine.charge(size, log2_depth(max(size, 2)), tag="filter")
@@ -148,9 +166,6 @@ def prefix_greedy_matching(
             # Lazily discovered kills from earlier rounds: account them so
             # the guard's live-edge ledger stays exact.
             guard.check_step(pstatus, np.empty(0, dtype=np.int64), dead)
-        # Compact through index arrays: a boolean mask with a mixed
-        # pattern costs several times more per element to apply.
-        keep = np.flatnonzero(~stale)
         live, lu, lv = pos + keep, lu[keep], lv[keep]
         pos = end
         while live.size:
@@ -194,7 +209,8 @@ def prefix_greedy_matching(
     if guard is not None:
         guard.finalize(pstatus)
     stats = stats_from_machine(
-        "mm/prefix", n, m, machine, steps=steps, rounds=rounds, prefix_size=k,
+        "mm/prefix", n, m, machine, steps=steps, rounds=rounds,
+        prefix_size=first_window,
         # Every slot of the order is scanned exactly once.
         aux={"slot_scans": m, "item_examinations": item_exams},
     )

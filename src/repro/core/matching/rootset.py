@@ -62,7 +62,8 @@ def rootset_matching(
     n = edges.num_vertices
     if ranks is None:
         ranks = random_priorities(m, seed)
-    ranks = validate_priorities(ranks, m)
+    else:
+        ranks = validate_priorities(ranks, m)
     guard = matching_guard(guards, edges, ranks, "mm/rootset")
     if budget is not None:
         budget.start()

@@ -47,7 +47,8 @@ def randomly_scheduled_matching(
     n = edges.num_vertices
     if ranks is None:
         ranks = random_priorities(m, seed)
-    ranks = validate_priorities(ranks, m)
+    else:
+        ranks = validate_priorities(ranks, m)
     if machine is None:
         machine = Machine()
     rng = as_generator(schedule_seed)

@@ -56,7 +56,8 @@ def sequential_greedy_matching(
     m = edges.num_edges
     if ranks is None:
         ranks = random_priorities(m, seed)
-    ranks = validate_priorities(ranks, m)
+    else:
+        ranks = validate_priorities(ranks, m)
     if budget is not None:
         budget.start()
     if machine is None:

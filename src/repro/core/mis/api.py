@@ -13,8 +13,9 @@ registry order.
 
 The front door is also the validation boundary (see
 :mod:`repro.robustness.validate`): graph arrays are re-checked against the
-CSR invariants and *ranks* must be a genuine permutation **before** any
-engine dispatch, so corrupted inputs fail loudly instead of producing a
+CSR invariants **before** any engine dispatch, and *ranks* must be a
+genuine permutation, checked once at the engine's boundary before any
+engine work, so corrupted inputs fail loudly instead of producing a
 wrong-but-plausible set.  ``guards``/``budget``/``tracer`` thread through
 to the engines that accept them, and ``fallback=True`` adds graceful
 degradation: a failed engine is retried down the chain ``rootset-vec →
@@ -84,7 +85,8 @@ def maximal_independent_set(
         Priority array (vertex → rank; smaller = earlier).  Random from
         *seed* when omitted.  Must be a permutation of ``0..n-1``;
         anything else (wrong length, NaN, duplicates) raises
-        :class:`~repro.errors.InvalidOrderingError` before dispatch.
+        :class:`~repro.errors.InvalidOrderingError` before any engine
+        work (the engine's boundary check, the solve's only one).
         Rejected by ``method="luby"``, which re-randomizes internally
         (its registry entry has ``supports_ranks=False``).
     method:

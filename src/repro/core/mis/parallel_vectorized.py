@@ -85,7 +85,8 @@ def parallel_mis_vectorized(
     n = graph.num_vertices
     if ranks is None:
         ranks = random_priorities(n, seed)
-    ranks = validate_priorities(ranks, n)
+    else:
+        ranks = validate_priorities(ranks, n)
     nworkers = resolve_workers(workers)
     if min_fanout is None:
         min_fanout = DEFAULT_MIN_FANOUT

@@ -7,10 +7,17 @@ prefixes mean less redundant edge re-examination (work → the sequential
 optimum as size → 1) but more rounds (less parallelism); this is the
 work/parallelism dial of Figures 1 and 2.
 
+With no prefix knob set (the default on every front door), the windows
+follow the order's undecided share instead (:func:`default_window`): a
+window targets t = ``n // 50`` undecided vertices, so windows grow as the
+remaining order thins (Theorem 4.5's doubling, driven by the run itself),
+and a window never holds more than t undecided vertices.
+
 Accounting mirrors the paper's implementation:
 
 * every prefix slot costs one status check (decided vertices are *not*
-  packed out of the order — Figure 1b's rounds-vs-prefix line is exactly
+  packed out of the order — under an explicit ``prefix_size`` or
+  ``prefix_frac``, Figure 1b's rounds-vs-prefix line is exactly
   ``ceil(n / prefix_size)`` rounds);
 * the prefix's incident arcs are gathered once per round (external edges
   are processed once, Lemma 4.3's point);
@@ -49,6 +56,7 @@ from repro.util.rng import SeedLike
 from repro.util.validation import check_fraction, check_positive_int
 
 __all__ = [
+    "default_window",
     "prefix_greedy_mis",
     "resolve_prefix_size",
     "theorem45_prefix_sizes",
@@ -64,8 +72,10 @@ def resolve_prefix_size(
     """Resolve the prefix-size knobs into an absolute count in ``[1, max(n,1)]``.
 
     Exactly one of *prefix_size* (absolute) and *prefix_frac* (δ fraction
-    of the input) may be given; neither defaults to ``max(1, n // 50)``,
-    the near-optimal ratio of Figures 1c/1f (prefix/N ≈ 0.02).
+    of the input) may be given; neither gives ``max(1, n // 50)``, the
+    target t of the default windows (:func:`default_window`): the most
+    undecided items one default window holds, and the ratio of Figures
+    1c/1f (prefix/N ≈ 0.02) that sizes a window of a fresh order.
     """
     if prefix_size is not None and prefix_frac is not None:
         raise EngineError("pass either prefix_size or prefix_frac, not both")
@@ -77,6 +87,28 @@ def resolve_prefix_size(
     else:
         k = max(1, n // 50)
     return min(k, max(n, 1))
+
+
+def default_window(target: int, size: int, undecided: np.ndarray):
+    """Cut a scanned default window and size the one after it.
+
+    *undecided* holds the ascending in-window offsets of the undecided
+    slots of a window of *size* slots.  A window holding more than
+    *target* undecided items ends just after its *target*-th one; the
+    rest of its slots go to the next window.  The next window then takes
+    ``min(2 * size, max(target, target * size // u))`` slots for the ``u``
+    undecided items kept (``2 * size`` when ``u`` is 0): enough to hold
+    about *target* undecided items if the order thins no further, at
+    most twice the window before.  Returns ``(size, undecided,
+    next_size)``.
+    """
+    if undecided.size > target:
+        undecided = undecided[:target]
+        size = int(undecided[-1]) + 1
+    u = int(undecided.size)
+    if u == 0:
+        return size, undecided, 2 * size
+    return size, undecided, min(2 * size, max(target, target * size // u))
 
 
 def theorem45_prefix_sizes(n: int, max_degree: int, c: float = 2.0) -> list:
@@ -131,7 +163,9 @@ def prefix_greedy_mis(
     graph, ranks, seed, machine:
         As in :func:`repro.core.mis.sequential_greedy_mis`.
     prefix_size:
-        Absolute number of priority-order slots per round.
+        Absolute number of priority-order slots per round.  With none of
+        the three prefix knobs set, the windows follow the undecided
+        share of the order (:func:`default_window`, target ``n // 50``).
     prefix_frac:
         Alternative δ ∈ (0, 1]: prefix covers ``max(1, δ·n)`` slots.
     prefix_sizes:
@@ -153,7 +187,8 @@ def prefix_greedy_mis(
     n = graph.num_vertices
     if ranks is None:
         ranks = random_priorities(n, seed)
-    ranks = validate_priorities(ranks, n)
+    else:
+        ranks = validate_priorities(ranks, n)
     guard = mis_guard(guards, graph, ranks, "mis/prefix")
     if budget is not None:
         budget.start()
@@ -171,6 +206,10 @@ def prefix_greedy_mis(
     else:
         k = resolve_prefix_size(n, prefix_size, prefix_frac)
         schedule = None
+    # With no knob set, k is the target t of the default windows.
+    default = prefix_size is None and prefix_frac is None and schedule is None
+    target = k
+    first_window = min(k, max(n, 1))
     if tracer is not None:
         tracer.begin_run("mis/prefix", n, graph.num_edges, machine=machine)
 
@@ -189,11 +228,15 @@ def prefix_greedy_mis(
             k = schedule[min(rounds, len(schedule) - 1)]
         rounds += 1
         slots = perm[pos:pos + k]
+        fresh = np.flatnonzero(status[slots] == UNDECIDED)
+        if default:
+            size, fresh, k = default_window(target, slots.size, fresh)
+            slots = slots[:size]
         pos += slots.size
         slot_scans += int(slots.size)
         # Status scan over the prefix slots (decided ones cost 1 op each).
         machine.charge(slots.size, log2_depth(int(slots.size)), tag="scan")
-        prefix = slots[status[slots] == UNDECIDED]
+        prefix = slots[fresh]
         if prefix.size == 0:
             continue
         # Gather the prefix's incident arcs once; split internal/external.
@@ -262,7 +305,7 @@ def prefix_greedy_mis(
         machine,
         steps=steps,
         rounds=rounds,
-        prefix_size=k,
+        prefix_size=first_window,
         aux={"slot_scans": slot_scans, "item_examinations": item_exams},
     )
     if tracer is not None:

@@ -67,7 +67,8 @@ def rootset_mis(
     n = graph.num_vertices
     if ranks is None:
         ranks = random_priorities(n, seed)
-    ranks = validate_priorities(ranks, n)
+    else:
+        ranks = validate_priorities(ranks, n)
     guard = mis_guard(guards, graph, ranks, "mis/rootset")
     if budget is not None:
         budget.start()

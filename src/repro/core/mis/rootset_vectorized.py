@@ -75,7 +75,8 @@ def rootset_mis_vectorized(
     n = graph.num_vertices
     if ranks is None:
         ranks = random_priorities(n, seed)
-    ranks = validate_priorities(ranks, n)
+    else:
+        ranks = validate_priorities(ranks, n)
     guard = mis_guard(guards, graph, ranks, "mis/rootset-vec")
     if budget is not None:
         budget.start()

@@ -56,7 +56,8 @@ def randomly_scheduled_mis(
     n = graph.num_vertices
     if ranks is None:
         ranks = random_priorities(n, seed)
-    ranks = validate_priorities(ranks, n)
+    else:
+        ranks = validate_priorities(ranks, n)
     if machine is None:
         machine = Machine()
     rng = as_generator(schedule_seed)

@@ -78,7 +78,8 @@ def sequential_greedy_mis(
     n = graph.num_vertices
     if ranks is None:
         ranks = random_priorities(n, seed)
-    ranks = validate_priorities(ranks, n)
+    else:
+        ranks = validate_priorities(ranks, n)
     if budget is not None:
         budget.start()
     if machine is None:

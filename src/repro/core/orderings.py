@@ -124,9 +124,11 @@ def parallel_random_priorities(n: int, seed: SeedLike = None, machine=None) -> n
 def validate_priorities(ranks: object, n: int) -> np.ndarray:
     """Check that *ranks* is a permutation of ``0..n-1``; return as int64.
 
-    The package's one priority check: both front doors call it (also
-    exported as :func:`repro.robustness.validate.check_ranks`), and every
-    engine calls it once at its public boundary.  O(n) and sort-free: a
+    The package's one priority check (also exported as
+    :func:`repro.robustness.validate.check_ranks`).  Every engine calls it
+    at its public boundary on a caller's π, and on none it draws from a
+    seed; the front doors rely on that, so a solve checks π once.  O(n)
+    and sort-free: a
     range check, then one scatter into a seen-mask.  Raises
     :class:`~repro.errors.InvalidOrderingError` for a wrong shape or
     length, NaN entries, a non-integer dtype, out-of-range entries, or a

@@ -41,7 +41,10 @@ class RunStats:
         Number of outer rounds (prefix iterations for Algorithm 3, priority
         regeneration rounds for Luby, 1 for single-phase engines).
     prefix_size:
-        Configured prefix size for the prefix engines, else 0.
+        The prefix engines' configured first window, clamped to the input
+        size (``n`` or ``m``): the fixed size, the first entry of a
+        ``prefix_sizes`` or Theorem 4.5 schedule, or the default windows'
+        target t.  0 for every other engine.
     aux:
         Engine-specific exact counters.  The keys used by the greedy
         engines are ``"slot_scans"`` (priority-order positions examined)

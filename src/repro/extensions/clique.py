@@ -62,7 +62,8 @@ def lexicographically_first_maximal_clique(
     n = graph.num_vertices
     if ranks is None:
         ranks = random_priorities(n, seed)
-    ranks = validate_priorities(ranks, n)
+    else:
+        ranks = validate_priorities(ranks, n)
     in_clique = np.zeros(n, dtype=bool)
     clique_size = 0
     offsets, neighbors = graph.offsets, graph.neighbors
@@ -87,7 +88,8 @@ def maximal_clique_via_complement(
     n = graph.num_vertices
     if ranks is None:
         ranks = random_priorities(n, seed)
-    ranks = validate_priorities(ranks, n)
+    else:
+        ranks = validate_priorities(ranks, n)
     comp = complement_graph(graph)
     return sequential_greedy_mis(comp, ranks, machine=null_machine()).in_set
 

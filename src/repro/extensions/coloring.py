@@ -61,7 +61,8 @@ def sequential_greedy_coloring(
     n = graph.num_vertices
     if ranks is None:
         ranks = random_priorities(n, seed)
-    ranks = validate_priorities(ranks, n)
+    else:
+        ranks = validate_priorities(ranks, n)
     if machine is None:
         machine = Machine()
     colors = np.full(n, -1, dtype=np.int64)
@@ -95,7 +96,8 @@ def parallel_greedy_coloring(
     n = graph.num_vertices
     if ranks is None:
         ranks = random_priorities(n, seed)
-    ranks = validate_priorities(ranks, n)
+    else:
+        ranks = validate_priorities(ranks, n)
     if machine is None:
         machine = Machine()
     colors = np.full(n, -1, dtype=np.int64)

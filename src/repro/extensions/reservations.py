@@ -139,7 +139,8 @@ def reservation_mis(
     n = graph.num_vertices
     if ranks is None:
         ranks = random_priorities(n, seed)
-    ranks = validate_priorities(ranks, n)
+    else:
+        ranks = validate_priorities(ranks, n)
     if machine is None:
         machine = Machine()
     if granularity is None:
@@ -195,7 +196,8 @@ def reservation_matching(
     n = edges.num_vertices
     if ranks is None:
         ranks = random_priorities(m, seed)
-    ranks = validate_priorities(ranks, m)
+    else:
+        ranks = validate_priorities(ranks, m)
     if machine is None:
         machine = Machine()
     if granularity is None:

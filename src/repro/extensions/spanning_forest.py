@@ -86,7 +86,8 @@ def sequential_spanning_forest(
     m = edges.num_edges
     if ranks is None:
         ranks = random_priorities(m, seed)
-    ranks = validate_priorities(ranks, m)
+    else:
+        ranks = validate_priorities(ranks, m)
     if machine is None:
         machine = Machine()
     uf = _UnionFind(edges.num_vertices)
@@ -120,7 +121,8 @@ def parallel_spanning_forest(
     n = edges.num_vertices
     if ranks is None:
         ranks = random_priorities(m, seed)
-    ranks = validate_priorities(ranks, m)
+    else:
+        ranks = validate_priorities(ranks, m)
     if machine is None:
         machine = Machine()
     parent = np.arange(n, dtype=np.int64)

@@ -1,18 +1,20 @@
 """Front-door input validation for the MIS and matching APIs.
 
 The engines assume clean inputs (validated boundary, branch-free hot
-loops), so anything malformed must be rejected *before* dispatch.  This
-module concentrates the checks the two front doors
+loops), so anything malformed must be rejected before any engine work.
+This module concentrates the checks behind the two front doors
 (:func:`repro.core.mis.api.maximal_independent_set`,
-:func:`repro.core.matching.api.maximal_matching`) perform:
+:func:`repro.core.matching.api.maximal_matching`):
 
 * :func:`check_ranks` — a priority array must be a genuine permutation of
   ``0..n-1``: right length, integer dtype (NaN-carrying float arrays are
   rejected with a pointed message), no duplicates, no out-of-range
   entries.  Violations raise
   :class:`~repro.errors.InvalidOrderingError`.  This is an alias of
-  :func:`repro.core.orderings.validate_priorities`, the one O(n) check
-  the engines run too.
+  :func:`repro.core.orderings.validate_priorities`, the one O(n) check.
+  The front doors leave it to the engine's boundary, which runs it before
+  any engine work, so a solve checks π once (and a π the engine draws
+  from a seed not at all).
 * :func:`check_csr_graph` / :func:`check_edge_list` — structural CSR /
   edge-list invariants re-checked on the actual arrays, so a graph object
   whose arrays were corrupted *after* construction (the constructor

@@ -131,3 +131,51 @@ def test_results_own_their_pi(problem, kind, tmp_path):
         pi[:] = pi[::-1]
         assert np.array_equal(result.ranks, ranks)
         assert np.array_equal(result.status, status)
+
+
+def _count_rank_checks(monkeypatch):
+    """Route every module-level binding of the rank check through a
+    counter; returns the list it appends each checked size to."""
+    import sys
+
+    from repro.core import engines, orderings
+
+    for problem in engines.PROBLEMS:
+        for spec in engines.engine_specs(problem):
+            spec.resolve()  # engine modules load lazily
+    original = orderings.validate_priorities
+    calls = []
+
+    def counted(ranks, n):
+        calls.append(n)
+        return original(ranks, n)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "repro":
+            continue
+        for attr in ("validate_priorities", "check_ranks"):
+            if getattr(module, attr, None) is original:
+                monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "problem, method",
+    [("mis", m) for m in MIS_METHODS] + [("matching", m) for m in MM_METHODS],
+)
+def test_one_rank_check_per_solve(problem, method, monkeypatch):
+    """A front-door solve checks a caller's π once (at the engine's
+    boundary) and a π the engine draws from a seed not at all."""
+    payload = G if problem == "mis" else G.edge_list()
+    size = G.num_vertices if problem == "mis" else G.num_edges
+    front_door = (maximal_independent_set if problem == "mis"
+                  else maximal_matching)
+    calls = _count_rank_checks(monkeypatch)
+    front_door(payload, method=method, seed=1)
+    assert calls == []
+    if method == "luby":
+        with pytest.raises(EngineError, match="ignores ranks"):
+            front_door(payload, random_priorities(size, seed=1), method=method)
+    else:
+        front_door(payload, random_priorities(size, seed=1), method=method)
+    assert calls == [size]

@@ -28,6 +28,7 @@ from repro.observability import (
     trace_summary,
 )
 from repro.observability.counters import KERNEL_NAMES
+from repro.pram.machine import Machine
 
 MIS_ENGINES = ("sequential", "parallel", "prefix", "theorem45",
                "rootset", "rootset-vec", "luby")
@@ -236,12 +237,27 @@ class TestKernelCounters:
         ``scatter_min`` per step and one prefix gather per round that has
         an undecided slot (exactly the rounds holding a set member), whose
         arcs also serve every step's knock-out; MM runs one
-        ``scatter_min`` per endpoint per step and gathers nothing."""
+        ``scatter_min`` per endpoint per step and gathers nothing.
+
+        A fixed ``prefix_frac`` cuts windows of k slots, so a member of
+        rank r sits in window ``r // k``.  The default windows follow the
+        run's undecided share, so their slot boundaries are read from the
+        run itself: each window charges one ``"scan"`` step of its slot
+        count."""
+        machine = Machine()
         with KernelCounters() as kc:
             res = maximal_independent_set(graph, vranks, method="prefix",
-                                          prefix_frac=prefix_frac)
+                                          prefix_frac=prefix_frac,
+                                          machine=machine)
         steps, k = res.stats.steps, res.stats.prefix_size
-        member_rounds = np.unique(vranks[res.status == IN_SET] // k).size
+        member_ranks = vranks[res.status == IN_SET]
+        if prefix_frac is None:
+            bounds = np.cumsum([s.work for s in machine.steps if s.tag == "scan"])
+            assert bounds[-1] == graph.num_vertices
+            windows = np.searchsorted(bounds, member_ranks, side="right")
+        else:
+            windows = member_ranks // k
+        member_rounds = np.unique(windows).size
         assert kc.counters["scatter_min"].calls == steps
         assert kc.counters["frontier_gather"].calls == member_rounds
         assert kc.total_calls == steps + member_rounds

@@ -7,7 +7,10 @@ settle in one step; the reversed order and the long dependence chains
 that paths, grids and stars form under identity and reversed orders are
 what expose it.  Every prefix size that changes the window shape is
 covered: one slot, two, the default, the whole order, past its end, and
-the adaptive Theorem 4.5 schedule.
+the adaptive Theorem 4.5 schedule.  The default windows grow while the
+order thins and stop at t undecided items; the hub-first star (a window
+of knocked-out leaves after another) and the star-then-path order (grown
+windows that then meet a dependence chain) drive both.
 """
 
 import re
@@ -45,6 +48,16 @@ GRAPHS = {
     ),
     "edgeless": empty_graph(5),
     "empty": empty_graph(0),
+    # Under identity: the hub, then its leaves.
+    "hub-first-star": star_graph(400),
+    # Under identity: hub 0, its 150 leaves, then a 150-vertex path.
+    "star-then-path": from_edges(
+        301,
+        np.concatenate([np.zeros(150, dtype=np.int64),
+                        np.arange(151, 300, dtype=np.int64)]),
+        np.concatenate([np.arange(1, 151, dtype=np.int64),
+                        np.arange(152, 301, dtype=np.int64)]),
+    ),
 }
 
 ORDERS = {
