@@ -1,10 +1,10 @@
-"""Resilience layer: supervision, leak reaping, backpressure, chaos.
+"""Resilience layer: supervision, leak reaping, chaos.
 
 PR 6 made the parallelism real — shard processes, shared-memory
 segments, a subprocess worker pool — and every one of those is a new
 way to fail *partially*: a killed owner leaks its segment until reboot,
-a wedged worker stalls its queue slot, a burst of traffic overwhelms a
-fixed admission bound.  This package supervises the whole stack:
+and a wedged worker stalls its queue slot.  This package supervises the
+whole stack:
 
 ========================  ==================================================
 :mod:`~repro.resilience.health`        one :class:`HealthReport` spanning
@@ -18,10 +18,6 @@ fixed admission bound.  This package supervises the whole stack:
                                        (:mod:`repro.backends.ledger`)
 :mod:`~repro.resilience.supervisor`    background thread running periodic
                                        health probes and reap sweeps
-:mod:`~repro.resilience.backpressure`  AIMD adaptive concurrency limit and
-                                       the hedged-retry policy behind the
-                                       service's ``backpressure``/
-                                       ``hedge_delay_s`` knobs
 :mod:`~repro.resilience.chaos`         declarative :class:`ChaosScenario`
                                        records and the one runner that
                                        executes them across kernels →
@@ -34,7 +30,6 @@ below the bench/CLI layer imports it (the service reaches it only
 through lazy calls in ``health()``/``start()``).
 """
 
-from repro.resilience.backpressure import AdaptiveLimiter
 from repro.resilience.chaos import (
     SCENARIOS,
     ChaosScenario,
@@ -52,7 +47,6 @@ from repro.resilience.reaper import ReapReport, reap_orphans, segment_inventory
 from repro.resilience.supervisor import Supervisor
 
 __all__ = [
-    "AdaptiveLimiter",
     "ChaosScenario",
     "HealthReport",
     "ReapReport",

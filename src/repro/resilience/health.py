@@ -4,7 +4,7 @@
 running :class:`~repro.service.SolverService`: per-worker liveness and
 progress (a busy worker is *stalled* once its job has been in flight
 longer than ``stall_after_s``), restart/crash counters, circuit-breaker
-states, queue depth against the effective admission limit, any
+states, queue depth against ``max_queue``, any
 :class:`~repro.backends.executor.FrontierExecutor` shard pools owned by
 this process, and the shared-memory segment inventory cross-checked
 against owner liveness.  ``SolverService.health()`` and the ``repro
@@ -101,7 +101,6 @@ class HealthReport:
     delayed: int
     in_flight: int
     max_queue: int
-    admission_limit: Optional[int]      #: AIMD limit (None: fixed bound only)
     breaker_states: Dict[str, str]
     shard_pools: List[Dict[str, Any]]   #: FrontierExecutor pools, this process
     segments: List[SegmentHealth]
@@ -126,7 +125,6 @@ class HealthReport:
             "delayed": self.delayed,
             "in_flight": self.in_flight,
             "max_queue": self.max_queue,
-            "admission_limit": self.admission_limit,
             "breaker_states": dict(self.breaker_states),
             "shard_pools": [dict(p) for p in self.shard_pools],
             "segments": [s.as_dict() for s in self.segments],
@@ -153,14 +151,10 @@ class HealthReport:
                 f"  w{w.worker_id} pid={w.pid} {w.state}"
                 f" done={w.jobs_done}{age}{flags}"
             )
-        limit = (
-            f" (adaptive limit {self.admission_limit})"
-            if self.admission_limit is not None else ""
-        )
         lines.append(
             f"queue:           {self.queue_depth} queued, "
             f"{self.delayed} delayed, {self.in_flight} in flight "
-            f"/ max {self.max_queue}{limit}"
+            f"/ max {self.max_queue}"
         )
         open_breakers = {
             k: v for k, v in self.breaker_states.items() if v != "closed"
@@ -300,8 +294,6 @@ def build_health_report(
         in_flight = len(service._pool.busy())
         breaker_states = {k: b.state for k, b in service._breakers.items()}
         registered = len(service._shared)
-        limiter = getattr(service, "_limiter", None)
-        admission_limit = None if limiter is None else limiter.limit
         worker_restarts = stats.worker_restarts
         worker_crashes = stats.worker_crashes
         latency_p95 = service.stats().latency_p95
@@ -331,8 +323,6 @@ def build_health_report(
         if open_breakers:
             reasons.append(f"breaker(s) not closed: {', '.join(open_breakers)}")
         bound = service.config.max_queue
-        if admission_limit is not None:
-            bound = min(bound, admission_limit)
         if queue_depth + delayed >= bound:
             reasons.append(
                 f"admission queue at its bound ({queue_depth + delayed}/{bound})"
@@ -364,7 +354,6 @@ def build_health_report(
         delayed=delayed,
         in_flight=in_flight,
         max_queue=service.config.max_queue,
-        admission_limit=admission_limit,
         breaker_states=breaker_states,
         shard_pools=executor_status(),
         segments=segments,

@@ -92,29 +92,6 @@ class ServiceConfig:
         Scheduler poll interval in seconds (latency floor for pickups).
     latency_window:
         Completed-request window for the p50/p95 stats.
-    backpressure:
-        Enable the AIMD adaptive admission limit
-        (:class:`~repro.resilience.backpressure.AdaptiveLimiter`): on top
-        of the fixed ``max_queue`` bound, outstanding work beyond the
-        adaptive limit is shed, and the limit shrinks on overload signals
-        (queue-full sheds, deadline failures, completions slower than
-        ``bp_latency_target_s``) and grows again on healthy completions.
-    bp_initial_limit:
-        Starting adaptive limit (default ``2 * workers``).
-    bp_min_limit:
-        Floor the adaptive limit never sheds below.
-    bp_latency_target_s:
-        Optional latency SLO; a completion slower than this counts as an
-        overload signal.  ``None`` disables latency-based shedding.
-    bp_decrease_factor, bp_cooldown_s:
-        Multiplicative-decrease factor and the minimum spacing between
-        applied decreases.
-    hedge_delay_s:
-        Enable hedged requests: when a solver request has been in flight
-        this long and an idle worker is available, a duplicate attempt is
-        dispatched and the first reply wins (the loser is dropped).  Only
-        idempotent solver problems hedge — never ``"call"``.  ``None``
-        (the default) disables hedging.
     cache_entries:
         Size of the content-addressed result cache
         (:class:`~repro.service.cache.ResultCache`) consulted by
@@ -166,13 +143,6 @@ class ServiceConfig:
     worker_sys_path: Tuple[str, ...] = ()
     tick: float = 0.02
     latency_window: int = 512
-    backpressure: bool = False
-    bp_initial_limit: Optional[int] = None
-    bp_min_limit: int = 1
-    bp_latency_target_s: Optional[float] = None
-    bp_decrease_factor: float = 0.5
-    bp_cooldown_s: float = 0.25
-    hedge_delay_s: Optional[float] = None
     cache_entries: int = 0
     cache_ttl_s: Optional[float] = None
     reap_on_start: bool = True
@@ -219,35 +189,6 @@ class ServiceConfig:
         if self.hang_timeout is not None and not self.hang_timeout > 0:
             raise ValueError(
                 f"hang_timeout must be positive, got {self.hang_timeout}"
-            )
-        if self.bp_min_limit < 1:
-            raise ValueError(
-                f"bp_min_limit must be >= 1, got {self.bp_min_limit}"
-            )
-        if self.bp_initial_limit is not None and self.bp_initial_limit < 1:
-            raise ValueError(
-                f"bp_initial_limit must be >= 1, got {self.bp_initial_limit}"
-            )
-        if not 0.0 < self.bp_decrease_factor < 1.0:
-            raise ValueError(
-                f"bp_decrease_factor must be in (0, 1), "
-                f"got {self.bp_decrease_factor}"
-            )
-        if self.bp_cooldown_s < 0:
-            raise ValueError(
-                f"bp_cooldown_s must be >= 0, got {self.bp_cooldown_s}"
-            )
-        if (
-            self.bp_latency_target_s is not None
-            and not self.bp_latency_target_s > 0
-        ):
-            raise ValueError(
-                f"bp_latency_target_s must be positive, "
-                f"got {self.bp_latency_target_s}"
-            )
-        if self.hedge_delay_s is not None and not self.hedge_delay_s >= 0:
-            raise ValueError(
-                f"hedge_delay_s must be >= 0, got {self.hedge_delay_s}"
             )
         if self.cache_entries < 0:
             raise ValueError(

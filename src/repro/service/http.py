@@ -10,9 +10,8 @@ of a :class:`~repro.service.SolverService`, designed failure-first:
   An expired deadline is a ``504`` carrying the typed error name —
   never a hung socket: the gateway bounds its own wait at the deadline
   plus the service grace plus ``deadline_slack_s``.
-* **load shedding** — admission rides the service's bounded queue and
-  (when enabled) the AIMD :class:`~repro.resilience.AdaptiveLimiter`;
-  a shed request is a ``429`` with ``Retry-After`` derived from the
+* **load shedding** — admission rides the service's bounded queue; a
+  shed request is a ``429`` with ``Retry-After`` derived from the
   observed p95 solve latency.  Request bodies are bounded
   (``413`` past ``max_body_bytes``), concurrent connections are bounded
   (``503`` past ``max_connections``), and a client that trickles its
@@ -37,7 +36,7 @@ Endpoints (all JSON)::
     GET    /v1/health          cross-layer report; 200 ok / 207 degraded /
                                503 critical
     GET    /v1/metrics         per-endpoint latency percentiles + gateway,
-                               cache, breaker, and backpressure counters
+                               cache, breaker, and queue counters
     POST   /v1/graphs          register a graph as a shared segment (+warm)
     DELETE /v1/graphs/{name}   release a registered graph
 

@@ -26,17 +26,12 @@
 * answers, not inputs, on the way back: a worker returns ``status``,
   the stats, and π only when it drew π from a seed; the parent re-joins
   π (copied) and a matching's edge arrays from the request;
-* every attempt recorded in ``result.stats.aux["service"]``, a
-  :class:`~repro.service.stats.ServiceStats` snapshot, and graceful
+* one attempt in flight per request: a retry or a degraded attempt is
+  dispatched only after the one before it has failed, so every attempt
+  recorded in ``result.stats.aux["service"]`` is one step of a single
+  ordered sequence;
+* a :class:`~repro.service.stats.ServiceStats` snapshot, and graceful
   drain/shutdown (which also unlinks every registered segment);
-* optional adaptive backpressure (``backpressure=True``): an AIMD
-  limiter sheds outstanding work beyond an adaptive limit that shrinks
-  on overload (queue-full sheds, deadline misses, slow completions) and
-  recovers on healthy ones;
-* optional hedged requests (``hedge_delay_s``): a slow solver attempt
-  gets a duplicate on an idle worker and the first reply wins — safe
-  because solver requests are idempotent and every chain engine returns
-  the same bit-identical answer;
 * resilience hooks: an orphaned-segment reap sweep at :meth:`start`
   (``reap_on_start``), an optional background
   :class:`~repro.resilience.supervisor.Supervisor`
@@ -207,18 +202,6 @@ class SolverService:
         self._closed = False
         self._stop = False
         self._supervisor = None
-        self._limiter = None
-        if config.backpressure:
-            from repro.resilience.backpressure import AdaptiveLimiter
-
-            self._limiter = AdaptiveLimiter(
-                initial=config.bp_initial_limit or 2 * config.workers,
-                min_limit=config.bp_min_limit,
-                max_limit=max(config.max_queue, config.workers),
-                latency_target_s=config.bp_latency_target_s,
-                decrease_factor=config.bp_decrease_factor,
-                cooldown_s=config.bp_cooldown_s,
-            )
         self.cache: Optional[ResultCache] = None
         if config.cache_entries > 0:
             self.cache = ResultCache(
@@ -408,9 +391,7 @@ class SolverService:
         A full queue raises :class:`~repro.errors.QueueFullError` (the
         rejection is counted as shed load) unless ``block=True``, which
         waits for space instead — the backpressure mode ``solve_many``
-        uses.  With ``backpressure`` enabled, outstanding work beyond
-        the AIMD limiter's current limit is shed the same way; a fixed
-        queue-full rejection also counts as an overload signal.
+        uses.
         """
         if not self._started:
             raise ServiceError("service is not started (call start() or use 'with')")
@@ -424,28 +405,13 @@ class SolverService:
             while True:
                 if self._closed:
                     raise ServiceError("service is draining; submissions closed")
-                queue_full = (
-                    len(self._queue) + len(self._delayed)
-                    >= self.config.max_queue
-                )
-                over_limit = (
-                    not queue_full
-                    and self._limiter is not None
-                    and self._outstanding() >= self._limiter.limit
-                )
-                if not queue_full and not over_limit:
+                if len(self._queue) + len(self._delayed) < self.config.max_queue:
                     break
                 if not block:
                     self._stats.bump("shed")
-                    if queue_full:
-                        self._note_overload()
-                        raise QueueFullError(
-                            f"admission queue full ({self.config.max_queue} "
-                            "requests); retry later or raise max_queue"
-                        )
                     raise QueueFullError(
-                        f"adaptive admission limit reached "
-                        f"({self._limiter.limit} outstanding); retry later"
+                        f"admission queue full ({self.config.max_queue} "
+                        "requests); retry later or raise max_queue"
                     )
                 remaining = None if end is None else end - time.monotonic()
                 if remaining is not None and remaining <= 0:
@@ -655,9 +621,6 @@ class SolverService:
                 workers_alive=self._pool.alive_count(),
                 workers_configured=self.config.workers,
                 breaker_states={k: b.state for k, b in self._breakers.items()},
-                admission_limit=(
-                    None if self._limiter is None else self._limiter.limit
-                ),
                 cache=(
                     None if self.cache is None else self.cache.snapshot()
                 ),
@@ -667,10 +630,10 @@ class SolverService:
         """Cross-layer :class:`~repro.resilience.health.HealthReport`.
 
         Covers per-worker liveness/progress, restart counters, breaker
-        states, queue depth against the effective admission limit, shard
-        pools owned by this process, and the ledgered shared-memory
-        segment inventory (``include_segments=False`` skips the segment
-        scan for cheap high-frequency probes).
+        states, queue depth against ``max_queue``, shard pools owned by
+        this process, and the ledgered shared-memory segment inventory
+        (``include_segments=False`` skips the segment scan for cheap
+        high-frequency probes).
         """
         from repro.resilience.health import build_health_report
 
@@ -679,11 +642,6 @@ class SolverService:
             stall_after_s=stall_after_s,
             include_segments=include_segments,
         )
-
-    def _note_overload(self) -> None:
-        """Feed one overload signal to the limiter (no-op when disabled)."""
-        if self._limiter is not None and self._limiter.on_overload():
-            self._stats.bump("overloads")
 
     def breaker(self, problem: str, method: str) -> CircuitBreaker:
         """The (lazily created) circuit breaker guarding one engine."""
@@ -711,7 +669,6 @@ class SolverService:
                 self._promote_delayed(now)
                 self._expire_queued(now)
                 self._assign(now)
-                self._maybe_hedge(now)
                 busy = {w.conn: w for w in self._pool.busy()}
             if busy:
                 try:
@@ -916,69 +873,7 @@ class SolverService:
             worker.job = ticket
             worker.job_started = now
 
-    def _maybe_hedge(self, now: float) -> None:
-        """Dispatch duplicate attempts for slow in-flight solver requests.
-
-        With ``hedge_delay_s`` set, a request whose attempt has been in
-        flight at least that long gets a second attempt on an idle
-        worker; the first reply resolves the future and the loser's
-        reply is dropped in :meth:`_complete`.  Queued work always wins
-        over hedges, ``"call"`` requests never hedge (they are not known
-        to be idempotent), and each request hedges at most once.
-        """
-        delay = self.config.hedge_delay_s
-        if delay is None or self._queue or self._stop:
-            return
-        idle = self._pool.idle()
-        if not idle:
-            return
-        for worker in self._pool.busy():
-            if not idle:
-                return
-            ticket: _Ticket = worker.job
-            if (
-                ticket is None
-                or ticket.request.problem == "call"
-                or ticket.future.done()
-                or worker.job_started is None
-                or now - worker.job_started < delay
-                or any(a.get("hedge") for a in ticket.attempts)
-            ):
-                continue
-            method = ticket.attempts[-1]["method"]
-            hedge_worker = idle.pop(0)
-            job = self._build_job(ticket, method, now)
-            try:
-                hedge_worker.conn.send(job)
-            except (BrokenPipeError, OSError):
-                self._stats.bump("worker_crashes")
-                self._respawn(hedge_worker)
-                continue
-            ticket.attempts.append({
-                "attempt": len(ticket.attempts),
-                "method": method,
-                "worker": hedge_worker.worker_id,
-                "chaos": job.get("chaos"),
-                "hedge": True,
-            })
-            hedge_worker.job = ticket
-            hedge_worker.job_started = now
-            self._stats.bump("hedges")
-
     # -- completion paths --------------------------------------------------
-
-    def _attempt_for(self, ticket: _Ticket, worker_id: int) -> Optional[Dict[str, Any]]:
-        """The open attempt this worker is serving (hedges mean the last
-        attempt is not necessarily this worker's)."""
-        for attempt in reversed(ticket.attempts):
-            if attempt["worker"] == worker_id and "outcome" not in attempt:
-                return attempt
-        return None
-
-    def _in_flight_elsewhere(self, ticket: _Ticket) -> bool:
-        """Whether another busy worker still serves *ticket* (its hedge
-        twin); if so, failure handling defers to the survivor."""
-        return any(w.job is ticket for w in self._pool.busy())
 
     def _complete(self, worker: WorkerHandle, reply: Dict[str, Any], now: float) -> None:
         ticket: _Ticket = worker.job
@@ -987,13 +882,7 @@ class SolverService:
         worker.jobs_done += 1
         if ticket is None or reply.get("id") != ticket.id:  # pragma: no cover
             return
-        attempt = self._attempt_for(ticket, worker.worker_id)
-        if attempt is None:  # pragma: no cover - defensive
-            return
-        if ticket.future.done():
-            # A hedge twin already resolved the future; this reply loses.
-            attempt["outcome"] = "late"
-            return
+        attempt = ticket.attempts[-1]
         if reply.get("ok"):
             attempt["outcome"] = "ok"
             try:
@@ -1002,8 +891,6 @@ class SolverService:
                 attempt["outcome"] = "error:GraphFormatError"
                 self._finish_error(ticket, exc, now)
                 return
-            if attempt.get("hedge"):
-                self._stats.bump("hedge_wins")
             if ticket.request.problem != "call":
                 self.breaker(ticket.request.problem, attempt["method"]).record_success()
             self._finish_ok(ticket, value, now)
@@ -1096,9 +983,6 @@ class SolverService:
                 self._stats.bump("breaker_trips")
             if self.config.degrade:
                 ticket.failed_methods.add(attempt["method"])
-        if self._in_flight_elsewhere(ticket):
-            # The hedge twin is still computing; it decides the outcome.
-            return
         self._retry_or_fail(ticket, _reconstruct_error(name, message), now)
 
     def _handle_crash(self, worker: WorkerHandle, now: float) -> None:
@@ -1108,17 +992,11 @@ class SolverService:
         self._respawn(worker)
         if ticket is None:
             return
-        attempt = self._attempt_for(ticket, worker.worker_id)
-        if attempt is None:  # pragma: no cover - defensive
-            return
+        attempt = ticket.attempts[-1]
         attempt["outcome"] = "crash"
-        if ticket.future.done():
-            return  # the hedge twin already resolved this request
         if ticket.request.problem != "call":
             if self.breaker(ticket.request.problem, attempt["method"]).record_failure():
                 self._stats.bump("breaker_trips")
-        if self._in_flight_elsewhere(ticket):
-            return
         exc = WorkerCrashError(
             f"worker {attempt['worker']} died while serving request {ticket.id} "
             f"({self._attempt_log(ticket)})"
@@ -1138,16 +1016,10 @@ class SolverService:
             if limit is None or now <= limit:
                 continue
             worker.job = None
-            attempt = self._attempt_for(ticket, worker.worker_id)
-            if attempt is not None:
-                attempt["outcome"] = "killed-overdue"
+            ticket.attempts[-1]["outcome"] = "killed-overdue"
             self._respawn(worker)
-            if ticket.future.done():
-                continue  # stale hedge loser; nothing to fail or retry
             if hang:
                 self._stats.bump("worker_crashes")
-                if self._in_flight_elsewhere(ticket):
-                    continue
                 self._retry_or_fail(
                     ticket,
                     WorkerCrashError(
@@ -1215,24 +1087,18 @@ class SolverService:
         return delay
 
     def _finish_ok(self, ticket: _Ticket, value: Any, now: float) -> None:
-        if ticket.future.done():  # pragma: no cover - hedge twin won a race
+        if ticket.future.done():  # pragma: no cover - a future resolves once
             return
         self._stats.bump("completed")
-        latency = now - ticket.submitted
-        self._stats.record_latency(latency)
-        if self._limiter is not None and self._limiter.on_success(latency):
-            self._stats.bump("overloads")
+        self._stats.record_latency(now - ticket.submitted)
         ticket.future._resolve(value)
         with self._cond:  # reentrant from the scheduler; bare from shutdown
             self._cond.notify_all()
 
     def _finish_error(self, ticket: _Ticket, exc: BaseException, now: float) -> None:
-        if ticket.future.done():  # pragma: no cover - hedge twin won a race
+        if ticket.future.done():  # pragma: no cover - a future resolves once
             return
         self._stats.bump("failed")
-        if isinstance(exc, DeadlineExceededError):
-            # Deadline misses are the service's clearest overload signal.
-            self._note_overload()
         ticket.future._fail(exc)
         with self._cond:  # reentrant from the scheduler; bare from shutdown
             self._cond.notify_all()

@@ -47,10 +47,6 @@ class ServiceStats:
     deadline_failures: int
     breaker_trips: int
     explicit_ranks: int = 0
-    hedges: int = 0
-    hedge_wins: int = 0
-    overloads: int = 0
-    admission_limit: Optional[int] = None
     breaker_states: Dict[str, str] = field(default_factory=dict)
     latency_p50: float = 0.0
     latency_p95: float = 0.0
@@ -79,10 +75,6 @@ class ServiceStats:
             "deadline_failures": self.deadline_failures,
             "breaker_trips": self.breaker_trips,
             "explicit_ranks": self.explicit_ranks,
-            "hedges": self.hedges,
-            "hedge_wins": self.hedge_wins,
-            "overloads": self.overloads,
-            "admission_limit": self.admission_limit,
             "breaker_states": dict(self.breaker_states),
             "latency_p50": self.latency_p50,
             "latency_p95": self.latency_p95,
@@ -108,15 +100,6 @@ class ServiceStats:
             f"(deadline failures {self.deadline_failures})",
             f"breaker trips:   {self.breaker_trips}",
         ]
-        if self.hedges:
-            lines.append(
-                f"hedges:          {self.hedges} ({self.hedge_wins} won)"
-            )
-        if self.admission_limit is not None:
-            lines.append(
-                f"admission limit: {self.admission_limit} "
-                f"({self.overloads} overload decreases)"
-            )
         if self.cache_enabled:
             lines.append(
                 f"result cache:    {self.cache_entries} entries, "
@@ -159,9 +142,6 @@ class StatsCollector:
         "deadline_failures",
         "breaker_trips",
         "explicit_ranks",
-        "hedges",
-        "hedge_wins",
-        "overloads",
     )
 
     def __init__(self, window: int = 512) -> None:
@@ -192,7 +172,6 @@ class StatsCollector:
         workers_alive: int,
         workers_configured: int,
         breaker_states: Dict[str, str],
-        admission_limit: Optional[int] = None,
         cache: Optional[Dict[str, int]] = None,
     ) -> ServiceStats:
         """Freeze the current counters and gauges into a ServiceStats."""
@@ -218,10 +197,6 @@ class StatsCollector:
                 deadline_failures=self.deadline_failures,
                 breaker_trips=self.breaker_trips,
                 explicit_ranks=self.explicit_ranks,
-                hedges=self.hedges,
-                hedge_wins=self.hedge_wins,
-                overloads=self.overloads,
-                admission_limit=admission_limit,
                 breaker_states=dict(breaker_states),
                 latency_p50=p50,
                 latency_p95=p95,

@@ -62,7 +62,6 @@ class TestHealthReport:
         assert all(w.state in ("idle", "busy") for w in report.workers)
         assert sum(w.jobs_done for w in report.workers) >= 1
         assert report.max_queue == 64
-        assert report.admission_limit is None  # backpressure off
         assert report.latency_p95 > 0.0
 
     def test_as_dict_and_format_roundtrip(self, service):

@@ -6,6 +6,7 @@ contract plus the unit state machines (CircuitBreaker, ServiceConfig,
 SolveRequest, ServiceFuture).
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -340,10 +341,31 @@ class TestConfigAndRequestValidation:
         {"kill_point": "mid"},
         {"fault_kinds": ("rank-swap",)},
         {"hang_timeout": 0.0},
+        {"supervise_interval_s": 0.0},
     ])
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ServiceConfig(**kwargs)
+
+    def test_config_knob_surface_is_pinned(self):
+        """The service's 30 knobs, pinned like SolveOptions' 11: a new
+        knob must be added here on purpose, and the retired hedging and
+        limiter knobs are unknown keywords."""
+        assert [f.name for f in dataclasses.fields(ServiceConfig)] == [
+            "workers", "max_queue", "start_method", "default_method",
+            "default_guards", "degrade", "max_retries", "backoff_base",
+            "backoff_factor", "backoff_max", "backoff_jitter", "retry_seed",
+            "breaker_threshold", "breaker_reset_seconds", "deadline_grace",
+            "hang_timeout", "kill_probability", "kill_point",
+            "fault_probability", "fault_kinds", "chaos_seed",
+            "worker_sys_path", "tick", "latency_window", "cache_entries",
+            "cache_ttl_s", "reap_on_start", "supervise_interval_s",
+            "reap_interval_s", "session_dir",
+        ]
+        with pytest.raises(TypeError):
+            ServiceConfig(hedge_delay_s=0.1)
+        with pytest.raises(TypeError):
+            ServiceConfig(backpressure=True)
 
     def test_config_object_and_overrides_are_exclusive(self):
         with pytest.raises(ValueError):

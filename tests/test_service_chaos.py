@@ -96,6 +96,15 @@ class TestKillStorm:
         assert stats.worker_crashes > 0, "storm injected no kills"
         assert stats.worker_restarts == stats.worker_crashes
         assert stats.workers_alive == 2
+        # One attempt in flight per request: the log is one ordered
+        # sequence of crashes ended by the attempt that answered.
+        for res in results:
+            aux = res.stats.aux["service"]
+            attempts = aux["attempts"]
+            assert [a["attempt"] for a in attempts] == list(range(len(attempts)))
+            assert all(a["outcome"] == "crash" for a in attempts[:-1])
+            assert attempts[-1]["outcome"] == "ok"
+            assert aux["retries"] == len(attempts) - 1
 
     def test_every_crash_is_retried_or_surfaced(self, graph):
         """No lost requests: with retries disabled, every injected kill
