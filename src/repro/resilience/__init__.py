@@ -32,6 +32,8 @@ through lazy calls in ``health()``/``start()``).
 
 from repro.resilience.chaos import (
     SCENARIOS,
+    SEEDED_COUNTS,
+    TIMING_COUNTS,
     ChaosScenario,
     ScenarioOutcome,
     run_scenario,
@@ -51,9 +53,11 @@ __all__ = [
     "HealthReport",
     "ReapReport",
     "SCENARIOS",
+    "SEEDED_COUNTS",
     "ScenarioOutcome",
     "SegmentHealth",
     "Supervisor",
+    "TIMING_COUNTS",
     "WorkerHealth",
     "build_health_report",
     "reap_orphans",

@@ -1,29 +1,33 @@
 """Declarative chaos scenarios and the one runner that executes them.
 
-Chaos knobs used to live scattered across scripts: ``stress_service.py``
-hand-rolled kill/fault storms, ``fuzz_determinism.py`` hand-rolled
-another, and nothing exercised the shard or segment layers at all.  This
-module replaces the ad-hoc knobs with *data*: a :class:`ChaosScenario`
-names one failure mode — seeded kernel faults, worker kills pre/post
-compute, shard deaths mid-barrier, shared-segment corruption/unlink,
-orphaned segments, deadline storms, queue floods, and the **network
-axes** (connection floods, slow-loris clients, gateway kills
-mid-request, cache poisoning) that attack the HTTP front door — and
-:func:`run_scenario` executes any of them through the same checks:
+A :class:`ChaosScenario` names one failure mode as data — seeded kernel
+faults, worker kills pre/post compute, the mixed kill-and-fault request
+storm, shard deaths mid-barrier, shared-segment corruption/unlink,
+orphaned segments, deadline storms, queue floods, session churn,
+ambiguous session retries, and the **network axes** (connection floods,
+slow-loris clients, gateway kills mid-request, cache poisoning) that
+attack the HTTP front door — and :func:`run_scenario` executes any of
+them through the same checks:
 
-* every completed solve must be **bit-identical** to a single-process
-  reference (the sequential-greedy answer, via ``method="rootset"``);
+* every verified answer must be **bit-identical** to Algorithm 1, the
+  sequential greedy solve (``method="sequential"``) of the same
+  instance;
 * every failure must surface as a **typed** :class:`~repro.errors.
   ReproError` — a bare ``Exception`` escaping the stack is a finding;
+* every requested operation ends exactly once, as a verified answer, a
+  typed failure or shed load; the runner's own re-solves and
+  final-answer checks count apart, as ``checks``;
 * after the run, **zero** leaked ``repro-*`` shared-memory segments
   (orphans must fall to :func:`~repro.resilience.reaper.reap_orphans`)
   and **zero** stray child processes.
 
-The canonical :data:`SCENARIOS` tuple is what the soak script
-(``scripts/soak_resilience.py``) and the chaos test suite iterate;
-``scenario.scaled(0.25)`` shrinks any scenario for smoke runs.  All
-randomness derives from ``(scenario.seed, seed_offset, i)`` streams, so
-a failing scenario replays exactly.
+The canonical :data:`SCENARIOS` tuple is what ``scripts/soak_resilience.py``
+(the one chaos runner and report) and the chaos test suite iterate;
+``scenario.scaled(0.34)`` shrinks any scenario for smoke runs.  All
+randomness derives from ``(scenario.seed, seed_offset, i)`` streams.  A
+service row's :attr:`ScenarioOutcome.counts` splits the chaos counts the
+seed fixes (:data:`SEEDED_COUNTS`) from those that depend on completion
+order (:data:`TIMING_COUNTS`).
 """
 
 from __future__ import annotations
@@ -52,13 +56,20 @@ from repro.errors import (
     ReproError,
     WorkerCrashError,
 )
-from repro.graphs.generators.random_graphs import uniform_random_graph
+from repro.graphs.generators import (
+    cycle_graph,
+    grid_graph,
+    rmat_graph,
+    uniform_random_graph,
+)
 from repro.resilience.reaper import _segment_exists, reap_orphans
 from repro.service.config import ServiceConfig, SolveRequest
 from repro.service.service import SolverService
 
 __all__ = [
     "SCENARIOS",
+    "SEEDED_COUNTS",
+    "TIMING_COUNTS",
     "ChaosScenario",
     "ScenarioOutcome",
     "run_scenario",
@@ -70,6 +81,17 @@ _NETWORK_ATTACKS = (
     None, "conn_flood", "slow_client", "gateway_kill_mid_request",
     "cache_poison_guard",
 )
+
+#: Chaos counts the seed fixes when requests are submitted in order and
+#: no breaker moves an attempt: an attempt's kill, and its fault on a
+#: given engine, come from a stream keyed by (chaos seed, request id,
+#: attempt).
+SEEDED_COUNTS = (
+    "crashes", "restarts", "retries", "faults_armed", "faults_landed",
+)
+#: Chaos counts that depend on completion order: a breaker opens on
+#: consecutive failures across workers, and an open breaker degrades.
+TIMING_COUNTS = ("breaker_trips", "degraded")
 
 
 @dataclass(frozen=True)
@@ -83,11 +105,15 @@ class ChaosScenario:
     ``shard_kill`` runs at the engine/backends level against a
     :class:`~repro.backends.executor.FrontierExecutor`;
     ``segment_attack="orphan"`` SIGKILLs a segment-owning child process
-    and requires the reaper to recover.  ``gateway=True`` (implied by
-    any ``network_attack``) drives the storm through a live
-    :class:`~repro.service.http.HTTPGateway` over real sockets, layering
-    the network attack on top of whatever service-level chaos the
-    scenario arms.
+    and requires the reaper to recover.  The other service rows run the
+    mixed request plan: each request draws its graph family (uniform,
+    rMat, grid, cycle) and its problem from the seeded stream, and every
+    fifth carries a 30 s deadline (``deadline_storm`` swaps in 2 ms and
+    30 s deadlines on alternate requests).  ``gateway=True``
+    (implied by any ``network_attack``) drives the requests through a
+    live :class:`~repro.service.http.HTTPGateway` over real sockets,
+    layering the network attack on top of whatever service-level chaos
+    the scenario arms.
     """
 
     name: str
@@ -176,9 +202,8 @@ SCENARIOS: Tuple[ChaosScenario, ...] = (
         "kernel-faults",
         "seeded kernel faults armed inside workers; every armed attempt "
         "runs fully guarded, so faults are detected or harmless "
-        "(requests pin rootset-vec, whose kernels every fault but "
-        "min-lift reaches; the served default, prefix, takes only "
-        "min-lift)",
+        "(requests pin rootset-vec, so the frontier faults are the ones "
+        "armed; the served default, prefix, binds only min-lift's kernel)",
         requests=12, fault_probability=0.35, max_retries=6, seed=202,
     ),
     ChaosScenario(
@@ -230,12 +255,24 @@ SCENARIOS: Tuple[ChaosScenario, ...] = (
         requests=20, queue_flood=True, max_queue=4, seed=1010,
     ),
     ChaosScenario(
+        "service-storm",
+        "a mixed MIS/MM request storm over uniform, rMat, grid and cycle "
+        "graphs, every fifth request with a deadline, while workers are "
+        "hard-killed and kernel faults are armed on the engine each "
+        "attempt runs; answers are bit-identical, failures typed, and "
+        "the pool ends at full strength",
+        requests=200, max_queue=200, kill_probability=0.2,
+        fault_probability=0.2, max_retries=8, seed=0,
+    ),
+    ChaosScenario(
         "gateway-storm",
         "concurrent HTTP solves over real sockets while workers are "
-        "hard-killed and half the requests carry tiny deadlines; every "
-        "response is a verified answer or a typed error, never a 500",
-        requests=12, kill_probability=0.2, max_retries=8,
-        deadline_storm=True, gateway=True, seed=1111,
+        "hard-killed and kernel faults are armed; a quarter of the "
+        "requests carry 2 ms deadlines and a quarter an unmeetable 10 µs "
+        "one; every response is a verified answer or a typed error, never "
+        "a 500, the untyped-error counter stays 0 and health recovers",
+        requests=40, kill_probability=0.2, fault_probability=0.2,
+        max_retries=8, deadline_storm=True, gateway=True, seed=1111,
     ),
     ChaosScenario(
         "conn-flood",
@@ -284,7 +321,7 @@ SCENARIOS: Tuple[ChaosScenario, ...] = (
         "persisted snapshots — in the commit-vs-respond window; every "
         "retry carries the same idempotency key and must be applied "
         "exactly once, with the final answers bit-identical to a "
-        "from-scratch rootset-vec solve of the shadow graph",
+        "sequential greedy solve of the shadow graph",
         requests=12, kill_probability=0.35, max_retries=8,
         ambiguous_retry=True, seed=1717,
     ),
@@ -304,12 +341,26 @@ def scenario_by_name(name: str) -> ChaosScenario:
 
 @dataclass
 class ScenarioOutcome:
-    """What one :func:`run_scenario` execution observed."""
+    """What one :func:`run_scenario` execution observed.
+
+    ``requests`` counts the operations the scenario asked for: solves,
+    reap rounds, or session mutations (one per session per batch).  Each
+    ends exactly once, as a verified answer (``completed``), a typed
+    failure (``failures``, by class) or shed load (``shed``); one that
+    ends otherwise is listed in ``untyped_failures`` or ``mismatches``.
+    ``checks`` counts the verified answers the runner asks for on its
+    own: re-solves after a shard kill, a session's final answer, the
+    cache-poison probe and a fresh gateway's serve.  ``counts`` holds a
+    service row's chaos counts (:data:`SEEDED_COUNTS` and
+    :data:`TIMING_COUNTS`), and ``attempts`` each finished request's
+    attempt log, in request-id order.
+    """
 
     scenario: str
     requests: int
     completed: int = 0
     shed: int = 0
+    checks: int = 0
     failures: Dict[str, int] = field(default_factory=dict)  #: typed, by class
     untyped_failures: List[str] = field(default_factory=list)
     mismatches: List[str] = field(default_factory=list)
@@ -317,7 +368,8 @@ class ScenarioOutcome:
     reaped_segments: List[str] = field(default_factory=list)
     stray_processes: List[str] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
-    stats: Dict[str, Any] = field(default_factory=dict)
+    counts: Dict[str, int] = field(default_factory=dict)
+    attempts: List[List[Dict[str, Any]]] = field(default_factory=list)
     duration_s: float = 0.0
 
     @property
@@ -330,12 +382,14 @@ class ScenarioOutcome:
         """The scenario's invariants all held.
 
         Typed failures and shed load are *expected* under chaos; what
-        must never happen is an untyped error, a result mismatch, a
-        leaked segment surviving the reap, a stray process — or nothing
-        completing at all.
+        must never happen is a requested operation that ends neither
+        verified, typed nor shed (or ends twice), an untyped error, a
+        result mismatch, a leaked segment surviving the reap, a stray
+        process — or nothing verified at all.
         """
         return (
-            self.completed > 0
+            self.completed + self.checks > 0
+            and self.completed + self.failed + self.shed == self.requests
             and not self.untyped_failures
             and not self.mismatches
             and not self.leaked_segments
@@ -353,6 +407,7 @@ class ScenarioOutcome:
             "requests": self.requests,
             "completed": self.completed,
             "shed": self.shed,
+            "checks": self.checks,
             "failures": dict(self.failures),
             "untyped_failures": list(self.untyped_failures),
             "mismatches": list(self.mismatches),
@@ -360,7 +415,7 @@ class ScenarioOutcome:
             "reaped_segments": list(self.reaped_segments),
             "stray_processes": list(self.stray_processes),
             "notes": list(self.notes),
-            "stats": dict(self.stats),
+            "counts": dict(self.counts),
             "duration_s": round(self.duration_s, 3),
         }
 
@@ -383,11 +438,13 @@ def _build_graphs(seed: int):
     ]
 
 
-def _reference(problem: str, graph, seed: int, ranks=None):
-    """The sequential-greedy answer every chain engine must reproduce."""
+def _reference(problem: str, graph, seed: int = 0, ranks=None):
+    """Algorithm 1's answer, which every engine and schedule must return."""
     if problem == "mis":
-        return maximal_independent_set(graph, ranks, method="rootset", seed=seed)
-    return maximal_matching(graph, ranks, method="rootset", seed=seed)
+        return maximal_independent_set(
+            graph, ranks, method="sequential", seed=seed
+        )
+    return maximal_matching(graph, ranks, method="sequential", seed=seed)
 
 
 def _matches(result, ref) -> bool:
@@ -401,6 +458,49 @@ def _matches(result, ref) -> bool:
         and np.array_equal(result.edge_u, ref.edge_u)
         and np.array_equal(result.edge_v, ref.edge_v)
     )
+
+
+class _LoggedService(SolverService):
+    """A service that keeps each finished request's attempt log, by
+    request id, and counts degraded serves, for :func:`_count_chaos`."""
+
+    def __init__(self, config: ServiceConfig) -> None:
+        super().__init__(config)
+        self.attempt_logs: Dict[int, List[Dict[str, Any]]] = {}
+        self.degraded = 0
+
+    def _finish_ok(self, ticket, value, now) -> None:
+        if not ticket.future.done():
+            self.attempt_logs[ticket.id] = ticket.attempts
+            stats = getattr(value, "stats", None)
+            self.degraded += bool(stats is not None and stats.aux.get("degraded"))
+        super()._finish_ok(ticket, value, now)
+
+    def _finish_error(self, ticket, exc, now) -> None:
+        if not ticket.future.done():
+            self.attempt_logs[ticket.id] = ticket.attempts
+        super()._finish_error(ticket, exc, now)
+
+
+def _count_chaos(outcome: ScenarioOutcome, svc: _LoggedService) -> None:
+    """Fill ``outcome.counts`` and ``outcome.attempts`` from *svc*."""
+    stats = svc.stats()
+    outcome.attempts = [svc.attempt_logs[k] for k in sorted(svc.attempt_logs)]
+    armed = [
+        a for log in outcome.attempts for a in log
+        if "fault" in (a["chaos"] or {})
+    ]
+    outcome.counts = {
+        "crashes": stats.worker_crashes,
+        "restarts": stats.worker_restarts,
+        "retries": stats.retries,
+        "faults_armed": len(armed),
+        "faults_landed": sum(
+            a.get("outcome", "").startswith("error") for a in armed
+        ),
+        "breaker_trips": stats.breaker_trips,
+        "degraded": svc.degraded,
+    }
 
 
 def _collect_strays(outcome: ScenarioOutcome) -> None:
@@ -446,42 +546,65 @@ def run_scenario(
     return outcome
 
 
+def _service_plans(scenario: ChaosScenario, seed_offset: int):
+    """Per request, (problem, payload, seed, timeout_s).
+
+    The mixed plan: each request draws a graph family and a problem from
+    the seeded stream, and every fifth carries a generous 30 s deadline,
+    so the deadline path runs without expiring.
+    """
+    seed = scenario.seed + seed_offset
+    if scenario.segment_attack in ("unlink", "corrupt"):
+        # Segment attacks target the one registered graph, so every
+        # request must ride the shared-memory path.
+        return [("mis", _build_graphs(seed)[0], 0, None)] * scenario.requests
+    graphs = {
+        "uniform": uniform_random_graph(400, 1600, seed=seed),
+        "rmat": rmat_graph(9, 1500, seed=seed + 1),
+        "grid": grid_graph(20, 20),
+        "cycle": cycle_graph(300),
+    }
+    names = sorted(graphs)
+    rng = np.random.default_rng(seed)
+    plans = []
+    for i in range(scenario.requests):
+        graph = graphs[names[int(rng.integers(len(names)))]]
+        problem = "mis" if rng.integers(2) == 0 else "matching"
+        timeout_s = 30.0 if i % 5 == 0 else None
+        if scenario.deadline_storm:
+            timeout_s = 0.002 if i % 2 == 1 else 30.0
+        plans.append((
+            problem,
+            graph if problem == "mis" else graph.edge_list(),
+            int(rng.integers(2**31)),
+            timeout_s,
+        ))
+    return plans
+
+
 def _run_service(scenario: ChaosScenario, seed_offset: int) -> ScenarioOutcome:
     outcome = ScenarioOutcome(scenario.name, scenario.requests)
-    rng = np.random.default_rng((scenario.seed, seed_offset))
-    graphs = _build_graphs(scenario.seed + seed_offset)
+    plans = _service_plans(scenario, seed_offset)
     segment_mode = scenario.segment_attack in ("unlink", "corrupt")
 
-    plans: List[Tuple[str, int, int]] = []
-    for i in range(scenario.requests):
-        if segment_mode:
-            # Segment attacks target the one registered graph, so every
-            # request must ride the shared-memory path.
-            plans.append(("mis", 0, 0))
-        else:
-            plans.append((
-                "mis" if i % 2 == 0 else "matching",
-                i % len(graphs),
-                int(rng.integers(2**31)),
-            ))
-
-    shared_ranks = None
+    graph0 = shared_ranks = None
     if segment_mode:
+        graph0 = plans[0][1]
         shared_ranks = np.random.default_rng(scenario.seed).permutation(
-            graphs[0].num_vertices
+            graph0.num_vertices
         ).astype(np.int64)
     refs = [
-        _reference(problem, graphs[gi], s, shared_ranks if segment_mode else None)
-        for problem, gi, s in plans
+        _reference(problem, payload, s, shared_ranks)
+        for problem, payload, s, _ in plans
     ]
 
-    svc = SolverService(scenario.service_config())
+    svc = _LoggedService(scenario.service_config())
     svc.start()
     try:
         registered = None
         request_ranks = None
         if segment_mode:
-            registered = svc.register_graph(graphs[0], shared_ranks)
+            registered = svc.register_graph(graph0, shared_ranks)
             # Requests reference the registered π via its shared view, so
             # workers take the zero-copy path (and, for the corruption
             # attack, read the poisoned array).
@@ -490,13 +613,10 @@ def _run_service(scenario: ChaosScenario, seed_offset: int) -> ScenarioOutcome:
         futures: List[Optional[Any]] = [None] * len(plans)
 
         def submit(i: int) -> None:
-            problem, gi, s = plans[i]
-            timeout_s = None
-            if scenario.deadline_storm:
-                timeout_s = 0.002 if i % 2 == 1 else 30.0
+            problem, payload, s, timeout_s = plans[i]
             request = SolveRequest(
                 problem,
-                graphs[gi],
+                payload,
                 ranks=request_ranks,
                 timeout_seconds=timeout_s,
                 options={} if segment_mode else {"seed": s},
@@ -507,8 +627,8 @@ def _run_service(scenario: ChaosScenario, seed_offset: int) -> ScenarioOutcome:
                 request.method = "parallel-vec"
                 request.options.update(workers=2, min_fanout=0)
             if scenario.name == "kernel-faults":
-                # Every kernel fault but min-lift strikes a kernel that
-                # rootset-vec calls and the served default (prefix) does not.
+                # Faults are armed from the kinds the engine binds: the
+                # frontier faults on rootset-vec, only min-lift on prefix.
                 request.method = "rootset-vec"
             try:
                 futures[i] = svc.submit(request, block=not scenario.queue_flood)
@@ -524,7 +644,7 @@ def _run_service(scenario: ChaosScenario, seed_offset: int) -> ScenarioOutcome:
                 if fut is not None:
                     fut.exception(timeout=60.0)
             if scenario.segment_attack == "unlink":
-                svc.release_graph(graphs[0])
+                svc.release_graph(graph0)
                 request_ranks = shared_ranks  # back to the pickled path
             else:
                 poison = SharedArrays.attach(registered.name, writable=True)
@@ -552,7 +672,12 @@ def _run_service(scenario: ChaosScenario, seed_offset: int) -> ScenarioOutcome:
                 outcome.untyped_failures.append(
                     f"request {i}: {type(exc).__name__}: {exc}"
                 )
-        outcome.stats = svc.stats().as_dict()
+        _count_chaos(outcome, svc)
+        alive = svc.stats().workers_alive
+        if alive != scenario.workers:
+            outcome.untyped_failures.append(
+                f"{alive}/{scenario.workers} workers alive after the run"
+            )
     finally:
         svc.shutdown(drain=False)
     return outcome
@@ -578,7 +703,9 @@ def _run_shard_kill(scenario: ChaosScenario, seed_offset: int) -> ScenarioOutcom
             except (WorkerCrashError, DeadlineExceededError) as exc:
                 outcome._count_failure(exc)
             else:
-                if not _matches(first, ref):
+                if _matches(first, ref):
+                    outcome.completed += 1
+                else:
                     outcome.mismatches.append(
                         f"solve {i} diverged with an armed shard kill"
                     )
@@ -592,14 +719,14 @@ def _run_shard_kill(scenario: ChaosScenario, seed_offset: int) -> ScenarioOutcom
                         workers=workers, min_fanout=0,
                     )
                     break
-                except WorkerCrashError as exc:
-                    outcome._count_failure(exc)
+                except WorkerCrashError:
+                    continue
             if recovered is None:
                 outcome.untyped_failures.append(
                     f"solve {i}: pool never recovered from shard kill"
                 )
             elif _matches(recovered, ref):
-                outcome.completed += 1
+                outcome.checks += 1
             else:
                 outcome.mismatches.append(
                     f"solve {i} diverged after pool respawn"
@@ -703,7 +830,8 @@ def _run_session_churn(
     """
     from repro.dynamic.jobs import _maintainer_from_state
 
-    outcome = ScenarioOutcome(scenario.name, scenario.requests)
+    # One requested mutation per session per batch.
+    outcome = ScenarioOutcome(scenario.name, 2 * scenario.requests)
     rng = np.random.default_rng((scenario.seed, seed_offset))
     graph = uniform_random_graph(220, 640, seed=scenario.seed + seed_offset)
     n = graph.num_vertices
@@ -711,7 +839,7 @@ def _run_session_churn(
     el = graph.edge_list()
     base_edges = set(zip(el.u.tolist(), el.v.tolist()))
 
-    svc = SolverService(scenario.service_config())
+    svc = _LoggedService(scenario.service_config())
     svc.start()
     try:
         sessions: Dict[str, Dict[str, Any]] = {}
@@ -776,14 +904,14 @@ def _run_session_churn(
                 continue
             result = svc.session_result(rec["id"])
             if problem == "mis":
-                ref = maximal_independent_set(mutated, pi, method="rootset")
+                ref = _reference("mis", mutated, ranks=pi)
             else:
-                ref = maximal_matching(
-                    maintainer.edge_list(), maintainer.current_ranks(),
-                    method="rootset",
+                ref = _reference(
+                    "matching", maintainer.edge_list(),
+                    ranks=maintainer.current_ranks(),
                 )
             if np.array_equal(result.status, ref.status):
-                outcome.completed += 1
+                outcome.checks += 1
                 outcome.notes.append(
                     f"{problem} session bit-identical to from-scratch "
                     f"greedy after {snap['version']} committed versions"
@@ -793,7 +921,7 @@ def _run_session_churn(
                     f"{problem} session diverged from the from-scratch "
                     "greedy answer on the mutated graph"
                 )
-        outcome.stats = svc.stats().as_dict()
+        _count_chaos(outcome, svc)
     finally:
         svc.shutdown(drain=False)
     return outcome
@@ -823,8 +951,8 @@ def _run_ambiguous_retry(
     In every case the client retries with the *same* key.  The retry
     must leave the session at exactly one version past the pre-mutation
     version (a double-apply moves it two), and the final MIS/MM answers
-    must be bit-identical to a from-scratch ``rootset-vec`` solve of
-    the independently tracked shadow graph.  The snapshot directory
+    must be bit-identical to a sequential greedy solve of the
+    independently tracked shadow graph.  The snapshot directory
     must also end with zero ``.corrupt`` quarantine files.
     """
     import shutil
@@ -834,7 +962,8 @@ def _run_ambiguous_retry(
     from repro.dynamic.store import SnapshotStore
     from repro.service.http import GatewayConfig, HTTPGateway, request_json
 
-    outcome = ScenarioOutcome(scenario.name, scenario.requests)
+    # One requested mutation per session per batch.
+    outcome = ScenarioOutcome(scenario.name, 2 * scenario.requests)
     rng = np.random.default_rng((scenario.seed, seed_offset))
     graph = uniform_random_graph(180, 520, seed=scenario.seed + seed_offset)
     n = graph.num_vertices
@@ -970,25 +1099,22 @@ def _run_ambiguous_retry(
                 continue
             result = gw.service.session_result(rec["id"])
             if problem == "mis":
-                ref = maximal_independent_set(
-                    mutated, pi, method="rootset-vec"
-                )
+                ref = _reference("mis", mutated, ranks=pi)
             else:
-                ref = maximal_matching(
-                    maintainer.edge_list(), maintainer.current_ranks(),
-                    method="rootset-vec",
+                ref = _reference(
+                    "matching", maintainer.edge_list(),
+                    ranks=maintainer.current_ranks(),
                 )
             if np.array_equal(result.status, ref.status):
-                outcome.completed += 1
+                outcome.checks += 1
                 outcome.notes.append(
-                    f"{problem} session bit-identical to from-scratch "
-                    f"rootset-vec after {snap['version']} committed "
-                    f"versions"
+                    f"{problem} session bit-identical to sequential "
+                    f"greedy after {snap['version']} committed versions"
                 )
             else:
                 outcome.mismatches.append(
-                    f"{problem} session diverged from the from-scratch "
-                    "rootset-vec answer on the shadow graph"
+                    f"{problem} session diverged from the sequential "
+                    "greedy answer on the shadow graph"
                 )
 
         corrupt = SnapshotStore(session_dir).corrupt_files()
@@ -1006,10 +1132,6 @@ def _run_ambiguous_retry(
             gw.address, "GET", "/v1/metrics", timeout=30.0
         )
         if status == 200:
-            outcome.stats = {
-                "sessions": metrics.get("sessions", {}),
-                "service": metrics.get("service", {}),
-            }
             untyped = metrics["gateway"]["untyped_errors"]
             if untyped:
                 outcome.untyped_failures.append(
@@ -1143,7 +1265,7 @@ def _attack_cache_poison(
     status, headers, body = request_json(
         addr, "POST", "/v1/solve", {"graph": "chaos"}, timeout=60.0
     )
-    ref_before = _reference("mis", graph, 0, pi)
+    ref_before = _reference("mis", graph, ranks=pi)
     if status != 200 or not _http_matches(body, ref_before):
         outcome.mismatches.append(
             f"cache_poison_guard: pre-poison solve wrong (status {status})"
@@ -1161,7 +1283,7 @@ def _attack_cache_poison(
         ranks = poison.arrays["ranks"]
         ranks[0], ranks[1] = int(ranks[1]), int(ranks[0])
         poison.close()
-    ref_after = _reference("mis", graph, 0, record.ranks.copy())
+    ref_after = _reference("mis", graph, ranks=record.ranks.copy())
     status, headers, body = request_json(
         addr, "POST", "/v1/solve", {"graph": "chaos"}, timeout=60.0
     )
@@ -1182,7 +1304,7 @@ def _attack_cache_poison(
             "reference for the mutated π"
         )
     else:
-        outcome.completed += 1
+        outcome.checks += 1
         outcome.notes.append(
             "cache_poison_guard: in-place π mutation forced a recomputed "
             "digest miss and a fresh correct solve"
@@ -1199,9 +1321,9 @@ def _run_gateway(scenario: ChaosScenario, seed_offset: int) -> ScenarioOutcome:
     pi = np.random.default_rng(scenario.seed).permutation(
         graphs[0].num_vertices
     ).astype(np.int64)
-    ref0 = _reference("mis", graphs[0], 0, pi)
+    ref0 = _reference("mis", graphs[0], ranks=pi)
 
-    service = SolverService(scenario.service_config(cache_entries=64))
+    service = _LoggedService(scenario.service_config(cache_entries=64))
     gateway = HTTPGateway(
         service,
         GatewayConfig(
@@ -1243,18 +1365,31 @@ def _run_gateway(scenario: ChaosScenario, seed_offset: int) -> ScenarioOutcome:
                 plans.append(
                     (problem, body, _reference(problem, graphs[gi], s))
                 )
-            if scenario.deadline_storm and i % 4 == 1:
-                plans[-1][1]["timeout_s"] = 0.002
+            if scenario.deadline_storm and i % 2 == 1:
+                # 2 ms may expire or not; 10 µs no solve can meet, so it
+                # must come back a typed 504, never a hung socket.
+                plans[-1][1]["timeout_s"] = 0.002 if i % 4 == 1 else 1e-5
 
         results: List[Optional[Tuple[Any, Any, Any]]] = [None] * len(plans)
+        # Half the connection slots: the storm's requests are admitted,
+        # and conn-flood is the row that fills the bound.
+        clients = threading.BoundedSemaphore(
+            max(1, gateway.config.max_connections // 2)
+        )
 
         def issue(i: int) -> None:
-            try:
-                results[i] = request_json(
-                    addr, "POST", "/v1/solve", plans[i][1], timeout=120.0
-                )
-            except (ConnectionError, OSError, TimeoutError) as exc:
-                results[i] = ("conn", type(exc).__name__, str(exc))
+            with clients:
+                try:
+                    # One request per connection, said so: a worker forked
+                    # while this socket is open keeps it open after the
+                    # client closes, and the gateway would hold the
+                    # keep-alive slot until its header timeout.
+                    results[i] = request_json(
+                        addr, "POST", "/v1/solve", plans[i][1],
+                        headers={"Connection": "close"}, timeout=120.0,
+                    )
+                except (ConnectionError, OSError, TimeoutError) as exc:
+                    results[i] = ("conn", type(exc).__name__, str(exc))
 
         threads = [
             threading.Thread(target=issue, args=(i,), daemon=True)
@@ -1297,22 +1432,22 @@ def _run_gateway(scenario: ChaosScenario, seed_offset: int) -> ScenarioOutcome:
                 outcome.untyped_failures.append(
                     f"request {i}: untyped 500: {body}"
                 )
+            elif status == 429:
+                outcome.shed += 1
             elif isinstance(body, dict) and body.get("error"):
                 key = body["error"]
                 outcome.failures[key] = outcome.failures.get(key, 0) + 1
-                if status == 429:
-                    outcome.shed += 1
             else:
                 outcome.untyped_failures.append(
                     f"request {i}: status {status} without a typed error body"
                 )
 
         if not stopped:
+            _count_chaos(outcome, service)
             status, _, metrics = request_json(
                 addr, "GET", "/v1/metrics", timeout=30.0
             )
             if status == 200:
-                outcome.stats = metrics
                 untyped = metrics["gateway"]["untyped_errors"]
                 if untyped:
                     outcome.untyped_failures.append(
@@ -1343,7 +1478,7 @@ def _run_gateway(scenario: ChaosScenario, seed_offset: int) -> ScenarioOutcome:
                 timeout=60.0,
             )
             if status == 200 and _http_matches(body, ref0):
-                outcome.completed += 1
+                outcome.checks += 1
                 outcome.notes.append("fresh gateway served after the kill")
             else:
                 outcome.untyped_failures.append(

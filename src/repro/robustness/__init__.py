@@ -26,6 +26,7 @@ from repro.robustness.faults import (
     FaultSpec,
     corrupt_graph,
     corrupt_ranks,
+    kernel_faults_for,
 )
 from repro.robustness.guards import (
     GUARD_MODES,
@@ -50,6 +51,7 @@ __all__ = [
     "GRAPH_FAULTS",
     "FaultSpec",
     "ChaosInjector",
+    "kernel_faults_for",
     "corrupt_ranks",
     "corrupt_graph",
     "GUARD_MODES",

@@ -39,6 +39,7 @@ __all__ = [
     "FAULT_KINDS",
     "FaultSpec",
     "ChaosInjector",
+    "kernel_faults_for",
     "corrupt_ranks",
     "corrupt_graph",
 ]
@@ -60,6 +61,29 @@ RANK_FAULTS = ("rank-nan", "rank-dup", "rank-oob", "rank-short")
 GRAPH_FAULTS = ("csr-truncate", "csr-nonmonotone", "csr-oob")
 
 FAULT_KINDS = tuple(KERNEL_FAULTS) + RANK_FAULTS + GRAPH_FAULTS
+
+
+def _binds(module: str, kernel: str) -> bool:
+    """Whether *module* is a patch site holding the live *kernel*: the
+    test :meth:`ChaosInjector.__enter__` patches by."""
+    live = getattr(importlib.import_module("repro.kernels.frontier"), kernel)
+    return (
+        module in PATCH_MODULES
+        and getattr(importlib.import_module(module), kernel, None) is live
+    )
+
+
+def kernel_faults_for(module: str) -> Tuple[str, ...]:
+    """The kernel faults that reach code in *module*, in
+    :data:`KERNEL_FAULTS` order: those whose kernel the module binds.
+
+    ``kernel_faults_for("repro.core.mis.prefix")`` is ``("min-lift",)``;
+    a module that calls no frontier kernel (the ``sequential`` engines)
+    gets ``()``.
+    """
+    return tuple(
+        kind for kind, kernel in KERNEL_FAULTS.items() if _binds(module, kernel)
+    )
 
 
 @dataclass(frozen=True)
@@ -243,12 +267,13 @@ class ChaosInjector:
     def __enter__(self) -> "ChaosInjector":
         name = KERNEL_FAULTS[self.spec.kind]
         original = getattr(importlib.import_module("repro.kernels.frontier"), name)
+        # Find every site before patching: the definition site is one.
+        sites = [m for m in PATCH_MODULES if _binds(m, name)]
         wrapper = self._make_wrapper(original)
-        for mod_name in PATCH_MODULES:
+        for mod_name in sites:
             mod = importlib.import_module(mod_name)
-            if getattr(mod, name, None) is original:
-                self._saved.append((mod, name, original))
-                setattr(mod, name, wrapper)
+            self._saved.append((mod, name, original))
+            setattr(mod, name, wrapper)
         return self
 
     def __exit__(self, *exc_info: object) -> None:

@@ -10,8 +10,10 @@ crash-isolated call (``problem="call"``).
 
 Everything random in the service (backoff jitter, chaos draws) is
 derived from seeds in the config via per-request, per-attempt
-``np.random.default_rng((seed, request_id, attempt))`` streams, so a
-chaos finding replays exactly regardless of completion order.
+``np.random.default_rng((seed, request_id, attempt))`` streams, so an
+attempt's kill, and its fault on a given engine, replay regardless of
+completion order.  Which engine an attempt runs can depend on breaker
+state, which does not replay (see :mod:`repro.service.service`).
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 from repro.core.options import SolveOptions
-from repro.robustness.faults import KERNEL_FAULTS
 
 __all__ = ["ServiceConfig", "SolveRequest"]
 
@@ -79,12 +80,13 @@ class ServiceConfig:
         Chaos: probability that an attempt's worker is hard-killed
         (``os._exit``), and where (``"pre"``/``"post"`` compute; ``None``
         picks per-attempt from the seeded stream).
-    fault_probability, fault_kinds:
+    fault_probability:
         Chaos: probability that a seeded kernel
         :class:`~repro.robustness.FaultSpec` is armed inside the worker
-        for the attempt, and the kinds drawn from.  A kind whose kernel
-        the attempt's engine never calls does nothing: of the default
-        kinds, only ``"min-lift"`` reaches the default ``prefix``.
+        for the attempt.  The kind is drawn from those whose kernel the
+        attempt's engine binds (:func:`~repro.robustness.kernel_faults_for`):
+        ``"min-lift"`` on ``prefix``, four frontier faults on
+        ``rootset-vec``, none on ``sequential``.
     worker_sys_path:
         Extra ``sys.path`` entries prepended in workers (lets ``"call"``
         jobs import script modules).
@@ -138,7 +140,6 @@ class ServiceConfig:
     kill_probability: float = 0.0
     kill_point: Optional[str] = None
     fault_probability: float = 0.0
-    fault_kinds: Tuple[str, ...] = tuple(KERNEL_FAULTS)
     chaos_seed: int = 0
     worker_sys_path: Tuple[str, ...] = ()
     tick: float = 0.02
@@ -176,12 +177,6 @@ class ServiceConfig:
             raise ValueError(
                 f"kill_point must be None, 'pre' or 'post', got {self.kill_point!r}"
             )
-        for kind in self.fault_kinds:
-            if kind not in KERNEL_FAULTS:
-                raise ValueError(
-                    f"fault_kinds may only contain kernel faults "
-                    f"{tuple(KERNEL_FAULTS)}, got {kind!r}"
-                )
         if not self.deadline_grace >= 0:
             raise ValueError(
                 f"deadline_grace must be >= 0, got {self.deadline_grace}"

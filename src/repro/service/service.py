@@ -39,8 +39,15 @@
   cross-layer health report.
 
 The scheduler runs on one background thread; workers are the only other
-processes.  All randomness (jitter, chaos draws) comes from per-request
-seeded streams, so fault storms replay exactly.
+processes.  All randomness (jitter, chaos draws) comes from streams
+keyed by (seed, request id, attempt).  So at one seed a storm submitted
+in order replays its kills: the crash, restart and retry counts of a
+kill storm, and every attempt's chaos and outcome, repeat run to run.
+A fault is drawn from the kinds the attempt's engine binds, so it
+replays as long as the engine does.  Breaker trips, and with them
+degraded serves, do not replay: a breaker counts consecutive failures
+in completion order across workers, which depends on timing, and an
+attempt it moves to another engine draws from that engine's faults.
 """
 
 from __future__ import annotations
@@ -65,6 +72,7 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.graphs.csr import EdgeList
+from repro.robustness.faults import kernel_faults_for
 from repro.service.breaker import CircuitBreaker
 from repro.service.cache import ResultCache, request_key
 from repro.service.config import ServiceConfig, SolveRequest
@@ -745,7 +753,9 @@ class SolverService:
             )
         )
 
-    def _chaos_for(self, ticket: _Ticket) -> Optional[Dict[str, Any]]:
+    def _chaos_for(
+        self, ticket: _Ticket, method: str
+    ) -> Optional[Dict[str, Any]]:
         cfg = self.config
         if not cfg.chaos_enabled:
             return None
@@ -754,12 +764,16 @@ class SolverService:
         if rng.random() < cfg.kill_probability:
             point = cfg.kill_point or ("pre" if rng.random() < 0.5 else "post")
             return {"kill_point": point}
-        if (
-            ticket.request.problem != "call"
-            and cfg.fault_kinds
-            and rng.random() < cfg.fault_probability
-        ):
-            kind = cfg.fault_kinds[int(rng.integers(len(cfg.fault_kinds)))]
+        problem = ticket.request.problem
+        if problem != "call" and rng.random() < cfg.fault_probability:
+            # Arm only a fault that can strike: one whose kernel the
+            # attempt's engine binds (none, for ``sequential``).
+            kinds = kernel_faults_for(
+                engine_registry.get_engine(problem, method).module
+            )
+            if not kinds:
+                return None
+            kind = kinds[int(rng.integers(len(kinds)))]
             return {
                 "fault": {
                     "kind": kind,
@@ -774,7 +788,7 @@ class SolverService:
     ) -> Dict[str, Any]:
         req = ticket.request
         job: Dict[str, Any] = {"id": ticket.id, "problem": req.problem}
-        chaos = self._chaos_for(ticket)
+        chaos = self._chaos_for(ticket, method)
         if req.problem == "call":
             job["module"] = req.payload["module"]
             job["func"] = req.payload["func"]

@@ -173,10 +173,12 @@ class TestDocsFilesExist:
 
 
 class TestScriptReferences:
-    """Every ``scripts/<name>.py`` the living docs name must exist.
+    """Every ``scripts/<name>.py`` and ``results/<name>.md`` the living
+    docs name must exist.
 
     History files (CHANGELOG.md, CHANGES.md, ROADMAP.md and
-    ``perfbench/``) record retired scripts on purpose and are not read.
+    ``perfbench/``) record retired scripts and reports on purpose and
+    are not read.
     """
 
     DOCS = (
@@ -184,23 +186,27 @@ class TestScriptReferences:
         "docs/*.md", ".claude/skills/*/SKILL.md",
     )
 
-    def test_every_named_script_exists(self):
+    def _missing(self, pattern):
         import re
 
         root = SRC.parent.parent
         named, missing = 0, []
-        for pattern in self.DOCS:
-            for doc in sorted(root.glob(pattern)):
-                for script in set(re.findall(
-                    r"(?<![\w/.-])scripts/[\w-]+\.py", doc.read_text()
-                )):
+        for doc_glob in self.DOCS:
+            for doc in sorted(root.glob(doc_glob)):
+                for path in set(re.findall(pattern, doc.read_text())):
                     named += 1
-                    if not (root / script).is_file():
-                        missing.append(f"{doc.relative_to(root)}: {script}")
-        assert named, "no script references found; is the doc list stale?"
-        assert not missing, "docs name missing scripts:\n" + "\n".join(
-            sorted(missing)
-        )
+                    if not (root / path).is_file():
+                        missing.append(f"{doc.relative_to(root)}: {path}")
+        assert named, f"no {pattern} references found; is the doc list stale?"
+        return sorted(missing)
+
+    def test_every_named_script_exists(self):
+        missing = self._missing(r"(?<![\w/.-])scripts/[\w-]+\.py")
+        assert not missing, "docs name missing scripts:\n" + "\n".join(missing)
+
+    def test_every_named_report_exists(self):
+        missing = self._missing(r"(?<![\w/.-])results/[\w.-]+\.md")
+        assert not missing, "docs name missing reports:\n" + "\n".join(missing)
 
 
 class TestDocsMatchRegistry:

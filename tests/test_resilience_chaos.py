@@ -9,11 +9,16 @@ corrupting real segments, and reaping a real SIGKILL'd orphan.
 
 import dataclasses
 import glob
+import importlib.util
+import pathlib
+import types
 
 import pytest
 
 from repro.resilience import (
     SCENARIOS,
+    SEEDED_COUNTS,
+    TIMING_COUNTS,
     ChaosScenario,
     ScenarioOutcome,
     run_scenario,
@@ -47,6 +52,12 @@ class TestScenarioData:
         assert any(s.shard_kill for s in SCENARIOS)
         assert any(s.deadline_storm for s in SCENARIOS)
         assert any(s.queue_flood for s in SCENARIOS)
+        # The two storms: kills and faults together, in process and
+        # over HTTP.
+        assert any(not s.gateway and s.kill_probability
+                   and s.fault_probability for s in SCENARIOS)
+        assert any(s.gateway and s.kill_probability and s.fault_probability
+                   for s in SCENARIOS)
         for attack in ("unlink", "corrupt", "orphan"):
             assert any(s.segment_attack == attack for s in SCENARIOS)
         # The network axes drive the real HTTP gateway over sockets.
@@ -114,12 +125,27 @@ class TestScenarioOutcome:
         assert o.ok
         assert o.failed == 2
 
+    def test_every_request_is_accounted_exactly_once(self):
+        # A lost request, and one counted twice, both fail the row.
+        assert ScenarioOutcome("s", requests=4, completed=3).ok is False
+        assert ScenarioOutcome("s", requests=2, completed=3).ok is False
+        assert ScenarioOutcome(
+            "s", requests=2, completed=2, failures={"WorkerCrashError": 1}
+        ).ok is False
+        # Checks are verified answers the runner asked for on its own;
+        # they never stand in for a requested operation.
+        assert ScenarioOutcome("s", requests=2, completed=1, checks=1).ok is False
+        assert ScenarioOutcome(
+            "s", requests=2, failures={"WorkerCrashError": 2}, checks=2
+        ).ok
+
     def test_as_dict(self):
-        o = ScenarioOutcome("s", requests=2, completed=2,
+        o = ScenarioOutcome("s", requests=3, completed=2,
                             failures={"WorkerCrashError": 1})
         d = o.as_dict()
         assert d["scenario"] == "s" and d["ok"] is True
         assert d["failures"] == {"WorkerCrashError": 1}
+        assert d["checks"] == 0 and d["counts"] == {}
 
 
 @pytest.mark.parametrize("name", [s.name for s in SCENARIOS])
@@ -131,7 +157,12 @@ def test_scenario_smoke(name):
         f"mismatches={outcome.mismatches} leaked={outcome.leaked_segments} "
         f"strays={outcome.stray_processes} completed={outcome.completed}"
     )
-    assert outcome.completed >= 1
+    # Each requested operation ends exactly once: verified, typed or shed.
+    assert (outcome.completed + outcome.failed + outcome.shed
+            == outcome.requests), (
+        f"{name}: {outcome.completed} verified + {outcome.failed} typed + "
+        f"{outcome.shed} shed != {outcome.requests} requested"
+    )
 
 
 def test_segment_orphan_actually_reaps():
@@ -149,6 +180,60 @@ def test_queue_flood_sheds_typed():
     assert outcome.ok
     assert outcome.shed >= 1
     assert outcome.completed + outcome.shed + outcome.failed == outcome.requests
+
+
+def _seeded_view(outcome):
+    """What a seed fixes in a kill storm: the kill and outcome of every
+    attempt, and the crash, restart and retry counts.  Worker ids depend
+    on which worker is idle, and an attempt's engine on breaker state."""
+    return (
+        {k: outcome.counts[k] for k in ("crashes", "restarts", "retries")},
+        [[(a["attempt"], a["chaos"], a["outcome"]) for a in log]
+         for log in outcome.attempts],
+    )
+
+
+def test_kill_storm_replays_at_one_seed():
+    s = scenario_by_name("worker-kill-pre")
+    a = run_scenario(s)
+    b = run_scenario(s)
+    assert a.ok and b.ok
+    assert a.counts["crashes"] > 0, "storm injected no kills"
+    assert len(a.attempts) == s.requests
+    assert _seeded_view(a) == _seeded_view(b)
+
+
+def test_storm_counts_split_seeded_from_timing():
+    outcome = run_scenario(scenario_by_name("service-storm").scaled(0.2))
+    assert outcome.ok
+    assert set(outcome.counts) == set(SEEDED_COUNTS + TIMING_COUNTS)
+    assert outcome.counts["crashes"] > 0
+    assert outcome.counts["faults_armed"] > 0
+    assert outcome.counts["restarts"] == outcome.counts["crashes"]
+
+
+def _soak_script():
+    script = (pathlib.Path(__file__).resolve().parent.parent
+              / "scripts" / "soak_resilience.py")
+    spec = importlib.util.spec_from_file_location("soak_resilience", script)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_soak_report_counts_leaked_segments():
+    """The verdict line reports the leaks the outcomes saw."""
+    soak = _soak_script()
+    args = types.SimpleNamespace(seed=0, scale=1.0, only=None)
+    clean = ScenarioOutcome("baseline", requests=2, completed=2)
+    leaky = ScenarioOutcome("baseline", requests=2, completed=2,
+                            leaked_segments=["repro-x"])
+    scenario = scenario_by_name("baseline")
+    ok_report = soak.render_report([(scenario, clean)], args)
+    assert "**SURVIVED**" in ok_report and "0 leaked segments" in ok_report
+    bad_report = soak.render_report([(scenario, leaky)], args)
+    verdict = bad_report.splitlines()[2]
+    assert "**FAILED**" in verdict and "1 leaked segment," in verdict
 
 
 def test_run_scenario_seed_offset_changes_stream():

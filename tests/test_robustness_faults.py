@@ -35,6 +35,7 @@ from repro.robustness import (
     FaultSpec,
     corrupt_graph,
     corrupt_ranks,
+    kernel_faults_for,
 )
 
 pytestmark = pytest.mark.chaos
@@ -171,6 +172,38 @@ def test_injector_rejects_input_fault_kinds():
             ChaosInjector(FaultSpec(kind=kind))
     with pytest.raises(ValueError):
         FaultSpec(kind="not-a-fault")
+
+
+#: The kernel faults that reach each engine module: the kinds whose
+#: kernel it binds.
+FAULT_REACH = {
+    "repro.core.mis.prefix": ("min-lift",),
+    "repro.core.matching.prefix": ("min-lift",),
+    "repro.core.mis.rootset_vectorized": (
+        "drop-frontier", "dup-frontier", "foreign-frontier", "count-extra",
+    ),
+    "repro.core.matching.rootset_vectorized": (
+        "drop-frontier", "dup-frontier", "foreign-frontier", "cursor-skip",
+    ),
+    "repro.core.mis.sequential": (),
+    "repro.core.matching.sequential": (),
+    "repro.core.mis.rootset": (),
+}
+
+
+@pytest.mark.parametrize("module", sorted(FAULT_REACH))
+def test_kernel_faults_for_names_the_kinds_the_injector_patches(module):
+    """A kind is listed exactly when arming it patches the module."""
+    import importlib
+
+    mod = importlib.import_module(module)
+    assert kernel_faults_for(module) == FAULT_REACH[module]
+    for kind, kernel in KERNEL_FAULTS.items():
+        before = getattr(mod, kernel, None)
+        with ChaosInjector(FaultSpec(kind)):
+            patched = getattr(mod, kernel, None) is not before
+        assert getattr(mod, kernel, None) is before
+        assert patched == (kind in FAULT_REACH[module]), kind
 
 
 def test_fault_spec_covers_every_kernel_fault():

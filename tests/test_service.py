@@ -339,7 +339,7 @@ class TestConfigAndRequestValidation:
         {"backoff_jitter": 1.5},
         {"kill_probability": 2.0},
         {"kill_point": "mid"},
-        {"fault_kinds": ("rank-swap",)},
+        {"fault_probability": 1.5},
         {"hang_timeout": 0.0},
         {"supervise_interval_s": 0.0},
     ])
@@ -348,16 +348,16 @@ class TestConfigAndRequestValidation:
             ServiceConfig(**kwargs)
 
     def test_config_knob_surface_is_pinned(self):
-        """The service's 30 knobs, pinned like SolveOptions' 11: a new
-        knob must be added here on purpose, and the retired hedging and
-        limiter knobs are unknown keywords."""
+        """The service's 29 knobs, pinned like SolveOptions' 11: a new
+        knob must be added here on purpose, and the retired hedging,
+        limiter and fault-kind knobs are unknown keywords."""
         assert [f.name for f in dataclasses.fields(ServiceConfig)] == [
             "workers", "max_queue", "start_method", "default_method",
             "default_guards", "degrade", "max_retries", "backoff_base",
             "backoff_factor", "backoff_max", "backoff_jitter", "retry_seed",
             "breaker_threshold", "breaker_reset_seconds", "deadline_grace",
             "hang_timeout", "kill_probability", "kill_point",
-            "fault_probability", "fault_kinds", "chaos_seed",
+            "fault_probability", "chaos_seed",
             "worker_sys_path", "tick", "latency_window", "cache_entries",
             "cache_ttl_s", "reap_on_start", "supervise_interval_s",
             "reap_interval_s", "session_dir",
@@ -366,6 +366,8 @@ class TestConfigAndRequestValidation:
             ServiceConfig(hedge_delay_s=0.1)
         with pytest.raises(TypeError):
             ServiceConfig(backpressure=True)
+        with pytest.raises(TypeError):
+            ServiceConfig(fault_kinds=("min-lift",))
 
     def test_config_object_and_overrides_are_exclusive(self):
         with pytest.raises(ValueError):

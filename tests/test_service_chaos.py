@@ -14,15 +14,25 @@ from repro.core.engines import fallback_chain
 from repro.core.engines import solve as direct_solve
 from repro.errors import ReproError, WorkerCrashError
 from repro.graphs.generators import rmat_graph, uniform_random_graph
-from repro.robustness import KERNEL_FAULTS
 from repro.service import SolveRequest, SolverService
 
 pytestmark = [pytest.mark.chaos, pytest.mark.service]
 
-#: The kernel faults rootset-vec's kernels can take.  min-lift strikes
-#: only the prefix engines' ``scatter_min``, so the storms pinned to
-#: rootset-vec leave it out of their draw.
-ROOTSET_VEC_FAULTS = tuple(k for k in KERNEL_FAULTS if k != "min-lift")
+#: The kernel faults that reach each engine a default-configured storm
+#: serves (prefix, then its fallback chain): the kinds whose kernel the
+#: engine's module binds.  ``sequential`` binds none.
+FAULT_REACH = {
+    ("mis", "prefix"): {"min-lift"},
+    ("matching", "prefix"): {"min-lift"},
+    ("mis", "rootset-vec"): {
+        "drop-frontier", "dup-frontier", "foreign-frontier", "count-extra",
+    },
+    ("matching", "rootset-vec"): {
+        "drop-frontier", "dup-frontier", "foreign-frontier", "cursor-skip",
+    },
+    ("mis", "sequential"): set(),
+    ("matching", "sequential"): set(),
+}
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +48,7 @@ def _storm(graph, n, method=None):
 
 
 def _reference(req):
-    return direct_solve(req.problem, req.payload, method="rootset-vec",
+    return direct_solve(req.problem, req.payload, method="sequential",
                         seed=req.options["seed"])
 
 
@@ -149,13 +159,12 @@ class TestFaultStorm:
 
     def test_min_lift_storm_degrades_the_served_default(self, graph):
         """Chaos reaches the engine the service serves by default: a
-        min-lift storm on a default-configured service lands on it, its
-        faulted attempts degrade down the chain, and every answer is
-        still bit-identical."""
+        fault storm on a default-configured service arms min-lift on
+        it, its faulted attempts degrade down the chain, and every
+        answer is still bit-identical."""
         requests = _storm(graph, 10)
         with SolverService(workers=2, fault_probability=0.6,
-                           fault_kinds=("min-lift",), max_retries=8,
-                           chaos_seed=3, backoff_base=0.002,
+                           max_retries=8, chaos_seed=3, backoff_base=0.002,
                            tick=0.005) as svc:
             default = svc.config.default_method
             results = svc.solve_many(requests, return_errors=True)
@@ -167,18 +176,40 @@ class TestFaultStorm:
         ), "no min-lift fault landed on the default engine"
 
     def test_combined_kill_and_fault_storm_on_skewed_graph(self):
-        """Pinned to rootset-vec: the frontier faults reach its kernels,
-        while the served default takes only min-lift."""
+        """Pinned to rootset-vec, so the frontier faults are armed: the
+        served default binds only min-lift's kernel."""
         g = rmat_graph(8, 900, seed=2)
         requests = _storm(g, 8, method="rootset-vec")
         with SolverService(workers=2, kill_probability=0.25,
-                           fault_probability=0.25,
-                           fault_kinds=ROOTSET_VEC_FAULTS, max_retries=10,
+                           fault_probability=0.25, max_retries=10,
                            chaos_seed=11, backoff_base=0.002,
                            tick=0.005) as svc:
             results = svc.solve_many(requests, return_errors=True)
         _assert_bit_identical(requests, results)
         assert _faulted_errors(results), "no kernel fault landed"
+
+    def test_armed_faults_reach_their_attempts_engine(self, graph):
+        """A default-configured storm arms only faults that can strike:
+        every armed kind's kernel is bound by the engine its attempt
+        ran, min-lift on prefix and the frontier faults once an attempt
+        degrades to rootset-vec."""
+        requests = _storm(graph, 16)
+        with SolverService(workers=2, kill_probability=0.2,
+                           fault_probability=0.6, max_retries=8,
+                           chaos_seed=5, backoff_base=0.002,
+                           tick=0.005) as svc:
+            results = svc.solve_many(requests, return_errors=True)
+        _assert_bit_identical(requests, results)
+        armed = [(req.problem, a)
+                 for req, res in zip(requests, results)
+                 for a in res.stats.aux["service"]["attempts"]
+                 if "fault" in (a["chaos"] or {})]
+        assert armed, "storm armed no fault"
+        for problem, a in armed:
+            problem = "matching" if problem == "mm" else problem
+            assert a["chaos"]["fault"]["kind"] in FAULT_REACH[
+                (problem, a["method"])
+            ], a
 
 
 class TestIsolation:
@@ -205,13 +236,12 @@ class TestIsolation:
     def test_chaos_batch_equals_clean_batch_bit_for_bit(self, graph):
         """The headline guarantee: a chaos-laden service run returns the
         exact bytes a chaos-free service run returns.  Pinned to
-        rootset-vec, like the combined storm, so its kernel faults land."""
+        rootset-vec, like the combined storm, so frontier faults land."""
         requests = _storm(graph, 8, method="rootset-vec")
         with SolverService(workers=2, tick=0.005) as svc:
             clean = svc.solve_many(requests)
         with SolverService(workers=2, kill_probability=0.3,
-                           fault_probability=0.3,
-                           fault_kinds=ROOTSET_VEC_FAULTS, max_retries=10,
+                           fault_probability=0.3, max_retries=10,
                            chaos_seed=99, backoff_base=0.002,
                            tick=0.005) as svc:
             chaotic = svc.solve_many(requests)
