@@ -261,12 +261,13 @@ SCENARIOS: Tuple[ChaosScenario, ...] = (
         "hard-killed and kernel faults are armed on the engine each "
         "attempt runs; answers are bit-identical, failures typed, and "
         "the pool ends at full strength",
-        requests=200, max_queue=200, kill_probability=0.2,
+        requests=200, workers=4, max_queue=200, kill_probability=0.2,
         fault_probability=0.2, max_retries=8, seed=0,
     ),
     ChaosScenario(
         "gateway-storm",
-        "concurrent HTTP solves over real sockets while workers are "
+        "every client at once over real sockets against 8 connection "
+        "slots (the excess refused with typed 503s) while workers are "
         "hard-killed and kernel faults are armed; a quarter of the "
         "requests carry 2 ms deadlines and a quarter an unmeetable 10 µs "
         "one; every response is a verified answer or a typed error, never "
@@ -352,8 +353,9 @@ class ScenarioOutcome:
     own: re-solves after a shard kill, a session's final answer, the
     cache-poison probe and a fresh gateway's serve.  ``counts`` holds a
     service row's chaos counts (:data:`SEEDED_COUNTS` and
-    :data:`TIMING_COUNTS`), and ``attempts`` each finished request's
-    attempt log, in request-id order.
+    :data:`TIMING_COUNTS`, read from the service's stats), and
+    ``attempts`` the attempt log of each answered in-process solve
+    (``result.stats.aux["service"]["attempts"]``), in request order.
     """
 
     scenario: str
@@ -431,11 +433,15 @@ def _shm_segments() -> Set[str]:
 
 
 def _build_graphs(seed: int):
-    sizes = ((240, 700), (300, 900), (180, 420))
-    return [
-        uniform_random_graph(n, m, seed=seed * 10 + i)
-        for i, (n, m) in enumerate(sizes)
-    ]
+    """The graph families every runner draws from, by name, each with
+    its edge list built once: ``{family: (graph, edge_list)}``."""
+    graphs = {
+        "cycle": cycle_graph(300),
+        "grid": grid_graph(20, 20),
+        "rmat": rmat_graph(9, 1500, seed=seed + 1),
+        "uniform": uniform_random_graph(400, 1600, seed=seed),
+    }
+    return {name: (g, g.edge_list()) for name, g in graphs.items()}
 
 
 def _reference(problem: str, graph, seed: int = 0, ranks=None):
@@ -460,46 +466,17 @@ def _matches(result, ref) -> bool:
     )
 
 
-class _LoggedService(SolverService):
-    """A service that keeps each finished request's attempt log, by
-    request id, and counts degraded serves, for :func:`_count_chaos`."""
-
-    def __init__(self, config: ServiceConfig) -> None:
-        super().__init__(config)
-        self.attempt_logs: Dict[int, List[Dict[str, Any]]] = {}
-        self.degraded = 0
-
-    def _finish_ok(self, ticket, value, now) -> None:
-        if not ticket.future.done():
-            self.attempt_logs[ticket.id] = ticket.attempts
-            stats = getattr(value, "stats", None)
-            self.degraded += bool(stats is not None and stats.aux.get("degraded"))
-        super()._finish_ok(ticket, value, now)
-
-    def _finish_error(self, ticket, exc, now) -> None:
-        if not ticket.future.done():
-            self.attempt_logs[ticket.id] = ticket.attempts
-        super()._finish_error(ticket, exc, now)
-
-
-def _count_chaos(outcome: ScenarioOutcome, svc: _LoggedService) -> None:
-    """Fill ``outcome.counts`` and ``outcome.attempts`` from *svc*."""
+def _count_chaos(outcome: ScenarioOutcome, svc: SolverService) -> None:
+    """Fill ``outcome.counts`` from *svc*'s stats."""
     stats = svc.stats()
-    outcome.attempts = [svc.attempt_logs[k] for k in sorted(svc.attempt_logs)]
-    armed = [
-        a for log in outcome.attempts for a in log
-        if "fault" in (a["chaos"] or {})
-    ]
     outcome.counts = {
         "crashes": stats.worker_crashes,
         "restarts": stats.worker_restarts,
         "retries": stats.retries,
-        "faults_armed": len(armed),
-        "faults_landed": sum(
-            a.get("outcome", "").startswith("error") for a in armed
-        ),
+        "faults_armed": stats.faults_armed,
+        "faults_landed": stats.faults_landed,
         "breaker_trips": stats.breaker_trips,
-        "degraded": svc.degraded,
+        "degraded": stats.degraded,
     }
 
 
@@ -554,28 +531,23 @@ def _service_plans(scenario: ChaosScenario, seed_offset: int):
     so the deadline path runs without expiring.
     """
     seed = scenario.seed + seed_offset
+    graphs = _build_graphs(seed)
     if scenario.segment_attack in ("unlink", "corrupt"):
         # Segment attacks target the one registered graph, so every
         # request must ride the shared-memory path.
-        return [("mis", _build_graphs(seed)[0], 0, None)] * scenario.requests
-    graphs = {
-        "uniform": uniform_random_graph(400, 1600, seed=seed),
-        "rmat": rmat_graph(9, 1500, seed=seed + 1),
-        "grid": grid_graph(20, 20),
-        "cycle": cycle_graph(300),
-    }
-    names = sorted(graphs)
+        return [("mis", graphs["uniform"][0], 0, None)] * scenario.requests
+    families = list(graphs.values())
     rng = np.random.default_rng(seed)
     plans = []
     for i in range(scenario.requests):
-        graph = graphs[names[int(rng.integers(len(names)))]]
+        graph, edges = families[int(rng.integers(len(families)))]
         problem = "mis" if rng.integers(2) == 0 else "matching"
         timeout_s = 30.0 if i % 5 == 0 else None
         if scenario.deadline_storm:
             timeout_s = 0.002 if i % 2 == 1 else 30.0
         plans.append((
             problem,
-            graph if problem == "mis" else graph.edge_list(),
+            graph if problem == "mis" else edges,
             int(rng.integers(2**31)),
             timeout_s,
         ))
@@ -598,7 +570,7 @@ def _run_service(scenario: ChaosScenario, seed_offset: int) -> ScenarioOutcome:
         for problem, payload, s, _ in plans
     ]
 
-    svc = _LoggedService(scenario.service_config())
+    svc = SolverService(scenario.service_config())
     svc.start()
     try:
         registered = None
@@ -660,12 +632,15 @@ def _run_service(scenario: ChaosScenario, seed_offset: int) -> ScenarioOutcome:
                 continue
             exc = fut.exception(timeout=120.0)
             if exc is None:
-                if not _matches(fut.result(), refs[i]):
+                result = fut.result()
+                outcome.attempts.append(result.stats.aux["service"]["attempts"])
+                if _matches(result, refs[i]):
+                    outcome.completed += 1
+                else:
                     outcome.mismatches.append(
                         f"request {i} ({plans[i][0]}) diverged from the "
                         f"sequential reference"
                     )
-                outcome.completed += 1
             elif isinstance(exc, ReproError):
                 outcome._count_failure(exc)
             else:
@@ -686,7 +661,7 @@ def _run_service(scenario: ChaosScenario, seed_offset: int) -> ScenarioOutcome:
 def _run_shard_kill(scenario: ChaosScenario, seed_offset: int) -> ScenarioOutcome:
     outcome = ScenarioOutcome(scenario.name, scenario.requests)
     rng = np.random.default_rng((scenario.seed, seed_offset))
-    graphs = _build_graphs(scenario.seed + seed_offset)
+    graphs = [g for g, _ in _build_graphs(scenario.seed + seed_offset).values()]
     workers = max(scenario.workers, 2)
     try:
         for i in range(scenario.requests):
@@ -839,14 +814,14 @@ def _run_session_churn(
     el = graph.edge_list()
     base_edges = set(zip(el.u.tolist(), el.v.tolist()))
 
-    svc = _LoggedService(scenario.service_config())
+    svc = SolverService(scenario.service_config())
     svc.start()
     try:
         sessions: Dict[str, Dict[str, Any]] = {}
         for problem in ("mis", "matching"):
             info = svc.create_session(
                 problem,
-                graph if problem == "mis" else graph.edge_list(),
+                graph if problem == "mis" else el,
                 pi if problem == "mis" else None,
                 seed=scenario.seed,
                 guards="full",
@@ -988,7 +963,7 @@ def _run_ambiguous_retry(
         for problem in ("mis", "matching"):
             info = gw.service.create_session(
                 problem,
-                graph if problem == "mis" else graph.edge_list(),
+                graph if problem == "mis" else el,
                 pi if problem == "mis" else None,
                 seed=scenario.seed,
                 guards="full",
@@ -1144,11 +1119,6 @@ def _run_ambiguous_retry(
 
 
 # -- the gateway (network-axis) runner ---------------------------------------
-
-
-def _edge_pairs(graph) -> List[List[int]]:
-    el = graph.edge_list()
-    return np.stack([el.u, el.v], axis=1).tolist()
 
 
 def _http_matches(payload: Dict[str, Any], ref) -> bool:
@@ -1317,13 +1287,15 @@ def _run_gateway(scenario: ChaosScenario, seed_offset: int) -> ScenarioOutcome:
     outcome = ScenarioOutcome(scenario.name, scenario.requests)
     rng = np.random.default_rng((scenario.seed, seed_offset))
     graphs = _build_graphs(scenario.seed + seed_offset)
-    pairs = [_edge_pairs(g) for g in graphs]
+    families = list(graphs.values())
+    pairs = [np.stack([e.u, e.v], axis=1).tolist() for _, e in families]
+    graph0 = graphs["uniform"][0]  # registered, with its own π
     pi = np.random.default_rng(scenario.seed).permutation(
-        graphs[0].num_vertices
+        graph0.num_vertices
     ).astype(np.int64)
-    ref0 = _reference("mis", graphs[0], ranks=pi)
+    ref0 = _reference("mis", graph0, ranks=pi)
 
-    service = _LoggedService(scenario.service_config(cache_entries=64))
+    service = SolverService(scenario.service_config(cache_entries=64))
     gateway = HTTPGateway(
         service,
         GatewayConfig(
@@ -1333,7 +1305,7 @@ def _run_gateway(scenario: ChaosScenario, seed_offset: int) -> ScenarioOutcome:
             drain_timeout_s=15.0,
         ),
     )
-    gateway.add_graph("chaos", graphs[0], pi)
+    gateway.add_graph("chaos", graph0, pi)
     gateway.start_in_thread()
     addr = gateway.address
     stopped = False
@@ -1344,7 +1316,7 @@ def _run_gateway(scenario: ChaosScenario, seed_offset: int) -> ScenarioOutcome:
         elif attack == "slow_client":
             _attack_slow_client(outcome, gateway)
         elif attack == "cache_poison_guard":
-            _attack_cache_poison(outcome, gateway, graphs[0], pi)
+            _attack_cache_poison(outcome, gateway, graph0, pi)
 
         plans: List[Tuple[str, Any, Any]] = []
         for i in range(scenario.requests):
@@ -1353,43 +1325,39 @@ def _run_gateway(scenario: ChaosScenario, seed_offset: int) -> ScenarioOutcome:
                 plans.append(("registered", {"graph": "chaos"}, ref0))
             else:
                 problem = "mis" if kind != 2 else "matching"
-                gi = i % len(graphs)
+                gi = i % len(families)
+                graph, edges = families[gi]
                 s = int(rng.integers(2**31))
                 body = {
                     "problem": problem,
-                    "graph": {
-                        "n": graphs[gi].num_vertices, "edges": pairs[gi],
-                    },
+                    "graph": {"n": graph.num_vertices, "edges": pairs[gi]},
                     "seed": s,
                 }
-                plans.append(
-                    (problem, body, _reference(problem, graphs[gi], s))
-                )
+                plans.append((
+                    problem, body,
+                    _reference(problem, graph if problem == "mis" else edges, s),
+                ))
             if scenario.deadline_storm and i % 2 == 1:
                 # 2 ms may expire or not; 10 µs no solve can meet, so it
                 # must come back a typed 504, never a hung socket.
                 plans[-1][1]["timeout_s"] = 0.002 if i % 4 == 1 else 1e-5
 
         results: List[Optional[Tuple[Any, Any, Any]]] = [None] * len(plans)
-        # Half the connection slots: the storm's requests are admitted,
-        # and conn-flood is the row that fills the bound.
-        clients = threading.BoundedSemaphore(
-            max(1, gateway.config.max_connections // 2)
-        )
 
         def issue(i: int) -> None:
-            with clients:
-                try:
-                    # One request per connection, said so: a worker forked
-                    # while this socket is open keeps it open after the
-                    # client closes, and the gateway would hold the
-                    # keep-alive slot until its header timeout.
-                    results[i] = request_json(
-                        addr, "POST", "/v1/solve", plans[i][1],
-                        headers={"Connection": "close"}, timeout=120.0,
-                    )
-                except (ConnectionError, OSError, TimeoutError) as exc:
-                    results[i] = ("conn", type(exc).__name__, str(exc))
+            try:
+                # Every client at once, past the connection bound.  Each
+                # says Connection: close because these clients share the
+                # process the workers fork from: a worker respawned while
+                # a client's socket is open keeps it open after the client
+                # closes, so the gateway would hold that keep-alive slot
+                # until its header timeout.
+                results[i] = request_json(
+                    addr, "POST", "/v1/solve", plans[i][1],
+                    headers={"Connection": "close"}, timeout=120.0,
+                )
+            except (ConnectionError, OSError, TimeoutError) as exc:
+                results[i] = ("conn", type(exc).__name__, str(exc))
 
         threads = [
             threading.Thread(target=issue, args=(i,), daemon=True)
@@ -1470,7 +1438,7 @@ def _run_gateway(scenario: ChaosScenario, seed_offset: int) -> ScenarioOutcome:
             SolverService(scenario.service_config(cache_entries=8)),
             GatewayConfig(drain_timeout_s=10.0),
         )
-        fresh.add_graph("chaos", graphs[0], pi)
+        fresh.add_graph("chaos", graph0, pi)
         fresh.start_in_thread()
         try:
             status, _, body = request_json(

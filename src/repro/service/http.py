@@ -14,7 +14,8 @@ of a :class:`~repro.service.SolverService`, designed failure-first:
   shed request is a ``429`` with ``Retry-After`` derived from the
   observed p95 solve latency.  Request bodies are bounded
   (``413`` past ``max_body_bytes``), concurrent connections are bounded
-  (``503`` past ``max_connections``), and a client that trickles its
+  (``503`` past ``max_connections``, delivered before the close even to
+  a client still sending), and a client that trickles its
   request head or body is cut off (``408``) after
   ``header_timeout_s`` / ``body_timeout_s`` — the slow-loris defense.
 * **serve-stale degraded mode** — solves go through
@@ -570,7 +571,7 @@ class HTTPGateway:
                 },
                 close=True,
             )
-            await self._close(writer)
+            await self._refuse_close(reader, writer)
             return
         self._conns += 1
         task = asyncio.current_task()
@@ -1316,6 +1317,31 @@ class HTTPGateway:
         except (ConnectionResetError, BrokenPipeError):
             pass
 
+    async def _refuse_close(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Close a refused connection without resetting it.
+
+        The client may still be sending the request the gateway never
+        read.  Closing with those bytes unread answers them with a TCP
+        reset, which can reach the client before it reads the ``503``
+        (a broken pipe or a reset instead of the typed body).  So send
+        FIN first, then discard what arrives until the client closes or
+        ``header_timeout_s`` passes.
+        """
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + self.config.header_timeout_s
+        try:
+            writer.write_eof()
+            while await asyncio.wait_for(
+                reader.read(65536), max(deadline - loop.time(), 0.0)
+            ):
+                pass
+        except (asyncio.TimeoutError, ConnectionError, OSError):
+            pass
+        finally:
+            await self._close(writer)
+
     @staticmethod
     async def _close(writer: asyncio.StreamWriter) -> None:
         try:
@@ -1336,9 +1362,9 @@ def request_json(
 ) -> Tuple[int, Dict[str, str], Any]:
     """Tiny blocking JSON client: ``(status, headers, parsed body)``.
 
-    The in-repo consumer for tests, chaos scenarios, and the stress and
-    bench scripts — one shared client so every caller exercises the
-    same wire path (stdlib ``http.client``, no dependencies).
+    The in-repo consumer for tests and the chaos scenarios — one shared
+    client so every caller exercises the same wire path (stdlib
+    ``http.client``, no dependencies).
     """
     import http.client
 

@@ -878,12 +878,15 @@ class SolverService:
                 self._respawn(worker)
                 self._queue.insert(0, ticket)
                 continue
+            chaos = job.get("chaos")
             ticket.attempts.append({
                 "attempt": len(ticket.attempts),
                 "method": method,
                 "worker": worker.worker_id,
-                "chaos": job.get("chaos"),
+                "chaos": chaos,
             })
+            if chaos and "fault" in chaos:
+                self._stats.bump("faults_armed")
             worker.job = ticket
             worker.job_started = now
 
@@ -926,6 +929,7 @@ class SolverService:
         served = attempt["method"]
         if served != requested:
             aux["degraded"] = True
+            self._stats.bump("degraded")
             aux["fallback_engine"] = served
         # wall_time_s is submission-to-completion, recorded exactly once
         # per request.  An engine that fanned out inside the worker
@@ -975,6 +979,8 @@ class SolverService:
         message = reply.get("error", "")
         attempt["outcome"] = f"error:{name}"
         attempt["error"] = message
+        if "fault" in (attempt["chaos"] or {}):
+            self._stats.bump("faults_landed")
         if name == "BudgetExceededError":
             if ticket.deadline is not None and message.startswith("wall-clock"):
                 self._stats.bump("deadline_failures")

@@ -30,7 +30,10 @@ class ServiceStats:
     completion window (0.0 until something completes).
     ``explicit_ranks`` counts submitted solves that carry their own π
     (``ranks``) rather than a seed, so the share of caller-chosen orders
-    is known.
+    is known.  ``degraded`` counts answers served by a fallback engine
+    (``aux["degraded"]``); ``faults_armed`` counts attempts dispatched
+    with a chaos kernel fault, and ``faults_landed`` those of them that
+    ended in a worker-reported error.
     """
 
     queue_depth: int
@@ -47,6 +50,9 @@ class ServiceStats:
     deadline_failures: int
     breaker_trips: int
     explicit_ranks: int = 0
+    degraded: int = 0
+    faults_armed: int = 0
+    faults_landed: int = 0
     breaker_states: Dict[str, str] = field(default_factory=dict)
     latency_p50: float = 0.0
     latency_p95: float = 0.0
@@ -59,7 +65,7 @@ class ServiceStats:
     cache_stale_served: int = 0
 
     def as_dict(self) -> Dict[str, object]:
-        """JSON-ready dict (used by the CLI and the stress report)."""
+        """JSON-ready dict (used by the CLI and ``/v1/metrics``)."""
         return {
             "queue_depth": self.queue_depth,
             "in_flight": self.in_flight,
@@ -75,6 +81,9 @@ class ServiceStats:
             "deadline_failures": self.deadline_failures,
             "breaker_trips": self.breaker_trips,
             "explicit_ranks": self.explicit_ranks,
+            "degraded": self.degraded,
+            "faults_armed": self.faults_armed,
+            "faults_landed": self.faults_landed,
             "breaker_states": dict(self.breaker_states),
             "latency_p50": self.latency_p50,
             "latency_p95": self.latency_p95,
@@ -142,6 +151,9 @@ class StatsCollector:
         "deadline_failures",
         "breaker_trips",
         "explicit_ranks",
+        "degraded",
+        "faults_armed",
+        "faults_landed",
     )
 
     def __init__(self, window: int = 512) -> None:
@@ -197,6 +209,9 @@ class StatsCollector:
                 deadline_failures=self.deadline_failures,
                 breaker_trips=self.breaker_trips,
                 explicit_ranks=self.explicit_ranks,
+                degraded=self.degraded,
+                faults_armed=self.faults_armed,
+                faults_landed=self.faults_landed,
                 breaker_states=dict(breaker_states),
                 latency_p50=p50,
                 latency_p95=p95,

@@ -211,6 +211,28 @@ class TestFaultStorm:
                 (problem, a["method"])
             ], a
 
+    def test_stats_count_armed_and_landed_faults_and_degraded(self, graph):
+        """ServiceStats counts what the attempt logs show: faults armed,
+        faults that ended their attempt in an error, degraded answers."""
+        requests = _storm(graph, 16)
+        with SolverService(workers=2, kill_probability=0.2,
+                           fault_probability=0.6, max_retries=8,
+                           chaos_seed=5, backoff_base=0.002,
+                           tick=0.005) as svc:
+            results = svc.solve_many(requests, return_errors=True)
+            stats = svc.stats()
+        _assert_bit_identical(requests, results)
+        attempts = [a for res in results
+                    for a in res.stats.aux["service"]["attempts"]]
+        armed = [a for a in attempts if "fault" in (a["chaos"] or {})]
+        assert armed, "storm armed no fault"
+        assert stats.faults_armed == len(armed)
+        assert stats.faults_landed == sum(
+            a["outcome"].startswith("error") for a in armed)
+        assert stats.degraded == sum(
+            bool(res.stats.aux.get("degraded")) for res in results)
+        assert stats.as_dict()["faults_landed"] == stats.faults_landed
+
 
 class TestIsolation:
     def test_sibling_requests_survive_a_poisoned_one(self, graph):

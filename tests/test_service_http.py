@@ -448,6 +448,37 @@ class TestOverloadAndSlowClients:
             for sock in idle:
                 sock.close()
 
+    def test_refused_client_still_sending_gets_the_typed_503(self):
+        """A refused request's unread body must not turn the 503 into a
+        reset: the client reads the typed error, not a broken pipe."""
+        import socket
+
+        gw = HTTPGateway(
+            config=GatewayConfig(
+                port=0, max_connections=1, header_timeout_s=5.0,
+            ),
+            workers=1,
+        )
+        edges = [[i, i + 1] for i in range(1000)]
+        with gw:
+            idle = socket.create_connection(gw.address, timeout=5)
+            try:
+                time.sleep(0.05)  # let the loop accept the idler
+                outcomes = []
+                for _ in range(5):
+                    try:
+                        status, _, body = request_json(
+                            gw.address, "POST", "/v1/solve",
+                            {"graph": {"n": 1001, "edges": edges}},
+                            timeout=5,
+                        )
+                        outcomes.append((status, body["error"]))
+                    except (ConnectionError, OSError) as exc:
+                        outcomes.append(type(exc).__name__)
+            finally:
+                idle.close()
+        assert outcomes == [(503, "ConnectionLimitError")] * 5
+
     def test_queue_overflow_sheds_with_retry_after(self, graph):
         gw = HTTPGateway(
             config=GatewayConfig(port=0), workers=1, max_queue=1
