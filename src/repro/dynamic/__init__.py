@@ -15,7 +15,7 @@ toward higher ranks.  This package exploits that three ways:
 * :mod:`repro.dynamic.streaming` — batched edge-arrival ingestion over
   either maintainer.
 * :mod:`repro.dynamic.jobs` + :mod:`repro.dynamic.store` — the
-  pure (state, batch) → (state', stats) worker entry points and the
+  pure (state, batch) → (state', stats) worker entry point and the
   atomic, checksummed snapshot store (arrays as raw bytes) that let
   :class:`repro.service.SolverService` serve maintainers as long-lived
   crash-safe sessions.

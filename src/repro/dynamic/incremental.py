@@ -26,9 +26,11 @@ matched)`` for MM — and patches them per batch with ``np.searchsorted``
 and one slice-and-concatenate pass.  So
 :meth:`~IncrementalMIS.to_state` is a few array copies, with no Python
 loop over edges, and :func:`result_from_state` builds the answer from a
-state's arrays without rebuilding a maintainer.  ``from_state`` also
-takes the ``tolist()`` form of a state (format-1 snapshot files,
-portable JSON snapshots).
+state's arrays without rebuilding a maintainer.  :func:`check_state`
+validates a state or its ``tolist()`` form (format-1 snapshot files,
+portable JSON snapshots) for ``from_state`` and a session restore.
+Version 0 is sequential greedy on (graph, π), which every engine returns,
+so :func:`initial_state` builds it from one solve plus O(m) numpy.
 
 Work accounting: each batch records the affected-region size (items
 popped), the flips, the arcs scanned, and the incremental-vs-scratch
@@ -43,10 +45,11 @@ numbers are a pure function of (state, batch): a maintainer rebuilt by
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
+from repro.core.engines import solve as engine_solve
 from repro.core.orderings import random_priorities
 from repro.core.result import MISResult, MatchingResult, RunStats
 from repro.core.status import EDGE_DEAD, EDGE_MATCHED, IN_SET, KNOCKED_OUT
@@ -60,7 +63,10 @@ from repro.util.rng import SeedLike
 __all__ = [
     "IncrementalMIS",
     "IncrementalMatching",
+    "check_state",
+    "edge_priorities",
     "edge_priority",
+    "initial_state",
     "result_from_state",
 ]
 
@@ -84,6 +90,21 @@ def edge_priority(seed: int, u: int, v: int) -> int:
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     z = z ^ (z >> 31)
     return z >> 2  # 62 bits: stays clear of int64 trouble downstream
+
+
+def edge_priorities(seed: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """:func:`edge_priority` of every edge ``{u[i], v[i]}``: the same mix in
+    uint64 arithmetic, which wraps as the scalar masks do (equal values)."""
+    u = np.asarray(u, dtype=np.int64).astype(np.uint64)
+    v = np.asarray(v, dtype=np.int64).astype(np.uint64)
+    x = (u << np.uint64(32)) | (v & np.uint64(0xFFFFFFFF))
+    x += v + np.uint64((int(seed) * 0x9E3779B97F4A7C15 + 0x9E3779B97F4A7C15) & _MASK64)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return (x >> np.uint64(2)).astype(np.int64)
 
 
 def _canon_pair(u: object, v: object, n: int, context: str) -> EdgePair:
@@ -135,15 +156,14 @@ def _state_array(value: object, tail: Tuple[int, ...], name: str) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-def _state_edges(rows: np.ndarray, n: int) -> np.ndarray:
-    """Validate state edge rows; return their sorted canonical keys."""
+def _state_edges(rows: np.ndarray, n: int) -> None:
+    """Check state edge rows: canonical pairs, sorted and distinct."""
     u, v = rows[:, 0], rows[:, 1]
     if u.size and (u.min() < 0 or v.max() >= n or bool(np.any(u >= v))):
         raise InvalidGraphError(f"state edges must be pairs 0 <= u < v < {n}")
     keys = u * n + v
     if keys.size > 1 and bool(np.any(keys[1:] <= keys[:-1])):
         raise InvalidGraphError("state edges must be sorted and distinct")
-    return keys
 
 
 def _splice(
@@ -298,6 +318,95 @@ def result_from_state(state: Dict[str, object]) -> Union[MISResult, MatchingResu
     raise InvalidGraphError(f"unknown session problem {problem!r}")
 
 
+def check_state(state: Dict[str, object], problem: Optional[str] = None) -> Dict[str, object]:
+    """Validate a :meth:`~IncrementalMIS.to_state` state (or its ``tolist()``
+    form) of *problem* (any, when omitted); return its array form as fresh
+    copies.  Shapes, endpoint ranges, ``u < v``, strictly increasing edge
+    keys, MIS ranks and status codes and MM ``matched`` flags are checked
+    (:class:`~repro.errors.InvalidGraphError`; ranks raise
+    :class:`~repro.errors.InvalidOrderingError`).  The stored answer is
+    trusted, so a check is O(n + m) numpy with no solve."""
+    got = state.get("problem") if isinstance(state, dict) else None
+    if got not in ("mis", "matching") or problem not in (None, got):
+        raise InvalidGraphError(
+            f"expected a {problem or 'mis/matching'} session state, got {got!r}"
+        )
+    try:
+        n = int(state["n"])
+        out: Dict[str, object] = {"problem": got, "n": n}
+        if got == "mis":
+            out["ranks"] = check_ranks(_state_array(state["ranks"], (), "ranks"), n)
+        else:
+            out["seed"] = int(state.get("seed", 0))
+        rows = out["edges"] = _state_array(state["edges"], (2 if got == "mis" else 4,), "edges")
+        _state_edges(rows, n)
+        if got == "mis":
+            status = _state_array(state["status"], (), "status")
+            if status.shape != (n,):
+                raise InvalidGraphError("state status length does not match n")
+            if not bool(np.all((status == IN_SET) | (status == KNOCKED_OUT))):
+                raise InvalidGraphError("state status holds a code other than IN_SET/KNOCKED_OUT")
+            out["status"] = status.astype(np.int8)
+        elif not bool(np.all((rows[:, 3] == 0) | (rows[:, 3] == 1))):
+            raise InvalidGraphError("state edges: matched flags must be 0 or 1")
+        counters = _DynamicCounters()
+        counters.load(dict(state.get("counters", {})))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidGraphError(f"malformed {got} session state: {exc!r}") from None
+    out["counters"] = counters.aux()
+    return out
+
+
+def initial_state(
+    problem: str,
+    payload: Union[CSRGraph, EdgeList],
+    ranks: Optional[np.ndarray] = None,
+    *,
+    seed: SeedLike = None,
+    solve: Callable[..., Union[MISResult, MatchingResult]] = engine_solve,
+) -> Dict[str, object]:
+    """Version 0 of a session as :meth:`~IncrementalMIS.to_state` arrays.
+
+    Its answer is sequential greedy's, which every engine returns, so it
+    is one ``solve(problem, payload, ranks)`` call (the in-process front
+    door by default) plus O(m) numpy.  MIS solves under *ranks* or
+    ``random_priorities(n, seed)``.  MM edges take *ranks* (positions in
+    ``edge_list()`` order) as priorities, or :func:`edge_priorities` under
+    *seed* (0 when omitted), and solve under the dense ``(priority, u,
+    v)`` order.
+    """
+    counters = _DynamicCounters().aux()
+    if problem == "mis":
+        if not isinstance(payload, CSRGraph):
+            raise InvalidGraphError("mis sessions require a CSRGraph payload")
+        n = payload.num_vertices
+        ranks = check_ranks(random_priorities(n, seed) if ranks is None else ranks, n)
+        status = np.array(solve("mis", payload, ranks).status, dtype=np.int8)
+        el = payload.edge_list()
+        keys = sorted_unique(el.u * n + el.v)
+        edges = np.stack((keys // n, keys % n), axis=1)
+        return {"problem": "mis", "n": n, "ranks": ranks.copy(), "edges": edges,
+                "status": status, "counters": counters}
+    if not isinstance(payload, (CSRGraph, EdgeList)):
+        raise InvalidGraphError(f"expected CSRGraph or EdgeList, got {type(payload).__name__}")
+    el = payload.edge_list() if isinstance(payload, CSRGraph) else payload
+    n, m = el.num_vertices, el.num_edges
+    seed = int(seed) if seed is not None else 0
+    prios = check_ranks(ranks, m) if ranks is not None else edge_priorities(seed, el.u, el.v)
+    keys = el.u * n + el.v
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    if keys.size > 1 and bool(np.any(keys[1:] == keys[:-1])):
+        dup = int(keys[1:][keys[1:] == keys[:-1]][0])
+        raise InvalidGraphError(f"duplicate edge {(dup // n, dup % n)} in initial edge list")
+    rows = np.stack((el.u[order], el.v[order], prios[order], np.zeros(m, np.int64)), axis=1)
+    state = {"problem": "matching", "n": n, "seed": seed, "edges": rows, "counters": counters}
+    dense = result_from_state(state)  # the sorted edges, ranked by (priority, u, v)
+    status = solve("matching", EdgeList(n, dense.edge_u, dense.edge_v), dense.ranks).status
+    rows[:, 3] = status == EDGE_MATCHED
+    return state
+
+
 class IncrementalMIS:
     """Maintain the lexicographically-first MIS under edge mutations.
 
@@ -312,9 +421,10 @@ class IncrementalMIS:
     seed:
         Randomness for *ranks* when omitted.
 
-    The initial answer is computed by a full peel (every vertex dirty),
-    which is exactly sequential greedy; :meth:`apply_batch` then re-peels
-    only the affected priority-DAG region per mutation batch.
+    The initial answer is one in-process solve (:func:`initial_state`),
+    adopted as :meth:`from_state` adopts a state; :meth:`apply_batch`
+    then re-peels only the affected priority-DAG region per mutation
+    batch.
 
     Examples
     --------
@@ -337,38 +447,24 @@ class IncrementalMIS:
         *,
         seed: SeedLike = None,
     ) -> None:
-        n = graph.num_vertices
-        if ranks is None:
-            ranks = random_priorities(n, seed)
-        ranks = check_ranks(ranks, n)
-        el = graph.edge_list()
-        keys = sorted_unique(el.u * n + el.v)
-        rows = np.stack((keys // n, keys % n), axis=1)
-        self._load(n, ranks.copy(), keys, rows, np.full(n, KNOCKED_OUT, dtype=np.int8))
-        self.counters = _DynamicCounters()
-        self._graph_cache: Optional[CSRGraph] = graph
-        self._peel(range(n))
+        self._adopt(initial_state("mis", graph, ranks, seed=seed))
+        self._graph_cache = graph
 
-    def _load(
-        self,
-        n: int,
-        ranks: np.ndarray,
-        keys: np.ndarray,
-        rows: np.ndarray,
-        status: np.ndarray,
-    ) -> None:
-        """Adopt *ranks*, sorted *keys*, aligned ``(u, v)`` *rows*, *status*."""
-        self.n = n
-        self.ranks = ranks
-        self._rank = ranks.tolist()
-        self._keys = keys
-        self._rows = rows
-        self.status = status
+    def _adopt(self, state: Dict[str, object]) -> None:
+        """Take over the arrays of a checked or freshly built *state*."""
+        n = self.n = state["n"]
+        rows = self._rows = state["edges"]
+        self.ranks = state["ranks"]
+        self._rank = self.ranks.tolist()
+        self._keys = rows[:, 0] * n + rows[:, 1]
+        self.status = state["status"]
         self._adj: List[Set[int]] = [set() for _ in range(n)]
         for a, b in zip(rows[:, 0].tolist(), rows[:, 1].tolist()):
             self._adj[a].add(b)
             self._adj[b].add(a)
-        self._graph_cache = None
+        self._graph_cache: Optional[CSRGraph] = None
+        self.counters = _DynamicCounters()
+        self.counters.load(state["counters"])
 
     # -- mutation --------------------------------------------------------
 
@@ -528,31 +624,13 @@ class IncrementalMIS:
     def from_state(cls, state: Dict[str, object]) -> "IncrementalMIS":
         """Rebuild a maintainer from :meth:`to_state` output.
 
-        Takes the array form or its ``tolist()`` form and copies it, so
-        the maintainer never aliases *state*.  Shapes, endpoint ranges,
-        ``u < v``, strictly increasing edge keys and the status vector
-        are checked (:class:`~repro.errors.InvalidGraphError`).  The
-        stored status is trusted (it was a verified fixpoint when
-        snapshotted) so restore is O(n + m) with no re-peel; call
-        :meth:`verify` to re-check it.
+        The state (array or ``tolist()`` form) goes through
+        :func:`check_state`, so the maintainer never aliases it.  The
+        stored status is trusted, so a rebuild is O(n + m) with no
+        re-peel; call :meth:`verify` to re-check it.
         """
-        if state.get("problem") != "mis":
-            raise InvalidGraphError(
-                f"expected a 'mis' session state, got {state.get('problem')!r}"
-            )
-        n = int(state["n"])
-        ranks = check_ranks(_state_array(state["ranks"], (), "ranks"), n)
-        rows = _state_array(state["edges"], (2,), "edges")
-        keys = _state_edges(rows, n)
-        status = _state_array(state["status"], (), "status")
-        if status.shape != (n,):
-            raise InvalidGraphError("state status length does not match n")
-        if not bool(np.all((status == IN_SET) | (status == KNOCKED_OUT))):
-            raise InvalidGraphError("state status holds a code other than IN_SET/KNOCKED_OUT")
         obj = cls.__new__(cls)
-        obj._load(n, ranks, keys, rows, status.astype(np.int8))
-        obj.counters = _DynamicCounters()
-        obj.counters.load(dict(state.get("counters", {})))
+        obj._adopt(check_state(state, cls.problem))
         return obj
 
 
@@ -562,10 +640,12 @@ class IncrementalMatching:
     Edge identity is the canonical pair ``(min(u,v), max(u,v))``; each
     edge owns a priority that never changes while it exists.  Initial
     edges take the caller's rank permutation when given (positions in
-    ``graph.edge_list()`` order); edges inserted later draw a
-    deterministic priority from :func:`edge_priority` under the session
-    *seed*, so the whole evolution is replayable.  Ties are broken by the
-    endpoint pair, making the edge order total.
+    ``graph.edge_list()`` order); otherwise, and for edges inserted
+    later, a deterministic priority from :func:`edge_priorities` under
+    the session *seed*, so the whole evolution is replayable.  Ties are
+    broken by the endpoint pair, making the edge order total.  The
+    initial matching is one in-process solve (:func:`initial_state`)
+    under that order, adopted as :meth:`from_state` adopts a state.
 
     :meth:`current_ranks` exposes the live edge order as a dense
     permutation over the canonical edge list — what a from-scratch
@@ -581,52 +661,23 @@ class IncrementalMatching:
         *,
         seed: SeedLike = None,
     ) -> None:
-        if isinstance(graph_or_edges, CSRGraph):
-            el = graph_or_edges.edge_list()
-        elif isinstance(graph_or_edges, EdgeList):
-            el = graph_or_edges
-        else:
-            raise InvalidGraphError(
-                f"expected CSRGraph or EdgeList, got {type(graph_or_edges).__name__}"
-            )
-        n = el.num_vertices
-        m = el.num_edges
-        self.n = n
-        self.seed = int(seed) if seed is not None else 0
-        if ranks is not None:
-            prios = check_ranks(ranks, m)
-        else:
-            prios = np.fromiter(
-                (edge_priority(self.seed, a, b) for a, b in zip(el.u.tolist(), el.v.tolist())),
-                dtype=np.int64,
-                count=m,
-            )
-        keys = el.u * n + el.v
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        if keys.size > 1 and bool(np.any(keys[1:] == keys[:-1])):
-            dup = int(keys[1:][keys[1:] == keys[:-1]][0])
-            raise InvalidGraphError(
-                f"duplicate edge {(dup // n, dup % n)} in initial edge list"
-            )
+        self._adopt(initial_state("matching", graph_or_edges, ranks, seed=seed))
+
+    def _adopt(self, state: Dict[str, object]) -> None:
+        """Take over the rows of a checked or freshly built *state*."""
+        n = self.n = state["n"]
+        self.seed = state["seed"]
+        rows = self._rows = state["edges"]
+        self._keys = rows[:, 0] * n + rows[:, 1]
         self._edges: Dict[EdgePair, List] = {}  # key -> [priority, matched]
         self._incident: List[Set[EdgePair]] = [set() for _ in range(n)]
-        for a, b, p in zip(el.u.tolist(), el.v.tolist(), prios.tolist()):
+        for a, b, prio, hit in rows.tolist():
             key = (a, b)
-            self._edges[key] = [p, False]
+            self._edges[key] = [prio, bool(hit)]
             self._incident[a].add(key)
             self._incident[b].add(key)
         self.counters = _DynamicCounters()
-        self._peel(list(self._edges))
-        rows = np.zeros((m, 4), dtype=np.int64)
-        rows[:, 0] = el.u[order]
-        rows[:, 1] = el.v[order]
-        rows[:, 2] = prios[order]
-        rows[:, 3] = [
-            self._edges[key][1] for key in zip(rows[:, 0].tolist(), rows[:, 1].tolist())
-        ]
-        self._keys = keys
-        self._rows = rows
+        self.counters.load(state["counters"])
 
     # -- ordering --------------------------------------------------------
 
@@ -668,10 +719,11 @@ class IncrementalMatching:
         # A later deletion in the same batch may remove an edge an earlier
         # deletion marked dirty; only surviving edges get re-peeled.
         dirty = {key for key in dirty if key in self._edges}
+        pairs = np.array(ins, dtype=np.int64).reshape(-1, 2)
+        prios = edge_priorities(self.seed, pairs[:, 0], pairs[:, 1]).tolist()
         new_rows = []
-        for key in ins:
+        for key, prio in zip(ins, prios):
             a, b = key
-            prio = edge_priority(self.seed, a, b)
             self._edges[key] = [prio, False]
             self._incident[a].add(key)
             self._incident[b].add(key)
@@ -808,33 +860,8 @@ class IncrementalMatching:
 
     @classmethod
     def from_state(cls, state: Dict[str, object]) -> "IncrementalMatching":
-        """Rebuild a maintainer from :meth:`to_state` output.
-
-        Takes the array form or its ``tolist()`` form (``matched`` may be
-        a bool) and copies it; checks as :meth:`IncrementalMIS.from_state`
-        does, plus a 0/1 ``matched`` column.
-        """
-        if state.get("problem") != "matching":
-            raise InvalidGraphError(
-                f"expected a 'matching' session state, got {state.get('problem')!r}"
-            )
-        n = int(state["n"])
-        rows = _state_array(state["edges"], (4,), "edges")
-        keys = _state_edges(rows, n)
-        if not bool(np.all((rows[:, 3] == 0) | (rows[:, 3] == 1))):
-            raise InvalidGraphError("state edges: matched flags must be 0 or 1")
+        """Rebuild a maintainer from :meth:`to_state` output, checked by
+        :func:`check_state` as :meth:`IncrementalMIS.from_state` is."""
         obj = cls.__new__(cls)
-        obj.n = n
-        obj.seed = int(state.get("seed", 0))
-        obj._keys = keys
-        obj._rows = rows
-        obj._edges = {}
-        obj._incident = [set() for _ in range(n)]
-        for a, b, prio, hit in rows.tolist():
-            key = (a, b)
-            obj._edges[key] = [prio, bool(hit)]
-            obj._incident[a].add(key)
-            obj._incident[b].add(key)
-        obj.counters = _DynamicCounters()
-        obj.counters.load(dict(state.get("counters", {})))
+        obj._adopt(check_state(state, cls.problem))
         return obj

@@ -1,13 +1,14 @@
-"""Worker-side entry points for session jobs.
+"""Worker-side entry point for session mutations.
 
-The service runs session work inside its crash-isolated worker pool via
-the generic ``"call"`` job kind, pointing at the functions here.  The
-contract that makes sessions survive worker kills is **replay from
-committed state**: every function is a pure map from (state, batch) to
-(state', stats) — the parent commits ``state'`` only after a successful
-reply, so a worker killed mid-mutation is simply retried with the same
-committed input and, by determinism of the maintainers, reproduces the
-identical result.
+Mutations are the only session work the service runs in its worker pool
+(create is an ordinary solve and restore an array check, both in the
+parent), via the generic ``"call"`` job kind pointing at
+:func:`mutate_session_state`.  The contract that makes sessions survive
+worker kills is **replay from committed state**: it is a pure map from
+(state, batch) to (state', stats) — the parent commits ``state'`` only
+after a successful reply, so a worker killed mid-mutation is simply
+retried with the same committed input and, by determinism of the
+maintainers, reproduces the identical result.
 
 Note the scope of that guarantee: it covers *service-side* retries of a
 worker that died before replying.  A **client** retry after an
@@ -44,13 +45,9 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from repro.dynamic.incremental import IncrementalMatching, IncrementalMIS
-from repro.errors import InvalidGraphError
-from repro.graphs.csr import CSRGraph, EdgeList
 
-__all__ = ["create_session_state", "mutate_session_state", "restore_session_state"]
+__all__ = ["mutate_session_state"]
 
 Maintainer = Union[IncrementalMIS, IncrementalMatching]
 
@@ -59,53 +56,9 @@ _CACHE: "OrderedDict[Tuple[str, int], Maintainer]" = OrderedDict()
 _CACHE_MAX = 8
 
 
-def _cache_put(key: Optional[Tuple[str, int]], maintainer: Maintainer) -> None:
-    if key is None:
-        return
-    _CACHE[key] = maintainer
-    _CACHE.move_to_end(key)
-    while len(_CACHE) > _CACHE_MAX:
-        _CACHE.popitem(last=False)
-
-
 def _maintainer_from_state(state: Dict[str, Any]) -> Maintainer:
-    problem = state.get("problem")
-    if problem == "mis":
-        return IncrementalMIS.from_state(state)
-    if problem == "matching":
-        return IncrementalMatching.from_state(state)
-    raise InvalidGraphError(f"unknown session problem {problem!r}")
-
-
-def _summary(maintainer: Maintainer, dynamic: Dict[str, Any]) -> Dict[str, Any]:
-    return {
-        "state": maintainer.to_state(),
-        "dynamic": dynamic,
-        "n": maintainer.n,
-        "m": maintainer.m,
-        "size": maintainer.size,
-    }
-
-
-def create_session_state(
-    problem: str,
-    payload: Union[CSRGraph, EdgeList],
-    ranks: Optional[np.ndarray] = None,
-    seed: Any = None,
-    guards: Optional[str] = None,
-) -> Dict[str, Any]:
-    """Initial solve: build a maintainer and return its committed state."""
-    if problem == "mis":
-        if not isinstance(payload, CSRGraph):
-            raise InvalidGraphError("mis sessions require a CSRGraph payload")
-        maintainer: Maintainer = IncrementalMIS(payload, ranks, seed=seed)
-    elif problem == "matching":
-        maintainer = IncrementalMatching(payload, ranks, seed=seed)
-    else:
-        raise InvalidGraphError(f"unknown session problem {problem!r}")
-    if guards == "full":
-        maintainer.verify()
-    return _summary(maintainer, maintainer.counters.aux())
+    mis = isinstance(state, dict) and state.get("problem") == "mis"
+    return (IncrementalMIS if mis else IncrementalMatching).from_state(state)
 
 
 def mutate_session_state(
@@ -134,18 +87,17 @@ def mutate_session_state(
     stats = maintainer.apply_batch(insertions=insertions, deletions=deletions)
     if guards == "full":
         maintainer.verify()
-    out = _summary(maintainer, stats)
+    out = {
+        "state": maintainer.to_state(),
+        "dynamic": stats,
+        "n": maintainer.n,
+        "m": maintainer.m,
+        "size": maintainer.size,
+    }
     if key is not None:
-        _cache_put((key[0], key[1] + 1), maintainer)
+        _CACHE[(epoch, version + 1)] = maintainer
+        _CACHE.move_to_end((epoch, version + 1))
+        while len(_CACHE) > _CACHE_MAX:
+            _CACHE.popitem(last=False)
     return out
 
-
-def restore_session_state(
-    state: Dict[str, Any],
-    guards: Optional[str] = None,
-) -> Dict[str, Any]:
-    """Validate a snapshot by rebuilding (and optionally verifying) it."""
-    maintainer = _maintainer_from_state(state)
-    if guards == "full":
-        maintainer.verify()
-    return _summary(maintainer, maintainer.counters.aux())

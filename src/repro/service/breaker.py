@@ -1,12 +1,12 @@
 """Per-engine circuit breaker: closed → open → half-open → closed.
 
 One :class:`CircuitBreaker` guards one ``(problem, method)`` pair in the
-service.  Consecutive failures (worker deaths or engine errors
-attributed to that engine) trip the breaker **open**; while open, the
-scheduler routes requests to the next engine in the registry's
-degradation chain instead.  After ``reset_seconds`` the breaker admits
-exactly one probe (**half-open**): a success closes it, a failure
-re-opens it for another full window.
+service.  Consecutive engine errors (not worker deaths: those say nothing
+about the engine) trip the breaker **open**; while open, the scheduler
+routes requests to the next engine in the registry's degradation chain
+instead.  After ``reset_seconds`` the breaker admits exactly one probe
+(**half-open**): a success closes it, a failure re-opens it for another
+full window, and a probe whose worker died is released.
 
 The clock is injectable so tests can march a breaker through its state
 machine deterministically.
@@ -114,6 +114,11 @@ class CircuitBreaker:
                     self.trips += 1
                 return tripped
             return False
+
+    def release(self) -> None:
+        """A routed request's worker died or hung: free the probe slot."""
+        with self._lock:
+            self._probing = False
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -12,11 +12,11 @@
   grace window (a hung worker is killed and replaced);
 * retry with exponential backoff + seeded jitter on worker death and
   transient engine failures;
-* a per-engine circuit breaker that trips after repeated failures and
-  degrades requests along the registry's
+* a per-engine circuit breaker that trips after repeated engine failures
+  (never a worker death) and degrades requests along the registry's
   :func:`~repro.core.engines.fallback_chain` — safe *by construction*,
-  because every chain engine returns the bit-identical
-  sequential-greedy answer;
+  because every chain engine returns the bit-identical sequential-greedy
+  answer;
 * zero-copy graph registration (:meth:`SolverService.register_graph`):
   a registered graph (and its π, when given) lives in one shared-memory
   segment (:class:`~repro.backends.SharedCSR`), and requests for it send
@@ -1014,9 +1014,8 @@ class SolverService:
             return
         attempt = ticket.attempts[-1]
         attempt["outcome"] = "crash"
-        if ticket.request.problem != "call":
-            if self.breaker(ticket.request.problem, attempt["method"]).record_failure():
-                self._stats.bump("breaker_trips")
+        if ticket.request.problem != "call":  # a death says nothing of the engine
+            self.breaker(ticket.request.problem, attempt["method"]).release()
         exc = WorkerCrashError(
             f"worker {attempt['worker']} died while serving request {ticket.id} "
             f"({self._attempt_log(ticket)})"
@@ -1040,6 +1039,9 @@ class SolverService:
             self._respawn(worker)
             if hang:
                 self._stats.bump("worker_crashes")
+                if ticket.request.problem != "call":
+                    method = ticket.attempts[-1]["method"]
+                    self.breaker(ticket.request.problem, method).release()
                 self._retry_or_fail(
                     ticket,
                     WorkerCrashError(

@@ -4,9 +4,10 @@ A *session* is a long-lived incremental MIS/matching maintainer
 (:mod:`repro.dynamic.incremental`) served through the
 :class:`~repro.service.SolverService` worker pool.  The parent holds the
 **committed state** — the ``to_state()`` arrays of the last successful
-version — and runs every state transition inside a worker via the
-generic ``"call"`` job kind pointing at :mod:`repro.dynamic.jobs`.  That
-split is what makes sessions survive worker crashes:
+version.  Create is one ordinary solve and restore one array check, both
+in the parent; mutations run inside a worker via the generic ``"call"``
+job kind pointing at :mod:`repro.dynamic.jobs`.  That split is what
+makes sessions survive worker crashes:
 
 1. A mutation ships ``(committed state, batch)`` to a worker, which
    replays the maintainer and applies the batch.
@@ -64,11 +65,16 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.options import SolveOptions, resolve_options
+from repro.core.status import IN_SET
+from repro.dynamic.incremental import check_state, initial_state, result_from_state
 from repro.errors import (
     InvalidGraphError,
+    InvariantViolationError,
     UnknownSessionError,
     VersionConflictError,
 )
+from repro.graphs.builders import from_edges
+from repro.graphs.csr import EdgeList
 from repro.service.config import SolveRequest
 
 __all__ = ["DEDUP_WINDOW", "SessionInfo", "SessionManager"]
@@ -83,7 +89,7 @@ _PROBLEMS = ("mis", "matching")
 DEDUP_WINDOW = 128
 
 #: Registry placeholder: the id is claimed by an in-flight create/restore
-#: whose initial worker call has not committed yet.  Holding the slot
+#: whose solve has not committed yet.  Holding the slot
 #: under the registry lock closes the check-then-commit race where two
 #: concurrent create() calls with the same explicit id both pass the
 #: duplicate check and the later commit silently overwrites the earlier
@@ -202,16 +208,19 @@ class SessionManager:
         kwargs: Dict[str, Any],
         timeout_s: Optional[float],
     ) -> Dict[str, Any]:
-        request = SolveRequest(
-            "call",
-            {
-                "module": "repro.dynamic.jobs",
-                "func": func,
-                "kwargs": kwargs,
-            },
-            timeout_seconds=timeout_s,
-        )
-        return self._service.solve(request)
+        return self._solve("call", {
+            "module": "repro.dynamic.jobs",
+            "func": func,
+            "kwargs": kwargs,
+        }, None, None, timeout_s)
+
+    def _solve(
+        self, problem: str, payload: Any, ranks: Any,
+        guards: Optional[str], timeout_s: Optional[float],
+    ) -> Any:
+        return self._service.solve(SolveRequest(
+            problem, payload, ranks, guards=guards, timeout_seconds=timeout_s,
+        ))
 
     def _persist(self, record: _SessionRecord) -> None:
         if self._store is None:
@@ -244,22 +253,23 @@ class SessionManager:
     def _commit(
         self,
         session_id: str,
-        problem: str,
-        summary: Dict[str, Any],
+        state: Dict[str, Any],
         version: int,
         guards: Optional[str],
         applied: Optional["OrderedDict[str, Dict[str, Any]]"] = None,
     ) -> _SessionRecord:
+        mis = state["problem"] == "mis"
+        size = np.count_nonzero(state["status"] == IN_SET if mis else state["edges"][:, 3])
         record = _SessionRecord(
             session_id=session_id,
-            problem=problem,
-            state=summary["state"],
+            problem=state["problem"],
+            state=state,
             version=version,
-            n=summary["n"],
-            m=summary["m"],
-            size=summary["size"],
+            n=state["n"],
+            m=len(state["edges"]),
+            size=int(size),
             guards=guards,
-            dynamic=summary["dynamic"],
+            dynamic=copy.deepcopy(state["counters"]),
             # A commit here is always a timeline boundary (create or
             # restore), so the epoch is always fresh.
             epoch=uuid.uuid4().hex,
@@ -271,7 +281,7 @@ class SessionManager:
         return record
 
     def _reserve(self, session_id: str, *, verb: str) -> None:
-        """Claim *session_id* in the registry before the worker call."""
+        """Claim *session_id* in the registry before the solve."""
         with self._lock:
             existing = self._sessions.get(session_id)
             if isinstance(existing, _SessionRecord):
@@ -286,7 +296,7 @@ class SessionManager:
             self._sessions[session_id] = _RESERVED
 
     def _release(self, session_id: str) -> None:
-        """Drop a reservation whose worker call failed."""
+        """Drop a reservation whose solve failed."""
         with self._lock:
             if self._sessions.get(session_id) is _RESERVED:
                 del self._sessions[session_id]
@@ -309,9 +319,11 @@ class SessionManager:
 
         ``payload`` is a :class:`~repro.graphs.csr.CSRGraph` for
         ``"mis"`` and a graph or edge list for ``"matching"`` — the same
-        shapes the stateless front doors take.  ``options`` accepts the
-        unified :class:`~repro.core.options.SolveOptions` record (its
-        ``seed``/``guards`` fields are the knobs a maintainer consumes);
+        shapes the stateless front doors take; the answer is one ordinary
+        solve (:func:`~repro.dynamic.incremental.initial_state`).
+        ``options`` accepts the unified
+        :class:`~repro.core.options.SolveOptions` record (its
+        ``seed``/``guards`` fields are the knobs a session consumes);
         the ``seed=``/``guards=`` keywords remain as the legacy shim and
         may not be mixed with it.
         """
@@ -329,21 +341,14 @@ class SessionManager:
             ranks = np.asarray(ranks)
         self._reserve(session_id, verb="create")
         try:
-            summary = self._call(
-                "create_session_state",
-                {
-                    "problem": problem,
-                    "payload": payload,
-                    "ranks": ranks,
-                    "seed": seed,
-                    "guards": guards,
-                },
-                timeout_s,
+            state = initial_state(
+                problem, payload, ranks, seed=seed,
+                solve=lambda kind, graph, pi: self._solve(kind, graph, pi, guards, timeout_s),
             )
         except BaseException:
             self._release(session_id)
             raise
-        return self._commit(session_id, problem, summary, 0, guards).info()
+        return self._commit(session_id, state, 0, guards).info()
 
     def mutate(
         self,
@@ -458,8 +463,6 @@ class SessionManager:
         payload (the gateway) cannot pair a result with the version of a
         concurrent later mutation.
         """
-        from repro.dynamic.incremental import result_from_state
-
         record = self._record(session_id)
         with record.lock:
             result = result_from_state(record.state)
@@ -505,10 +508,11 @@ class SessionManager:
         """Revive a session from a snapshot (or the persistent store).
 
         The snapshot's state may hold arrays (the store's format) or
-        lists (:meth:`snapshot`'s portable form).  It is validated by
-        rebuilding the maintainer inside a worker (with the session's
-        guard mode), so a corrupt snapshot fails loudly here instead of
-        poisoning later mutations; the worker's array form is committed.
+        lists (:meth:`snapshot`'s portable form).  It is checked here
+        (:func:`~repro.dynamic.incremental.check_state`), so a corrupt
+        snapshot fails loudly instead of poisoning later mutations; with
+        ``guards="full"`` its graph is also re-solved through the service
+        and must give the same status.  The array form is committed.
 
         Refuses to replace a *live* session (``InvalidGraphError``):
         silently swapping the timeline under a concurrent mutation would
@@ -537,19 +541,25 @@ class SessionManager:
         if not sid:
             raise UnknownSessionError("snapshot names no session_id")
         guards = snapshot.get("guards")
+        state = check_state(snapshot["state"])
         self._reserve(sid, verb="restore")
         try:
-            summary = self._call(
-                "restore_session_state",
-                {"state": snapshot["state"], "guards": guards},
-                timeout_s,
-            )
+            if guards == "full":
+                kept = result_from_state(state)
+                u, v = state["edges"][:, 0], state["edges"][:, 1]
+                mis = state["problem"] == "mis"
+                graph = from_edges(state["n"], u, v) if mis else EdgeList(state["n"], u, v)
+                fresh = self._solve(state["problem"], graph, kept.ranks, guards, timeout_s)
+                if not np.array_equal(fresh.status, kept.status):
+                    raise InvariantViolationError(
+                        f"snapshot of session {sid!r} is not the greedy "
+                        "answer of its own graph and order"
+                    )
         except BaseException:
             self._release(sid)
             raise
         return self._commit(
-            sid, snapshot["state"].get("problem", snapshot.get("problem")),
-            summary, int(snapshot.get("version", 0)), guards,
+            sid, state, int(snapshot.get("version", 0)), guards,
             applied=self._applied_window(snapshot.get("applied")),
         ).info()
 

@@ -23,7 +23,7 @@ from repro.dynamic import (
     edge_priority,
     stream_edges,
 )
-from repro.dynamic.incremental import result_from_state
+from repro.dynamic.incremental import edge_priorities, result_from_state
 from repro.errors import InvalidGraphError
 from repro.graphs.builders import from_edges
 from repro.graphs.csr import EdgeList
@@ -347,3 +347,19 @@ def test_from_state_rejects_a_non_flag_matched_column():
     state["edges"][0, 3] = 2
     with pytest.raises(InvalidGraphError, match="0 or 1"):
         IncrementalMatching.from_state(state)
+
+
+@pytest.mark.parametrize("seed", [0, 20120215, -7, 2**70 + 1])
+def test_numpy_edge_priorities_equal_the_scalar_reference(seed):
+    """Create and insertions draw priorities with the numpy form; the
+    scalar edge_priority is the reference it must match exactly."""
+    rng = np.random.default_rng(abs(seed) % 2**32)
+    u = rng.integers(0, 2**40, size=12_000)
+    v = rng.integers(0, 2**40, size=12_000)
+    edge = [0, 1, 2**31 - 1, 2**31, 2**32 - 1, 2**32, 2**62, 2**63 - 1]
+    u = np.concatenate([u, np.repeat(edge, len(edge))])
+    v = np.concatenate([v, np.tile(edge, len(edge))])
+    got = edge_priorities(seed, u, v)
+    assert got.dtype == np.int64
+    assert got.tolist() == [edge_priority(seed, a, b)
+                            for a, b in zip(u.tolist(), v.tolist())]

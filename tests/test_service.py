@@ -315,6 +315,19 @@ class TestCircuitBreaker:
         assert b.record_failure() is True
         assert b.state == "open" and not b.allow()
 
+    def test_release_frees_the_probe_without_a_verdict(self):
+        """A probe whose worker died is released: the next caller may
+        probe, and neither a trip nor a close is recorded."""
+        clock = {"now": 0.0}
+        b = CircuitBreaker(threshold=1, reset_seconds=5.0,
+                           clock=lambda: clock["now"])
+        b.record_failure()
+        clock["now"] = 6.0
+        assert b.allow() is True and b.allow() is False
+        b.release()
+        assert b.state == "half-open" and b.trips == 1
+        assert b.allow() is True
+
     def test_success_resets_the_failure_count(self):
         b = CircuitBreaker(threshold=3, reset_seconds=1.0)
         b.record_failure()

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.engines import fallback_chain
 from repro.core.engines import solve as direct_solve
-from repro.errors import ReproError, WorkerCrashError
+from repro.errors import CircuitOpenError, ReproError, WorkerCrashError
 from repro.graphs.generators import rmat_graph, uniform_random_graph
 from repro.service import SolveRequest, SolverService
 
@@ -115,6 +115,20 @@ class TestKillStorm:
             assert all(a["outcome"] == "crash" for a in attempts[:-1])
             assert attempts[-1]["outcome"] == "ok"
             assert aux["retries"] == len(attempts) - 1
+
+    def test_worker_deaths_trip_no_breaker(self, graph):
+        """A death says nothing about the engine: a kill-only storm opens
+        no breaker even at threshold 1, so nothing degrades or is shed."""
+        requests = _storm(graph, 12)
+        with SolverService(workers=2, kill_probability=0.4, max_retries=8,
+                           breaker_threshold=1, chaos_seed=42,
+                           backoff_base=0.002, tick=0.005) as svc:
+            results = svc.solve_many(requests, return_errors=True)
+            stats = svc.stats()
+        assert not any(isinstance(r, CircuitOpenError) for r in results)
+        _assert_bit_identical(requests, results)
+        assert stats.worker_crashes > 0, "storm injected no kills"
+        assert stats.breaker_trips == 0 and stats.degraded == 0
 
     def test_every_crash_is_retried_or_surfaced(self, graph):
         """No lost requests: with retries disabled, every injected kill

@@ -17,9 +17,15 @@ import pytest
 from repro.core.matching import maximal_matching
 from repro.core.mis import maximal_independent_set
 from repro.core.options import SolveOptions
-from repro.dynamic import IncrementalMatching, IncrementalMIS
-from repro.errors import EngineError, InvalidGraphError, UnknownSessionError
+from repro.dynamic import IncrementalMatching, IncrementalMIS, result_from_state
+from repro.errors import (
+    EngineError,
+    InvalidGraphError,
+    InvariantViolationError,
+    UnknownSessionError,
+)
 from repro.graphs.builders import from_edges
+from repro.graphs.csr import EdgeList
 from repro.graphs.generators import uniform_random_graph
 from repro.service import ServiceConfig, SolverService
 from repro.service.schema import encode_result
@@ -147,18 +153,18 @@ class TestTimelineIsolation:
 
         jobs._CACHE.clear()
         pool = sorted(_live(graph))
-        base = jobs.create_session_state("mis", graph, pi)
+        base = IncrementalMIS(graph, pi).to_state()
         # Timeline A: v0 -> v1 deleting pool[0]; leaves a warm
         # maintainer cached for version 1 of epoch "a".
         jobs.mutate_session_state(
-            copy.deepcopy(base["state"]), deletions=[pool[0]],
+            copy.deepcopy(base), deletions=[pool[0]],
             epoch="a", version=0,
         )
         assert ("a", 1) in jobs._CACHE
         # Timeline B diverged at v1 on *another worker* (no cache write
         # here): its committed v1 state deletes pool[1] instead.
         b1 = jobs.mutate_session_state(
-            copy.deepcopy(base["state"]), deletions=[pool[1]], version=0,
+            copy.deepcopy(base), deletions=[pool[1]], version=0,
         )
         # B's next mutation ships version 1 under its own epoch — it
         # must rebuild from the shipped committed state, never pop
@@ -202,6 +208,122 @@ class TestTimelineIsolation:
         svc.mutate_session(info.session_id, [], [sorted(_live(graph))[0]])
         result, version = svc.session_result(info.session_id, with_version=True)
         assert version == 1
+        svc.close_session(info.session_id)
+
+
+class TestVersionZero:
+    """Version 0 is one solve: the in-process constructors and the
+    service build the same state arrays, and the answer they hold is
+    sequential greedy's under the session's order."""
+
+    @pytest.mark.parametrize("problem, payload_kind, order", [
+        ("mis", "graph", "pi"),
+        ("mis", "graph", "seed"),
+        ("matching", "graph", "pi"),
+        ("matching", "graph", "seed"),
+        ("matching", "edges", "pi"),
+        ("matching", "shuffled", "seed"),
+    ])
+    def test_state_is_sequential_greedy(self, svc, graph, problem, payload_kind, order):
+        el = graph.edge_list()
+        if payload_kind == "graph":
+            payload = graph
+        elif payload_kind == "edges":
+            payload = el
+        else:
+            p = np.random.default_rng(2).permutation(el.num_edges)
+            payload = EdgeList(el.num_vertices, el.u[p], el.v[p])
+        size = graph.num_vertices if problem == "mis" else el.num_edges
+        ranks = np.random.default_rng(4).permutation(size) if order == "pi" else None
+        cls = IncrementalMIS if problem == "mis" else IncrementalMatching
+        local = cls(payload, ranks, seed=11).to_state()
+        info = svc.create_session(problem, payload, ranks, seed=11)
+        served = svc.sessions._sessions[info.session_id].state
+        svc.close_session(info.session_id)
+        assert local.keys() == served.keys()
+        for key, value in local.items():
+            if isinstance(value, np.ndarray):
+                assert value.dtype == served[key].dtype, key
+                assert np.array_equal(value, served[key]), key
+            else:
+                assert value == served[key], key
+        answer = result_from_state(served)
+        if problem == "mis":
+            ref = maximal_independent_set(graph, answer.ranks, method="sequential")
+        else:
+            ref = maximal_matching(
+                EdgeList(graph.num_vertices, answer.edge_u, answer.edge_v),
+                answer.ranks, method="sequential",
+            )
+        assert np.array_equal(answer.status, ref.status)
+        assert info.size == ref.size and info.m == el.num_edges
+
+    def test_duplicate_edge_fails_before_any_job(self, svc):
+        before = svc.stats().submitted
+        dup = EdgeList(4, np.array([0, 1, 0]), np.array([1, 2, 1]))
+        with pytest.raises(InvalidGraphError, match="duplicate edge"):
+            svc.create_session("matching", dup, seed=1)
+        assert svc.stats().submitted == before
+
+
+class TestRestoreChecks:
+    """A restore checks the state in the parent; only ``guards="full"``
+    re-solves, through the service."""
+
+    def test_restore_without_guards_submits_no_job(self, svc, graph, pi):
+        info = svc.create_session("matching", graph, seed=2)
+        snap = svc.session_snapshot(info.session_id)
+        svc.close_session(info.session_id)
+        before = svc.stats().submitted
+        restored = svc.restore_session(snap)
+        assert svc.stats().submitted == before
+        assert restored.as_dict() == info.as_dict()
+        svc.close_session(info.session_id)
+
+    @pytest.mark.parametrize("problem, corrupt, match", [
+        ("mis", lambda st: st["edges"].reverse(), "sorted and distinct"),
+        ("mis", lambda st: st["status"].__setitem__(0, 7), "IN_SET"),
+        ("matching", lambda st: st["edges"].reverse(), "sorted and distinct"),
+        ("matching", lambda st: st["edges"][0].__setitem__(3, 5), "0 or 1"),
+    ])
+    def test_malformed_state_fails_in_the_parent(
+        self, svc, graph, pi, problem, corrupt, match
+    ):
+        info = svc.create_session(
+            problem, graph, pi if problem == "mis" else None, seed=2,
+        )
+        snap = svc.session_snapshot(info.session_id)
+        svc.close_session(info.session_id)
+        corrupt(snap["state"])
+        before = svc.stats().submitted
+        with pytest.raises(InvalidGraphError, match=match):
+            svc.restore_session(snap)
+        assert svc.stats().submitted == before
+        assert info.session_id not in [i.session_id for i in svc.list_sessions()]
+
+    @pytest.mark.parametrize("problem", ["mis", "matching"])
+    def test_flipped_status_fails_full_guards(self, svc, graph, pi, problem):
+        info = svc.create_session(
+            problem, graph, pi if problem == "mis" else None, seed=2,
+        )
+        snap = svc.session_snapshot(info.session_id)
+        svc.close_session(info.session_id)
+        state = snap["state"]
+        if problem == "mis":
+            state["status"][0] = 3 - state["status"][0]  # IN_SET <-> KNOCKED_OUT
+        else:
+            state["edges"][0][3] = 1 - state["edges"][0][3]
+        snap["guards"] = "full"
+        with pytest.raises(InvariantViolationError):
+            svc.restore_session(snap)
+        with pytest.raises(UnknownSessionError):
+            svc.session_info(info.session_id)
+        # The unflipped snapshot passes the same check.
+        if problem == "mis":
+            state["status"][0] = 3 - state["status"][0]
+        else:
+            state["edges"][0][3] = 1 - state["edges"][0][3]
+        assert svc.restore_session(snap).version == 0
         svc.close_session(info.session_id)
 
 
