@@ -46,9 +46,11 @@ Installed as the ``repro`` console script (also usable as
     Sweep the segment ledger and unlink shared-memory segments orphaned
     by killed owner processes (``--dry-run`` to only report).
 ``recover``
-    Inspect quarantined durability files — session snapshots and ledger
-    records renamed ``.corrupt`` after failing their embedded checksum —
-    and optionally purge them.
+    Inspect quarantined durability files — session snapshots, session
+    logs and ledger records renamed ``.corrupt`` after failing their
+    embedded checksum — and optionally purge them.  With
+    ``--session-dir`` it also reports each persisted session's snapshot
+    version and how many log records a restore will replay.
 
 Every command takes ``--seed`` so runs are reproducible end to end.
 
@@ -319,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     rc = sub.add_parser(
         "recover",
-        help="inspect quarantined (.corrupt) snapshots and ledger records",
+        help="inspect persisted sessions and quarantined (.corrupt) "
+             "snapshots, logs and ledger records",
     )
     rc.add_argument("--session-dir", default=None, metavar="DIR",
                     help="session snapshot directory to inspect")
@@ -919,18 +922,21 @@ def _cmd_session_run(args) -> int:
               f"{dyn['total_scratch_work']} "
               f"(ratio {dyn['total_work_ratio']:.3f})")
     if args.verify:
-        from repro.dynamic.jobs import _maintainer_from_state
+        from repro.graphs.builders import from_edges
+        from repro.graphs.csr import EdgeList
 
-        maintainer = _maintainer_from_state(snapshot["state"])
-        mutated = maintainer.graph()
+        # The mutated graph from the committed edge rows, the order from
+        # the answer: no maintainer rebuild.
         if problem == "mis":
+            edges = np.asarray(snapshot["state"]["edges"], dtype=np.int64).reshape(-1, 2)
             ref = maximal_independent_set(
-                mutated, result.ranks, method="sequential"
+                from_edges(g.num_vertices, edges[:, 0], edges[:, 1]),
+                result.ranks, method="sequential",
             )
         else:
             ref = maximal_matching(
-                maintainer.edge_list(), maintainer.current_ranks(),
-                method="sequential",
+                EdgeList(g.num_vertices, result.edge_u, result.edge_v),
+                result.ranks, method="sequential",
             )
         if not np.array_equal(result.status, ref.status):
             print("verify:      FAILED (incremental != from-scratch)",
@@ -1024,25 +1030,40 @@ def _cmd_reap(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    """List (and optionally purge) quarantined durability files.
+    """Report persisted sessions; list (and optionally purge) quarantined
+    durability files.
 
-    Covers the two checksummed stores: session snapshots under
-    ``--session-dir`` and the shared segment ledger.  Quarantined files
-    were renamed ``.corrupt`` when a load failed its embedded checksum;
-    they are held for exactly this inspection until purged here (or by
-    a reap sweep run with purging enabled).
+    Covers the two checksummed stores: sessions under ``--session-dir``
+    (snapshots and their logs) and the shared segment ledger.  Each
+    session's snapshot and log are loaded as a restore loads them, so a
+    file that fails its checksum now is quarantined like one a restore
+    met, and the command then exits 5.  Quarantined files were renamed
+    ``.corrupt`` when a load failed its embedded checksum; they are held
+    for exactly this inspection until purged here (or by a reap sweep
+    run with purging enabled).
     """
     import json
 
     from repro.backends.ledger import default_ledger
+    from repro.errors import SnapshotCorruptError
 
     ledger = default_ledger()
-    snapshot_corrupt = []
+    sessions, snapshot_corrupt = [], []
     snapshot_dir = args.session_dir
     if snapshot_dir is not None:
         from repro.dynamic.store import SnapshotStore
 
         store = SnapshotStore(snapshot_dir)
+        for sid in store.list_ids():
+            try:
+                snap = store.load(sid)
+                if snap is None:  # removed since the listing
+                    continue
+                version = int(snap.get("version", 0))
+                replay = len(store.load_log(sid, version))
+                sessions.append({"session_id": sid, "version": version, "replay": replay})
+            except SnapshotCorruptError as exc:
+                sessions.append({"session_id": sid, "error": str(exc)})
         snapshot_corrupt = store.corrupt_files()
     ledger_corrupt = ledger.corrupt_files()
     purged = []
@@ -1053,22 +1074,33 @@ def _cmd_recover(args) -> int:
     if args.json:
         print(json.dumps({
             "session_dir": snapshot_dir,
+            "sessions": sessions,
             "quarantined_snapshots": snapshot_corrupt,
             "quarantined_ledger_records": ledger_corrupt,
             "purged": purged,
         }, indent=2))
-        return 0
-    total = len(snapshot_corrupt) + len(ledger_corrupt)
-    print(f"quarantined: {total} file(s) "
-          f"({len(snapshot_corrupt)} snapshot, {len(ledger_corrupt)} ledger)")
-    for name in snapshot_corrupt:
-        print(f"  snapshot {name}")
-    for name in ledger_corrupt:
-        print(f"  ledger   {name}")
-    if args.purge:
-        print(f"purged:      {len(purged)} file(s)")
-    elif total:
-        print("rerun with --purge to delete them")
+    else:
+        if snapshot_dir is not None:
+            print(f"sessions:    {len(sessions)} persisted")
+            for entry in sessions:
+                print(f"  {entry['session_id']}  " + (
+                    f"CORRUPT: {entry['error']}" if "error" in entry
+                    else f"snapshot version {entry['version']}, a restore "
+                         f"replays {entry['replay']} log record(s)"))
+        total = len(snapshot_corrupt) + len(ledger_corrupt)
+        print(f"quarantined: {total} file(s) "
+              f"({len(snapshot_corrupt)} session, {len(ledger_corrupt)} ledger)")
+        for name in snapshot_corrupt:
+            print(f"  session  {name}")
+        for name in ledger_corrupt:
+            print(f"  ledger   {name}")
+        if args.purge:
+            print(f"purged:      {len(purged)} file(s)")
+        elif total:
+            print("rerun with --purge to delete them")
+    errors = [entry["error"] for entry in sessions if "error" in entry]
+    if errors:
+        raise SnapshotCorruptError("; ".join(errors))
     return 0
 
 

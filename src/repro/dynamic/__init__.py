@@ -14,11 +14,13 @@ toward higher ranks.  This package exploits that three ways:
   without a maintainer).
 * :mod:`repro.dynamic.streaming` — batched edge-arrival ingestion over
   either maintainer.
-* :mod:`repro.dynamic.jobs` + :mod:`repro.dynamic.store` — the
-  pure (state, batch) → (state', stats) worker entry point and the
-  atomic, checksummed snapshot store (arrays as raw bytes) that let
-  :class:`repro.service.SolverService` serve maintainers as long-lived
-  crash-safe sessions.
+* :mod:`repro.dynamic.jobs` + :mod:`repro.dynamic.store` — the worker
+  entry point that applies a batch to a cached maintainer and replies
+  with its flips (:func:`~repro.dynamic.incremental.apply_flips`
+  follows it on the committed arrays), and the atomic, checksummed
+  snapshot store (arrays as raw bytes) with its per-session mutation
+  log, which let :class:`repro.service.SolverService` serve maintainers
+  as long-lived crash-safe sessions.
 
 Layering: sits above :mod:`repro.core`/:mod:`repro.graphs` and below
 :mod:`repro.service` (which imports it lazily in workers).

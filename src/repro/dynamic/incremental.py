@@ -26,7 +26,11 @@ matched)`` for MM — and patches them per batch with ``np.searchsorted``
 and one slice-and-concatenate pass.  So
 :meth:`~IncrementalMIS.to_state` is a few array copies, with no Python
 loop over edges, and :func:`result_from_state` builds the answer from a
-state's arrays without rebuilding a maintainer.  :func:`check_state`
+state's arrays without rebuilding a maintainer.  A batch also records
+the items whose answer it flipped (``last_flips``), and
+:func:`apply_flips` turns a state plus the batch and those flips into
+the next state, so a holder of the arrays can follow a maintainer that
+lives elsewhere from O(batch + flips) of data.  :func:`check_state`
 validates a state or its ``tolist()`` form (format-1 snapshot files,
 portable JSON snapshots) for ``from_state`` and a session restore.
 Version 0 is sequential greedy on (graph, π), which every engine returns,
@@ -44,6 +48,7 @@ numbers are a pure function of (state, batch): a maintainer rebuilt by
 
 from __future__ import annotations
 
+import copy
 import heapq
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
@@ -63,6 +68,7 @@ from repro.util.rng import SeedLike
 __all__ = [
     "IncrementalMIS",
     "IncrementalMatching",
+    "apply_flips",
     "check_state",
     "edge_priorities",
     "edge_priority",
@@ -204,6 +210,49 @@ def _splice(
     key_parts.append(keys[prev:])
     row_parts.append(rows[prev:])
     return np.concatenate(key_parts), np.concatenate(row_parts)
+
+
+def apply_flips(
+    state: Dict[str, object],
+    insertions: Sequence[EdgePair],
+    deletions: Sequence[EdgePair],
+    flips: Sequence[Sequence[int]],
+) -> Dict[str, object]:
+    """The state a maintainer holding *state* reaches under one batch.
+
+    *flips* is the maintainer's ``last_flips`` after it accepted the
+    batch: ``(v, status)`` per flipped MIS vertex, ``(u, v, matched)``
+    per flipped MM edge.  The edge rows are spliced as
+    :meth:`~IncrementalMIS.apply_batch` splices them, inserted MM edges
+    take :func:`edge_priorities` under the state's seed, and the flipped
+    values are written over the result.  Pure: every array of the
+    returned state is a fresh copy and *state* is left as it was; the
+    counters are copied unchanged (the batch's come from the maintainer).
+    The batch is trusted to be one the maintainer accepted, so each
+    deletion is present and each insertion absent.
+    """
+    n = int(state["n"])
+    ins = [_canon_pair(u, v, n, "insert") for u, v in insertions]
+    dels = [_canon_pair(u, v, n, "delete") for u, v in deletions]
+    rows = state["edges"]
+    keys = rows[:, 0] * n + rows[:, 1]
+    out = dict(state, counters=copy.deepcopy(state["counters"]))
+    if state["problem"] == "mis":
+        out["edges"] = _splice(keys, rows, n, dels, ins)[1]
+        out["ranks"] = state["ranks"].copy()
+        status = out["status"] = state["status"].copy()
+        flipped = np.asarray(flips, dtype=np.int64).reshape(-1, 2)
+        status[flipped[:, 0]] = flipped[:, 1]
+        return out
+    pairs = np.asarray(ins, dtype=np.int64).reshape(-1, 2)
+    new_rows = np.column_stack(
+        (pairs, edge_priorities(state["seed"], pairs[:, 0], pairs[:, 1]), np.zeros(len(ins), np.int64))
+    )
+    keys, edges = _splice(keys, rows, n, dels, new_rows)
+    out["edges"] = edges
+    flipped = np.asarray(flips, dtype=np.int64).reshape(-1, 3)
+    edges[np.searchsorted(keys, flipped[:, 0] * n + flipped[:, 1]), 3] = flipped[:, 2]
+    return out
 
 
 class _DynamicCounters:
@@ -465,6 +514,8 @@ class IncrementalMIS:
         self._graph_cache: Optional[CSRGraph] = None
         self.counters = _DynamicCounters()
         self.counters.load(state["counters"])
+        #: ``(v, status)`` of every vertex the last accepted batch flipped.
+        self.last_flips: List[Tuple[int, int]] = []
 
     # -- mutation --------------------------------------------------------
 
@@ -481,7 +532,8 @@ class IncrementalMIS:
         structural change, so a rejected batch leaves the session intact.
 
         Returns the per-batch dynamic stats dict (affected-region size,
-        flips, scanned arcs, work ratio).
+        flips, scanned arcs, work ratio); the flipped vertices with their
+        new status are left in :attr:`last_flips`.
         """
         ins, dels = _check_batch(insertions, deletions, self.n)
         for a, b in ins:
@@ -502,26 +554,29 @@ class IncrementalMIS:
             seeds.add(a if rank[a] > rank[b] else b)
         self._keys, self._rows = _splice(self._keys, self._rows, self.n, dels, ins)
         self._graph_cache = None
-        affected, flipped, scanned = self._peel(seeds)
+        affected, changed, scanned = self._peel(seeds)
+        self.last_flips = [(v, int(self.status[v])) for v in changed]
         return self.counters.record(
             inserted=len(ins),
             deleted=len(dels),
             affected=affected,
-            flipped=flipped,
+            flipped=len(changed),
             scanned_arcs=scanned,
             items=self.n,
             arcs=self.m,
         )
 
-    def _peel(self, dirty: Iterable[int]) -> Tuple[int, int, int]:
-        """Re-peel *dirty* (and everything they flip) in rank order."""
+    def _peel(self, dirty: Iterable[int]) -> Tuple[int, List[int], int]:
+        """Re-peel *dirty* (and everything they flip) in rank order; also
+        returns the flipped vertices."""
         rank = self._rank
         status = self.status
         adj = self._adj
         heap = [(rank[v], v) for v in dirty]
         heapq.heapify(heap)
         queued = {v for (_, v) in heap}
-        affected = flipped = scanned = 0
+        affected = scanned = 0
+        changed: List[int] = []
         while heap:
             rv, v = heapq.heappop(heap)
             queued.discard(v)
@@ -539,13 +594,13 @@ class IncrementalMIS:
             if status[v] == new:
                 continue
             status[v] = new
-            flipped += 1
+            changed.append(v)
             scanned += len(nbrs)
             for w in nbrs:
                 if rank[w] > rv and w not in queued:
                     queued.add(w)
                     heapq.heappush(heap, (rank[w], w))
-        return affected, flipped, scanned
+        return affected, changed, scanned
 
     # -- queries ---------------------------------------------------------
 
@@ -678,6 +733,8 @@ class IncrementalMatching:
             self._incident[b].add(key)
         self.counters = _DynamicCounters()
         self.counters.load(state["counters"])
+        #: ``(u, v, matched)`` of every edge the last accepted batch flipped.
+        self.last_flips: List[Tuple[int, int, int]] = []
 
     # -- ordering --------------------------------------------------------
 
@@ -693,7 +750,9 @@ class IncrementalMatching:
     ) -> Dict[str, object]:
         """Apply one mutation batch and re-peel the affected line-graph region.
 
-        Same strictness contract as :meth:`IncrementalMIS.apply_batch`.
+        Same strictness contract as :meth:`IncrementalMIS.apply_batch`;
+        the flipped edges with their new flag are left in
+        :attr:`last_flips`.
         """
         ins, dels = _check_batch(insertions, deletions, self.n)
         for key in ins:
@@ -731,10 +790,11 @@ class IncrementalMatching:
             new_rows.append((a, b, prio, 0))
         self._keys, self._rows = _splice(self._keys, self._rows, self.n, dels, new_rows)
         affected, flipped, scanned, changed = self._peel(dirty)
+        self.last_flips = [(a, b, int(self._edges[(a, b)][1])) for a, b in changed]
         if changed:
             n = self.n
             at = np.searchsorted(self._keys, [a * n + b for a, b in changed])
-            self._rows[at, 3] = [self._edges[key][1] for key in changed]
+            self._rows[at, 3] = [hit for _, _, hit in self.last_flips]
         return self.counters.record(
             inserted=len(ins),
             deleted=len(dels),

@@ -23,6 +23,17 @@ format 1 — a single JSON envelope whose state holds lists — which
 pickle could run code when loaded, and ``repro recover`` could not
 inspect it.
 
+Between snapshots a session appends one record per committed mutation
+to ``<session_id>.log`` (:meth:`SnapshotStore.append`), fsync'd before
+the mutation is acknowledged.  A record is one line
+``{"record":…,"sha256":…}`` whose digest covers the canonical JSON of
+the record; the session layer's records are ``{version, mutation_id,
+insertions, deletions, outcome}``.  :meth:`SnapshotStore.save` drops the
+log once the snapshot that supersedes it is in place, and
+:meth:`SnapshotStore.load_log` returns the records past a snapshot's
+version.  A final line without its newline is an append torn by a
+crash, never acknowledged, and is dropped.
+
 Two durability hazards remain even with atomic replacement, and both
 are handled here rather than left to callers:
 
@@ -32,8 +43,10 @@ are handled here rather than left to callers:
   resilience reaper reports the same sweep on its timer.
 * **Corruption** — a load that fails to parse, fails the checksum, or
   names an array the tail does not hold (a dtype other than a
-  fixed-width integer or bool, a shape the bytes do not fill) renames
-  the file to a ``.corrupt`` quarantine and raises the typed
+  fixed-width integer or bool, a shape the bytes do not fill), and a
+  log with a complete record that fails its checksum or does not
+  continue the versions before it, renames the file to a ``.corrupt``
+  quarantine (``<id>.json.corrupt``, ``<id>.log.corrupt``) and raises the typed
   :class:`~repro.errors.SnapshotCorruptError` — never a raw
   ``json.JSONDecodeError`` or ``ValueError`` — so the exit-code/status
   taxonomy holds, retries cannot re-read the poison, and
@@ -153,13 +166,15 @@ def _attach_arrays(header: Dict[str, Any], tail: bytes) -> None:
 
 
 class SnapshotStore:
-    """Directory of ``<session_id>.json`` snapshot files.
+    """Directory of ``<session_id>.json`` snapshot files and
+    ``<session_id>.log`` mutation logs.
 
     Session ids are restricted to ``[A-Za-z0-9_.-]`` so an id can never
     escape the store directory.  :meth:`save` writes format 2 (a JSON
     envelope line, then raw array bytes); :meth:`load` reads formats 1
     and 2 and verifies the digest before handing the payload back, with
-    its arrays as writable numpy arrays.
+    its arrays as writable numpy arrays.  :meth:`append` and
+    :meth:`load_log` write and read the log.
     """
 
     def __init__(self, root: PathLike) -> None:
@@ -185,18 +200,22 @@ class SnapshotStore:
                     pass
         return swept
 
-    def _path(self, session_id: str) -> str:
+    def _path(self, session_id: str, suffix: str = ".json") -> str:
         if not session_id or not all(
             c.isalnum() or c in "_.-" for c in session_id
         ):
             raise ReproError(f"invalid session id {session_id!r}")
-        return os.path.join(self.root, f"{session_id}.json")
+        return os.path.join(self.root, f"{session_id}{suffix}")
 
     def save(self, session_id: str, snapshot: Dict[str, object]) -> str:
-        """Atomically persist *snapshot*; returns the file path.
+        """Atomically persist *snapshot*, then drop the session's log;
+        returns the file path.
 
         The snapshot is JSON-encoded once; its arrays (fixed-width
-        integer or bool only) are written as raw bytes after it.
+        integer or bool only) are written as raw bytes after it.  The
+        log goes only once the snapshot is in place: a crash in between
+        leaves records at or below the snapshot's version, which
+        :meth:`load_log` skips.
         """
         path = self._path(session_id)
         head, arrays = _encode(snapshot)
@@ -221,9 +240,79 @@ class SnapshotStore:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
+        try:
+            os.unlink(self._path(session_id, ".log"))
+        except FileNotFoundError:
+            pass
         return path
 
-    def _quarantine(self, path: str, why: str) -> "SnapshotCorruptError":
+    def append(self, session_id: str, record: Dict[str, object]) -> None:
+        """Append one checksummed *record* to the session's log and fsync it.
+
+        A write that fails part-way is cut back off, so the next record
+        never lands behind a torn one.
+        """
+        body = _canonical(record)
+        line = b'{"record":%s,"sha256":"%s"}\n' % (
+            body, hashlib.sha256(body).hexdigest().encode("ascii"))
+        fd = os.open(self._path(session_id, ".log"), os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+        try:
+            start = os.fstat(fd).st_size
+            try:
+                view = memoryview(line)
+                while view:
+                    view = view[os.write(fd, view):]
+                os.fsync(fd)
+            except BaseException:
+                try:
+                    os.ftruncate(fd, start)
+                except OSError:  # pragma: no cover - the error below says enough
+                    pass
+                raise
+        finally:
+            os.close(fd)
+
+    def load_log(self, session_id: str, after: int) -> List[Dict[str, object]]:
+        """The log records past version *after*, oldest first.
+
+        Records at or below *after* were folded into the snapshot already
+        and are skipped.  A final line without its newline is a torn
+        append and is dropped.  A complete line that fails to parse or
+        its checksum, or a version that does not continue the one before
+        it (or *after*), renames the log to ``<id>.log.corrupt`` and
+        raises :class:`~repro.errors.SnapshotCorruptError`.
+        """
+        path = self._path(session_id, ".log")
+        try:
+            with open(path, "rb") as fh:
+                lines = fh.read().split(b"\n")
+        except FileNotFoundError:
+            return []
+        lines.pop()  # b"" after the last newline, else a torn append
+        records: List[Dict[str, object]] = []
+        for lineno, line in enumerate(lines, 1):
+            try:
+                envelope = json.loads(line)
+                record = envelope["record"]
+                digest = hashlib.sha256(_canonical(record)).hexdigest()
+                ok = digest == envelope["sha256"] and type(record["version"]) is int
+            except (ValueError, TypeError, KeyError):
+                ok = False
+            if not ok:
+                raise self._quarantine(path, f"record {lineno} fails its checksum", "log")
+            if records and record["version"] != records[-1]["version"] + 1:
+                raise self._quarantine(
+                    path, f"record {lineno} is version {record['version']}, "
+                    f"after {records[-1]['version']}", "log")
+            records.append(record)
+        records = [r for r in records if r["version"] > after]
+        if records and records[0]["version"] != after + 1:
+            raise self._quarantine(
+                path, f"records start at version {records[0]['version']}, "
+                f"the snapshot is version {after}", "log")
+        return records
+
+    def _quarantine(self, path: str, why: str, what: str = "snapshot") -> "SnapshotCorruptError":
         """Rename *path* out of the way and build the typed error."""
         target = f"{path}.corrupt"
         try:
@@ -233,7 +322,7 @@ class SnapshotStore:
         except OSError:  # pragma: no cover - raced / read-only dir
             where = "; quarantine rename failed"
         return SnapshotCorruptError(
-            f"corrupt session snapshot {path!r}: {why}{where}"
+            f"corrupt session {what} {path!r}: {why}{where}"
         )
 
     def load(self, session_id: str) -> Optional[Dict[str, object]]:
@@ -293,12 +382,21 @@ class SnapshotStore:
         return snapshot
 
     def delete(self, session_id: str) -> bool:
-        """Remove a snapshot; ``True`` if one existed."""
+        """Remove a snapshot and its log; ``True`` if a snapshot existed.
+
+        The snapshot goes first: a crash in between leaves a log that no
+        restore reads, never a snapshot without its newer records.
+        """
         try:
             os.unlink(self._path(session_id))
-            return True
+            existed = True
         except FileNotFoundError:
-            return False
+            existed = False
+        try:
+            os.unlink(self._path(session_id, ".log"))
+        except FileNotFoundError:
+            pass
+        return existed
 
     def list_ids(self) -> List[str]:
         """Session ids with a persisted snapshot (sorted)."""
@@ -309,7 +407,7 @@ class SnapshotStore:
         return sorted(out)
 
     def corrupt_files(self) -> List[str]:
-        """Quarantined snapshot filenames in the store (sorted)."""
+        """Quarantined snapshot and log filenames in the store (sorted)."""
         try:
             names = os.listdir(self.root)
         except OSError:  # pragma: no cover - root vanished

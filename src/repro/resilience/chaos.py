@@ -56,6 +56,8 @@ from repro.errors import (
     ReproError,
     WorkerCrashError,
 )
+from repro.graphs.builders import from_edges
+from repro.graphs.csr import EdgeList
 from repro.graphs.generators import (
     cycle_graph,
     grid_graph,
@@ -790,6 +792,19 @@ def _session_batch(rng, n: int, edges: Set[Tuple[int, int]], size: int):
     return ins, dels
 
 
+def _session_reference(problem: str, n: int, snap: Dict[str, Any], result, pi):
+    """A session's live edge set, from its committed edge rows, and
+    Algorithm 1's answer on that graph under the session's order."""
+    rows = np.asarray(snap["state"]["edges"], dtype=np.int64)
+    u, v = rows[:, 0], rows[:, 1]
+    live = set(zip(u.tolist(), v.tolist()))
+    if problem == "mis":
+        return live, _reference("mis", from_edges(n, u, v), ranks=pi)
+    return live, _reference(
+        "matching", EdgeList(n, result.edge_u, result.edge_v), ranks=result.ranks,
+    )
+
+
 def _run_session_churn(
     scenario: ChaosScenario, seed_offset: int
 ) -> ScenarioOutcome:
@@ -803,8 +818,6 @@ def _run_session_churn(
     to a from-scratch greedy solve of the mutated graph, and the
     session's edge set must equal the independently tracked shadow set.
     """
-    from repro.dynamic.jobs import _maintainer_from_state
-
     # One requested mutation per session per batch.
     outcome = ScenarioOutcome(scenario.name, 2 * scenario.requests)
     rng = np.random.default_rng((scenario.seed, seed_offset))
@@ -865,26 +878,14 @@ def _run_session_churn(
 
         for problem, rec in sessions.items():
             snap = svc.session_snapshot(rec["id"])
-            maintainer = _maintainer_from_state(snap["state"])
-            mutated = maintainer.graph()
-            live = set(
-                zip(mutated.edge_list().u.tolist(),
-                    mutated.edge_list().v.tolist())
-            )
+            result = svc.session_result(rec["id"])
+            live, ref = _session_reference(problem, n, snap, result, pi)
             if live != rec["edges"]:
                 outcome.mismatches.append(
                     f"{problem} session edge set diverged from the shadow "
                     f"({len(live ^ rec['edges'])} differing edges)"
                 )
                 continue
-            result = svc.session_result(rec["id"])
-            if problem == "mis":
-                ref = _reference("mis", mutated, ranks=pi)
-            else:
-                ref = _reference(
-                    "matching", maintainer.edge_list(),
-                    ranks=maintainer.current_ranks(),
-                )
             if np.array_equal(result.status, ref.status):
                 outcome.checks += 1
                 outcome.notes.append(
@@ -933,7 +934,6 @@ def _run_ambiguous_retry(
     import shutil
     import tempfile
 
-    from repro.dynamic.jobs import _maintainer_from_state
     from repro.dynamic.store import SnapshotStore
     from repro.service.http import GatewayConfig, HTTPGateway, request_json
 
@@ -1060,26 +1060,14 @@ def _run_ambiguous_retry(
 
         for problem, rec in sessions.items():
             snap = gw.service.session_snapshot(rec["id"])
-            maintainer = _maintainer_from_state(snap["state"])
-            mutated = maintainer.graph()
-            live = set(
-                zip(mutated.edge_list().u.tolist(),
-                    mutated.edge_list().v.tolist())
-            )
+            result = gw.service.session_result(rec["id"])
+            live, ref = _session_reference(problem, n, snap, result, pi)
             if live != rec["edges"]:
                 outcome.mismatches.append(
                     f"{problem} session edge set diverged from the shadow "
                     f"({len(live ^ rec['edges'])} differing edges)"
                 )
                 continue
-            result = gw.service.session_result(rec["id"])
-            if problem == "mis":
-                ref = _reference("mis", mutated, ranks=pi)
-            else:
-                ref = _reference(
-                    "matching", maintainer.edge_list(),
-                    ranks=maintainer.current_ranks(),
-                )
             if np.array_equal(result.status, ref.status):
                 outcome.checks += 1
                 outcome.notes.append(

@@ -108,7 +108,7 @@ class HealthReport:
     latency_p95: float
     #: Durability counters: session lifecycle (live sessions, mutations
     #: applied, idempotent replays, version conflicts) plus quarantined
-    #: snapshot/ledger files and swept temp debris.
+    #: snapshot, log and ledger files and swept temp debris.
     durability: Dict[str, Any] = field(default_factory=dict)
     generated_at: float = field(default_factory=time.time)
 

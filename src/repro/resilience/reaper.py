@@ -109,7 +109,7 @@ class ReapReport:
     skipped: List[str] = field(default_factory=list)   #: younger than min age
     attach_swept: int = 0        #: dead-pid attach sidecars removed
     snapshot_tmp_swept: int = 0  #: stray ``*.tmp`` snapshot files removed
-    quarantined_snapshots: int = 0       #: ``.corrupt`` snapshot files seen
+    quarantined_snapshots: int = 0       #: ``.corrupt`` snapshot and log files seen
     quarantined_ledger_records: int = 0  #: ``.corrupt`` ledger files seen
     quarantine_purged: int = 0   #: quarantined files deleted (purge mode)
     dry_run: bool = False
@@ -208,7 +208,8 @@ def reap_orphans(
     With *snapshot_dir* the sweep also covers session-snapshot debris:
     stray ``*.tmp`` files (a writer killed between ``mkstemp`` and
     ``os.replace``) are removed and counted, and quarantined
-    ``.corrupt`` files — snapshot and ledger — are counted.  Quarantine
+    ``.corrupt`` files — session snapshot and log, and ledger — are
+    counted.  Quarantine
     is *held* for inspection (``repro recover``) unless
     ``purge_quarantine=True`` explicitly deletes it.
     """

@@ -6,7 +6,9 @@ about the engine) trip the breaker **open**; while open, the scheduler
 routes requests to the next engine in the registry's degradation chain
 instead.  After ``reset_seconds`` the breaker admits exactly one probe
 (**half-open**): a success closes it, a failure re-opens it for another
-full window, and a probe whose worker died is released.
+full window, and a probe that ends without a verdict on the engine (its
+worker died or hung, it overran its deadline or budget, or its input was
+invalid) is released.
 
 The clock is injectable so tests can march a breaker through its state
 machine deterministically.
@@ -116,7 +118,7 @@ class CircuitBreaker:
             return False
 
     def release(self) -> None:
-        """A routed request's worker died or hung: free the probe slot."""
+        """A routed request ended without a verdict: free the probe slot."""
         with self._lock:
             self._probing = False
 

@@ -1284,7 +1284,11 @@ class HTTPGateway:
 
     async def _handle_session_close(self, request: _Request):
         sid = self._session_id_from(request)
-        info = self.service.close_session(sid)
+        # Off the loop: a close waits for an in-flight mutate of the
+        # session and may write its snapshot.
+        info = await self._session_call(
+            functools.partial(self.service.close_session, sid), None,
+        )
         return 200, dict(info.as_dict(), closed=True), {}
 
     # -- response writing --------------------------------------------------

@@ -981,6 +981,10 @@ class SolverService:
         attempt["error"] = message
         if "fault" in (attempt["chaos"] or {}):
             self._stats.bump("faults_landed")
+        if name == "BudgetExceededError" or name in _NON_RETRYABLE:
+            # The request's own limits or input ended the attempt: no
+            # verdict on the engine.
+            self._release_probe(ticket)
         if name == "BudgetExceededError":
             if ticket.deadline is not None and message.startswith("wall-clock"):
                 self._stats.bump("deadline_failures")
@@ -1014,13 +1018,18 @@ class SolverService:
             return
         attempt = ticket.attempts[-1]
         attempt["outcome"] = "crash"
-        if ticket.request.problem != "call":  # a death says nothing of the engine
-            self.breaker(ticket.request.problem, attempt["method"]).release()
+        self._release_probe(ticket)  # a death says nothing of the engine
         exc = WorkerCrashError(
             f"worker {attempt['worker']} died while serving request {ticket.id} "
             f"({self._attempt_log(ticket)})"
         )
         self._retry_or_fail(ticket, exc, now)
+
+    def _release_probe(self, ticket: _Ticket) -> None:
+        """The attempt ended without a verdict on its engine: free the
+        breaker's half-open probe slot it may hold."""
+        if ticket.request.problem != "call":
+            self.breaker(ticket.request.problem, ticket.attempts[-1]["method"]).release()
 
     def _enforce_limits(self, now: float) -> None:
         for worker in self._pool.busy():
@@ -1037,11 +1046,9 @@ class SolverService:
             worker.job = None
             ticket.attempts[-1]["outcome"] = "killed-overdue"
             self._respawn(worker)
+            self._release_probe(ticket)
             if hang:
                 self._stats.bump("worker_crashes")
-                if ticket.request.problem != "call":
-                    method = ticket.attempts[-1]["method"]
-                    self.breaker(ticket.request.problem, method).release()
                 self._retry_or_fail(
                     ticket,
                     WorkerCrashError(

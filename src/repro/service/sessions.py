@@ -9,13 +9,18 @@ in the parent; mutations run inside a worker via the generic ``"call"``
 job kind pointing at :mod:`repro.dynamic.jobs`.  That split is what
 makes sessions survive worker crashes:
 
-1. A mutation ships ``(committed state, batch)`` to a worker, which
-   replays the maintainer and applies the batch.
-2. The parent commits the returned state **only on success** and bumps
-   the version.
+1. A mutation ships the batch, not the state: ``(epoch, version,
+   insertions, deletions, guards)``.  The worker that holds the
+   maintainer of the committed version applies it and replies with the
+   flipped items; a worker without it replies ``state_needed`` and the
+   job is re-sent once with the committed state.
+2. The parent commits :func:`~repro.dynamic.incremental.apply_flips` of
+   its own arrays **only on success** and bumps the version.  Under
+   ``guards="full"`` the reply also carries the worker's ``to_state()``,
+   which must equal the parent's arrays.
 3. A worker killed mid-mutation (chaos, OOM, hang) is simply retried by
    the service's normal retry machinery with the *same* committed
-   input; the maintainers are deterministic, so the replayed attempt
+   version; the maintainers are deterministic, so the replayed attempt
    reproduces the bit-identical result.  Half-applied state can never
    be observed because it never leaves the dead worker.
 
@@ -25,10 +30,17 @@ committed arrays in-parent
 rebuild) and hand back fresh copies — they cannot corrupt anything and
 need no isolation.
 
-With a :class:`~repro.dynamic.store.SnapshotStore` attached, every
-committed version is also persisted atomically (the arrays as raw bytes
-under a checksummed JSON header), so sessions additionally survive full
-service restarts via :meth:`SessionManager.restore`.
+With a :class:`~repro.dynamic.store.SnapshotStore` attached, sessions
+also survive full service restarts via :meth:`SessionManager.restore`.
+Each committed mutation appends one checksummed record ``{version,
+mutation_id, insertions, deletions, outcome}`` to the session's log,
+fsync'd before the call returns.  A full snapshot (the arrays as raw
+bytes under a checksummed JSON header), which drops the log, is written
+at create, restore and close, and in place of the record that would make
+the log longer than :data:`DEDUP_WINDOW`; so a restore replays at most
+that many batches, through the same worker path, and checks each against
+its logged outcome.  Replay is exact because greedy MIS/MM is a pure
+function of (graph, π), and so are the maintainers.
 :meth:`SessionManager.snapshot` returns the portable JSON-safe form
 (arrays as lists); :meth:`SessionManager.restore` takes either form.
 
@@ -38,10 +50,10 @@ same committed input — but a **client** retry after an ambiguous outcome
 batch.  Two per-mutation knobs close that gap:
 
 * ``mutation_id`` — a client-chosen idempotency key.  Each record keeps
-  a bounded, snapshot-persisted window of applied ids
-  (:data:`DEDUP_WINDOW`); a duplicate replays the *recorded outcome*
-  (summary + version) without touching a worker, so retrying until a
-  definite answer arrives is exactly-once.
+  a bounded, persisted window of applied ids (:data:`DEDUP_WINDOW`; the
+  snapshot holds it and the log's records extend it); a duplicate
+  replays the *recorded outcome* (summary + version) without touching a
+  worker, so retrying until a definite answer arrives is exactly-once.
 * ``if_version`` — a compare-and-swap precondition.  If the committed
   version has moved, the mutation fails with the typed
   :class:`~repro.errors.VersionConflictError` (HTTP ``409``), turning
@@ -66,7 +78,12 @@ import numpy as np
 
 from repro.core.options import SolveOptions, resolve_options
 from repro.core.status import IN_SET
-from repro.dynamic.incremental import check_state, initial_state, result_from_state
+from repro.dynamic.incremental import (
+    apply_flips,
+    check_state,
+    initial_state,
+    result_from_state,
+)
 from repro.errors import (
     InvalidGraphError,
     InvariantViolationError,
@@ -85,7 +102,8 @@ _PROBLEMS = ("mis", "matching")
 #: Bounds both memory and snapshot size; a client retrying one ambiguous
 #: mutation needs a window of exactly 1, so 128 leaves two orders of
 #: magnitude of slack for pipelined writers before an evicted id could
-#: make a very late duplicate re-apply.
+#: make a very late duplicate re-apply.  Also the most records a
+#: session's log holds before a full snapshot replaces it.
 DEDUP_WINDOW = 128
 
 #: Registry placeholder: the id is claimed by an in-flight create/restore
@@ -95,6 +113,31 @@ DEDUP_WINDOW = 128
 #: duplicate check and the later commit silently overwrites the earlier
 #: session.
 _RESERVED = object()
+
+
+def _state_size(state: Dict[str, Any]) -> int:
+    """The answer's size: MIS members, or matched MM edges."""
+    if state["problem"] == "mis":
+        return int(np.count_nonzero(state["status"] == IN_SET))
+    return int(np.count_nonzero(state["edges"][:, 3]))
+
+
+def _same_state(a: Dict[str, Any], b: Dict[str, Any]) -> bool:
+    return a.keys() == b.keys() and all(
+        np.array_equal(value, b[key]) if isinstance(value, np.ndarray) else value == b[key]
+        for key, value in a.items()
+    )
+
+
+def _remember(
+    window: "OrderedDict[str, Dict[str, Any]]", mutation_id: str, outcome: Dict[str, Any]
+) -> None:
+    """Add an applied id to a dedup window, evicting the oldest past
+    :data:`DEDUP_WINDOW`."""
+    window[mutation_id] = dict(outcome)
+    window.move_to_end(mutation_id)
+    while len(window) > DEDUP_WINDOW:
+        window.popitem(last=False)
 
 
 def _normalize_batch(edges: Sequence[Any], label: str) -> List[Tuple[int, int]]:
@@ -148,17 +191,21 @@ class _SessionRecord:
     size: int
     guards: Optional[str]
     dynamic: Dict[str, Any]
-    #: Opaque timeline token, minted fresh on every create/restore and
+    #: Opaque timeline token, minted fresh on every create/restore (and
+    #: when a worker may hold a version the parent did not commit) and
     #: shipped with mutations so the worker-side warm-maintainer cache
     #: (:mod:`repro.dynamic.jobs`) can never serve a maintainer from an
     #: abandoned timeline (closed-and-recreated id, older snapshot).
     epoch: str = ""
     #: mutation_id → recorded outcome, oldest first; bounded by
-    #: :data:`DEDUP_WINDOW` and persisted with every snapshot so
-    #: exactly-once survives full restarts, not just worker respawns.
+    #: :data:`DEDUP_WINDOW` and persisted with every snapshot and log
+    #: record so exactly-once survives full restarts, not just worker
+    #: respawns.
     applied: "OrderedDict[str, Dict[str, Any]]" = field(
         default_factory=OrderedDict
     )
+    #: Records in the store's log since the last full snapshot.
+    logged: int = 0
     lock: threading.Lock = field(default_factory=threading.Lock)
 
     def info(self) -> SessionInfo:
@@ -222,7 +269,38 @@ class SessionManager:
             problem, payload, ranks, guards=guards, timeout_seconds=timeout_s,
         ))
 
+    def _advance(
+        self,
+        epoch: str,
+        version: int,
+        state: Dict[str, Any],
+        ins: Sequence[Tuple[int, int]],
+        dels: Sequence[Tuple[int, int]],
+        guards: Optional[str],
+        timeout_s: Optional[float],
+    ) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+        """One batch through a worker: the next state and the batch's stats.
+
+        Ships the batch alone, and the committed *state* only when the
+        worker answers ``state_needed``.
+        """
+        kwargs = {"epoch": epoch, "version": version, "insertions": ins,
+                  "deletions": dels, "guards": guards}
+        reply = self._call("apply_session_batch", kwargs, timeout_s)
+        if reply.get("state_needed"):
+            reply = self._call("apply_session_batch", dict(kwargs, state=state), timeout_s)
+        new = apply_flips(state, ins, dels, reply["flips"])
+        new["counters"] = reply["counters"]
+        if "state" in reply and not _same_state(new, reply["state"]):
+            raise InvariantViolationError(
+                f"version {version + 1} of a {state['problem']} session: the "
+                "committed arrays differ from the worker maintainer's state"
+            )
+        return new, reply["dynamic"]
+
     def _persist(self, record: _SessionRecord) -> None:
+        """Write a full snapshot of the committed version; the store drops
+        the log it supersedes."""
         if self._store is None:
             return
         self._store.save(record.session_id, {
@@ -234,6 +312,37 @@ class SessionManager:
             "dynamic": record.dynamic,
             "applied": [[mid, out] for mid, out in record.applied.items()],
         })
+        record.logged = 0
+
+    def _log(
+        self,
+        record: _SessionRecord,
+        ins: Sequence[Tuple[int, int]],
+        dels: Sequence[Tuple[int, int]],
+        mutation_id: Optional[str],
+        outcome: Dict[str, Any],
+    ) -> None:
+        """Make one committed mutation durable: a log record, or a full
+        snapshot once the log holds :data:`DEDUP_WINDOW` records."""
+        if self._store is None:
+            return
+        if record.logged >= DEDUP_WINDOW:
+            self._persist(record)
+            return
+        try:
+            self._store.append(record.session_id, {
+                "version": record.version,
+                "mutation_id": mutation_id,
+                "insertions": ins,
+                "deletions": dels,
+                "outcome": outcome,
+            })
+        except BaseException:
+            # The log may now lack this version: the next commit writes
+            # a full snapshot instead of a record.
+            record.logged = DEDUP_WINDOW
+            raise
+        record.logged += 1
 
     @staticmethod
     def _applied_window(raw: Any) -> "OrderedDict[str, Dict[str, Any]]":
@@ -257,9 +366,8 @@ class SessionManager:
         version: int,
         guards: Optional[str],
         applied: Optional["OrderedDict[str, Dict[str, Any]]"] = None,
+        epoch: Optional[str] = None,
     ) -> _SessionRecord:
-        mis = state["problem"] == "mis"
-        size = np.count_nonzero(state["status"] == IN_SET if mis else state["edges"][:, 3])
         record = _SessionRecord(
             session_id=session_id,
             problem=state["problem"],
@@ -267,13 +375,17 @@ class SessionManager:
             version=version,
             n=state["n"],
             m=len(state["edges"]),
-            size=int(size),
+            size=_state_size(state),
             guards=guards,
             dynamic=copy.deepcopy(state["counters"]),
             # A commit here is always a timeline boundary (create or
-            # restore), so the epoch is always fresh.
-            epoch=uuid.uuid4().hex,
+            # restore), so the epoch is fresh: minted here, or by the
+            # restore whose log replay warmed a worker under it.
+            epoch=epoch or uuid.uuid4().hex,
             applied=applied if applied is not None else OrderedDict(),
+            # Until this timeline's first snapshot lands, a commit writes
+            # a snapshot, never a record behind another timeline's log.
+            logged=DEDUP_WINDOW,
         )
         with self._lock:
             self._sessions[session_id] = record
@@ -362,9 +474,10 @@ class SessionManager:
     ) -> Dict[str, Any]:
         """Apply one edge-mutation batch; returns the batch stats.
 
-        Commits the worker's returned state only on success, so a
-        crashed attempt is retried from the same committed version and
-        the session can never be observed half-mutated.
+        Commits only on a successful worker reply, so a crashed attempt
+        is retried from the same committed version and the session can
+        never be observed half-mutated.  With a store, the call returns
+        once the batch's log record is fsync'd.
 
         ``mutation_id`` makes the call idempotent: an id already in the
         session's dedup window replays the recorded outcome (flagged
@@ -399,6 +512,10 @@ class SessionManager:
         dels = _normalize_batch(deletions, "deletions")
         record = self._record(session_id)
         with record.lock:
+            with self._lock:
+                closed = self._sessions.get(session_id) is not record
+            if closed:  # by a close() that ran while this call waited
+                raise UnknownSessionError(f"no live session {session_id!r}")
             if mutation_id is not None and mutation_id in record.applied:
                 outcome = record.applied[mutation_id]
                 # Refresh recency so a hot retried id is evicted last.
@@ -414,40 +531,32 @@ class SessionManager:
                     f"mutation requires if_version={if_version}; re-read the "
                     f"current state before deciding to retry"
                 )
-            summary = self._call(
-                "mutate_session_state",
-                {
-                    "state": record.state,
-                    "insertions": ins,
-                    "deletions": dels,
-                    "epoch": record.epoch,
-                    "version": record.version,
-                    "guards": record.guards,
-                },
-                timeout_s,
-            )
-            record.state = summary["state"]
+            try:
+                state, dynamic = self._advance(
+                    record.epoch, record.version, record.state, ins, dels,
+                    record.guards, timeout_s,
+                )
+            except InvalidGraphError:
+                raise  # rejected before any change: the worker still holds this version
+            except BaseException:
+                # A worker may now hold a version this timeline never
+                # commits; no later mutation may find it.
+                record.epoch = uuid.uuid4().hex
+                raise
+            record.state = state
             record.version += 1
-            record.n = summary["n"]
-            record.m = summary["m"]
-            record.size = summary["size"]
-            record.dynamic = summary["dynamic"]
-            outcome = dict(
-                summary["dynamic"],
-                version=record.version,
-                size=record.size,
-                m=record.m,
-            )
+            record.m = len(state["edges"])
+            record.size = _state_size(state)
+            record.dynamic = dynamic
+            outcome = dict(dynamic, version=record.version, size=record.size, m=record.m)
             if mutation_id is not None:
-                # Record the outcome *before* persisting so the snapshot
+                # Record the outcome *before* persisting so the log record
                 # that makes this version durable also makes it
                 # replayable — the two can never diverge across a crash.
-                record.applied[mutation_id] = dict(outcome)
-                while len(record.applied) > DEDUP_WINDOW:
-                    record.applied.popitem(last=False)
+                _remember(record.applied, mutation_id, outcome)
             with self._lock:
                 self.mutations_applied += 1
-            self._persist(record)
+            self._log(record, ins, dels, mutation_id, outcome)
             return outcome
 
     def result(self, session_id: str, *, with_version: bool = False):
@@ -510,15 +619,21 @@ class SessionManager:
         The snapshot's state may hold arrays (the store's format) or
         lists (:meth:`snapshot`'s portable form).  It is checked here
         (:func:`~repro.dynamic.incremental.check_state`), so a corrupt
-        snapshot fails loudly instead of poisoning later mutations; with
-        ``guards="full"`` its graph is also re-solved through the service
-        and must give the same status.  The array form is committed.
+        snapshot fails loudly instead of poisoning later mutations.  From
+        the store, the log records past the snapshot's version are then
+        replayed through the worker path; each must reproduce its logged
+        outcome (else :class:`~repro.errors.InvariantViolationError`), and
+        their mutation ids rejoin the dedup window.  With
+        ``guards="full"`` the resulting graph is also re-solved through
+        the service and must give the same status.  The array form is
+        committed, as a full snapshot that drops the log.
 
         Refuses to replace a *live* session (``InvalidGraphError``):
         silently swapping the timeline under a concurrent mutation would
         let that mutation re-persist old-timeline state over the
         restored snapshot.  Close the session first.
         """
+        log: List[Dict[str, Any]] = []
         if snapshot is None:
             if self._store is None:
                 raise UnknownSessionError(
@@ -533,6 +648,7 @@ class SessionManager:
                 raise UnknownSessionError(
                     f"no persisted snapshot for session {session_id!r}"
                 )
+            log = self._store.load_log(session_id, int(snapshot.get("version", 0)))
         if not isinstance(snapshot, dict) or "state" not in snapshot:
             raise InvalidGraphError(
                 "session snapshot must be a dict holding 'state'"
@@ -542,8 +658,26 @@ class SessionManager:
             raise UnknownSessionError("snapshot names no session_id")
         guards = snapshot.get("guards")
         state = check_state(snapshot["state"])
+        version = int(snapshot.get("version", 0))
+        applied = self._applied_window(snapshot.get("applied"))
+        epoch = uuid.uuid4().hex
         self._reserve(sid, verb="restore")
         try:
+            for entry in log:
+                state, dynamic = self._advance(
+                    epoch, version, state, entry["insertions"], entry["deletions"],
+                    guards, timeout_s,
+                )
+                version += 1
+                outcome = dict(dynamic, version=version, size=_state_size(state),
+                               m=len(state["edges"]))
+                if outcome != entry["outcome"]:
+                    raise InvariantViolationError(
+                        f"replaying version {version} of session {sid!r} gave "
+                        f"{outcome}; its log recorded {entry['outcome']}"
+                    )
+                if entry.get("mutation_id") is not None:
+                    _remember(applied, entry["mutation_id"], outcome)
             if guards == "full":
                 kept = result_from_state(state)
                 u, v = state["edges"][:, 0], state["edges"][:, 1]
@@ -558,13 +692,14 @@ class SessionManager:
         except BaseException:
             self._release(sid)
             raise
-        return self._commit(
-            sid, state, int(snapshot.get("version", 0)), guards,
-            applied=self._applied_window(snapshot.get("applied")),
-        ).info()
+        return self._commit(sid, state, version, guards, applied=applied, epoch=epoch).info()
 
     def close(self, session_id: str, *, delete_snapshot: bool = False) -> SessionInfo:
-        """Drop a session; optionally also its persisted snapshot."""
+        """Drop a session; optionally also its persisted snapshot and log.
+
+        Otherwise a session whose log holds records is folded into a full
+        snapshot first.
+        """
         with self._lock:
             record = self._sessions.get(session_id)
             if isinstance(record, _SessionRecord):
@@ -575,8 +710,12 @@ class SessionManager:
                 record = None
         if record is None:
             raise UnknownSessionError(f"no live session {session_id!r}")
-        if delete_snapshot and self._store is not None:
-            self._store.delete(session_id)
+        if self._store is not None:
+            with record.lock:  # an in-flight mutate finishes its commit first
+                if delete_snapshot:
+                    self._store.delete(session_id)
+                elif record.logged:
+                    self._persist(record)
         return record.info()
 
     def list(self) -> List[SessionInfo]:

@@ -23,7 +23,7 @@ from repro.dynamic import (
     edge_priority,
     stream_edges,
 )
-from repro.dynamic.incremental import edge_priorities, result_from_state
+from repro.dynamic.incremental import apply_flips, edge_priorities, result_from_state
 from repro.errors import InvalidGraphError
 from repro.graphs.builders import from_edges
 from repro.graphs.csr import EdgeList
@@ -279,6 +279,60 @@ def test_array_state_parity_under_toggle_batches(problem, n, m, seed):
             assert np.array_equal(got.edge_v, ref.edge_v)
         assert (got.stats.n, got.stats.m) == (n, len(live))
         assert got.stats.aux == inc.result().stats.aux
+
+
+@pytest.mark.parametrize("problem", ["mis", "matching"])
+@pytest.mark.parametrize("seed", [3, 11])
+def test_apply_flips_follows_the_maintainer_array_for_array(problem, seed):
+    """The parent's slim path: the committed arrays, advanced by
+    apply_flips from the batch and the maintainer's last_flips, equal the
+    maintainer's to_state() after every batch of a toggle sequence."""
+    graph = powerlaw_cluster_graph(120, 3, 0.5, seed=seed)
+    if problem == "mis":
+        inc = IncrementalMIS(graph, random_priorities(120, seed=seed))
+    else:
+        inc = IncrementalMatching(graph.edge_list(), seed=seed)
+    state = inc.to_state()
+    live = sorted(_live_edges(graph))
+    rng = np.random.default_rng(seed)
+    prev: list = []
+    seen = {"rejected": 0, "matched_deleted": 0, "inserted_matched": 0}
+    for step in range(40):
+        if step % 10 == 9:  # a rejected batch: a valid deletion, then a present insert
+            with pytest.raises(InvalidGraphError):
+                inc.apply_batch(insertions=[live[0]], deletions=[live[1]])
+            seen["rejected"] += 1
+            _states_equal(inc.to_state(), state)
+            continue
+        dels = [live[i] for i in sorted(rng.choice(len(live), size=4, replace=False))]
+        ins = prev
+        if problem == "matching":
+            hit = {tuple(r[:2]) for r in state["edges"].tolist() if r[3]}
+            seen["matched_deleted"] += sum(pair in hit for pair in dels)
+        inc.apply_batch(insertions=ins, deletions=dels)
+        state = apply_flips(state, ins, dels, inc.last_flips)
+        state["counters"] = inc.counters.aux()
+        _states_equal(state, inc.to_state())
+        if problem == "matching":
+            hit = {tuple(r[:2]) for r in state["edges"].tolist() if r[3]}
+            seen["inserted_matched"] += sum(pair in hit for pair in ins)
+        live = sorted((set(live) - set(dels)) | set(ins))
+        prev = dels
+    assert seen["rejected"] == 4
+    if problem == "matching":
+        assert seen["matched_deleted"] and seen["inserted_matched"], seen
+
+
+def test_apply_flips_leaves_its_input_alone():
+    graph = uniform_random_graph(30, 70, seed=5)
+    inc = IncrementalMatching(graph.edge_list(), seed=5)
+    state = inc.to_state()
+    frozen = {k: v.copy() if isinstance(v, np.ndarray) else v for k, v in state.items()}
+    pair = tuple(state["edges"][0, :2].tolist())
+    inc.apply_batch(deletions=[pair])
+    after = apply_flips(state, [], [pair], inc.last_flips)
+    _states_equal(state, frozen)
+    assert after["edges"].shape[0] == state["edges"].shape[0] - 1
 
 
 @pytest.mark.parametrize("problem", ["mis", "matching"])

@@ -7,6 +7,11 @@ digest, and that every kind of damage — a flipped tail byte, a truncated
 tail, a header naming a non-integer dtype — quarantines the file behind
 the typed :class:`~repro.errors.SnapshotCorruptError`.  Format-1 files
 (one JSON envelope, state as lists) still load and restore.
+
+Between snapshots a session appends checksummed records to its log: a
+torn final record is dropped (it was never acknowledged), any other
+damage quarantines the log, and records the snapshot already holds are
+skipped.
 """
 
 import hashlib
@@ -207,3 +212,107 @@ def test_format1_file_loads_and_restores_to_a_scratch_answer(tmp_path, problem, 
         assert np.array_equal(result.ranks, ranks)
     assert np.array_equal(result.status, ref.status)
     assert not SnapshotStore(tmp_path).corrupt_files()
+
+
+# -- the mutation log --------------------------------------------------------
+
+
+def _record(version, mid=None):
+    return {"version": version, "mutation_id": mid, "insertions": [[0, version]],
+            "deletions": [], "outcome": {"version": version, "work_ratio": 0.125}}
+
+
+def _logged(tmp_path, count=3):
+    store = SnapshotStore(tmp_path)
+    for version in range(1, count + 1):
+        store.append("s", _record(version, f"m{version}"))
+    return store, tmp_path / "s.log"
+
+
+def test_log_records_round_trip_past_the_snapshot_version(tmp_path):
+    store, path = _logged(tmp_path)
+    assert store.load_log("s", 0) == [_record(v, f"m{v}") for v in (1, 2, 3)]
+    assert store.load_log("s", 2) == [_record(3, "m3")]
+    assert store.load_log("s", 3) == []
+    assert store.load_log("absent", 0) == []
+    assert path.read_bytes().count(b"\n") == 3
+
+
+def test_save_drops_the_log_and_delete_removes_both(tmp_path):
+    store, path = _logged(tmp_path)
+    store.save("s", _snapshot())
+    assert not path.exists() and store.load_log("s", 0) == []
+    store.append("s", _record(3))
+    assert store.delete("s")
+    assert not path.exists() and not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize("cut", [1, 20, "line"])
+def test_torn_final_record_is_dropped_without_quarantine(tmp_path, cut):
+    store, path = _logged(tmp_path)
+    raw = path.read_bytes()
+    last = raw.rindex(b"\n", 0, len(raw) - 1) + 1
+    # A crash mid-append leaves a prefix of the last record: anything up
+    # to (not including) its newline.
+    keep = last + 5 if cut == "line" else len(raw) - cut
+    path.write_bytes(raw[:keep])
+    assert store.load_log("s", 0) == [_record(1, "m1"), _record(2, "m2")]
+    assert store.quarantined == 0 and store.corrupt_files() == []
+
+
+@pytest.mark.parametrize("where", ["digest", "body"])
+def test_flipped_byte_in_a_middle_record_quarantines_the_log(tmp_path, where):
+    store, path = _logged(tmp_path)
+    raw = bytearray(path.read_bytes())
+    second = raw.index(b"\n") + 1
+    at = raw.index(b'"sha256":"', second) + 12 if where == "digest" else second + 40
+    raw[at] ^= 0x01
+    path.write_bytes(bytes(raw))
+    with pytest.raises(SnapshotCorruptError, match="corrupt session log .*record 2"):
+        store.load_log("s", 0)
+    assert store.corrupt_files() == ["s.log.corrupt"]
+    assert not path.exists()
+    assert store.load_log("s", 0) == []  # retries cannot re-read the poison
+
+
+def test_a_version_gap_quarantines_the_log(tmp_path):
+    store = SnapshotStore(tmp_path)
+    store.append("s", _record(1))
+    store.append("s", _record(3))
+    with pytest.raises(SnapshotCorruptError, match="version 3, after 1"):
+        store.load_log("s", 0)
+    store.append("t", _record(5))
+    with pytest.raises(SnapshotCorruptError, match="start at version 5"):
+        store.load_log("t", 3)
+    assert store.corrupt_files() == ["s.log.corrupt", "t.log.corrupt"]
+
+
+@pytest.mark.service
+@pytest.mark.parametrize("problem", ["mis", "matching"])
+def test_records_at_or_below_the_snapshot_version_are_skipped(tmp_path, problem):
+    """A crash between a compaction's ``os.replace`` and the log's removal
+    leaves records the new snapshot already holds: a restore skips them."""
+    graph = uniform_random_graph(40, 90, seed=12)
+    el = graph.edge_list()
+    pairs = list(zip(el.u.tolist(), el.v.tolist()))
+    svc = SolverService(ServiceConfig(workers=1, session_dir=str(tmp_path))).start()
+    try:
+        svc.create_session(problem, graph, seed=3, session_id="c")
+        for pair in pairs[:3]:
+            svc.mutate_session("c", [], [pair])
+        stale = (tmp_path / "c.log").read_bytes()
+        expected = svc.session_result("c")
+        svc.close_session("c")              # the snapshot folds the log in
+        assert not (tmp_path / "c.log").exists()
+        (tmp_path / "c.log").write_bytes(stale)  # ... but the unlink was lost
+        before = svc.stats().submitted
+        info = svc.restore_session(session_id="c")
+        assert svc.stats().submitted == before  # nothing replayed
+        assert info.version == 3
+        assert np.array_equal(svc.session_result("c").status, expected.status)
+        assert not (tmp_path / "c.log").exists()
+        # The session goes on from version 3, logging afresh.
+        assert svc.mutate_session("c", [], [pairs[3]])["version"] == 4
+        assert [r["version"] for r in SnapshotStore(tmp_path).load_log("c", 3)] == [4]
+    finally:
+        svc.shutdown()

@@ -353,3 +353,25 @@ class TestBreakerDegradation:
         # The half-open probe went to the primary engine and succeeded.
         assert res.stats.aux["service"]["engine"] == default
         assert not res.stats.aux.get("degraded")
+
+    def test_invalid_probe_releases_the_half_open_slot(self, graph):
+        """A half-open probe ended by the request's own bad input gives no
+        verdict on the engine: the next request must probe the primary
+        again, not be served degraded for good."""
+        import time
+
+        from repro.errors import InvalidOrderingError
+
+        with SolverService(workers=1, breaker_threshold=1,
+                           breaker_reset_seconds=0.2, tick=0.005) as svc:
+            default = svc.config.default_method
+            svc.breaker("mis", default).record_failure()
+            time.sleep(0.3)
+            assert svc.breaker("mis", default).state == "half-open"
+            bad_pi = np.zeros(graph.num_vertices, dtype=np.int64)
+            with pytest.raises(InvalidOrderingError):
+                svc.solve(SolveRequest("mis", graph, bad_pi), timeout=60)
+            res = svc.solve(SolveRequest("mis", graph, options={"seed": 6}),
+                            timeout=60)
+        assert res.stats.aux["service"]["engine"] == default
+        assert not res.stats.aux.get("degraded")

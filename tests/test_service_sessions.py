@@ -10,6 +10,7 @@ when it is driven over the HTTP front door.  This suite pins each leg.
 import copy
 import http.client
 import json
+import time
 
 import numpy as np
 import pytest
@@ -211,6 +212,106 @@ class TestTimelineIsolation:
         svc.close_session(info.session_id)
 
 
+def _same_arrays(a, b):
+    assert a.keys() == b.keys()
+    for key, value in a.items():
+        if isinstance(value, np.ndarray):
+            assert value.dtype == b[key].dtype and np.array_equal(value, b[key]), key
+        else:
+            assert value == b[key], key
+
+
+class TestSlimMutate:
+    """A mutate ships the batch; the committed state crosses the pipe only
+    when the worker lacks the maintainer and answers ``state_needed``."""
+
+    @staticmethod
+    def _spy(svc, monkeypatch):
+        """Per worker call: (state shipped, reply was state_needed)."""
+        calls = []
+        real = svc.sessions._call
+
+        def spy(func, kwargs, timeout_s):
+            reply = real(func, kwargs, timeout_s)
+            calls.append(("state" in kwargs, bool(reply.get("state_needed"))))
+            return reply
+
+        monkeypatch.setattr(svc.sessions, "_call", spy)
+        return calls
+
+    @pytest.mark.parametrize("problem", ["mis", "matching"])
+    @pytest.mark.parametrize("lose", ["respawn", "evict"])
+    def test_a_lost_maintainer_asks_for_the_state_once(
+        self, graph, pi, problem, lose, monkeypatch
+    ):
+        from repro.dynamic import jobs
+
+        pool = sorted(_live(graph))
+        svc = SolverService(ServiceConfig(workers=1)).start()
+        try:
+            sid = svc.create_session(problem, graph, pi if problem == "mis" else None,
+                                     seed=7).session_id
+            calls = self._spy(svc, monkeypatch)
+            svc.mutate_session(sid, [], [pool[0]])   # a fresh epoch: cold
+            svc.mutate_session(sid, [(0, 79)] if (0, 79) not in pool else [], [pool[1]])
+            assert calls == [(False, True), (True, False), (False, False)]
+            if lose == "respawn":
+                worker = svc._pool.workers()[0]
+                worker.process.kill()
+                worker.process.join(10)
+                deadline = time.monotonic() + 10
+                while svc.stats().worker_restarts < 1 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+            else:  # more sessions than the worker's cache holds
+                for _ in range(jobs._CACHE_MAX):
+                    other = svc.create_session("mis", graph, pi).session_id
+                    svc.mutate_session(other, [], [pool[2]])
+            committed = copy.deepcopy(svc.sessions._sessions[sid].state)
+            del calls[:]
+            stats = svc.mutate_session(sid, [], [pool[2]])
+            assert calls == [(False, True), (True, False)]
+            assert stats["version"] == 3
+            expected = jobs.mutate_session_state(committed, [], [pool[2]])
+            _same_arrays(svc.sessions._sessions[sid].state, expected["state"])
+            assert (stats["size"], stats["m"]) == (expected["size"], expected["m"])
+        finally:
+            svc.shutdown()
+
+    def test_a_rejected_batch_keeps_the_worker_warm(self, svc, graph, pi, monkeypatch):
+        sid = svc.create_session("mis", graph, pi).session_id
+        pool = sorted(_live(graph))
+        svc.mutate_session(sid, [], [pool[0]])
+        calls = self._spy(svc, monkeypatch)
+        with pytest.raises(InvalidGraphError, match="already present"):
+            svc.mutate_session(sid, [pool[1]], [])
+        assert svc.mutate_session(sid, [], [pool[1]])["version"] == 2
+        # Neither call shipped the state: the rejected batch changed
+        # nothing, so its maintainer stayed cached for version 1.
+        assert calls == [(False, False)]
+        svc.close_session(sid)
+
+    @pytest.mark.parametrize("problem", ["mis", "matching"])
+    def test_full_guards_compare_the_worker_arrays(self, svc, graph, pi, problem):
+        sid = svc.create_session(problem, graph, pi if problem == "mis" else None,
+                                 seed=7, guards="full").session_id
+        pool = sorted(_live(graph))
+        svc.mutate_session(sid, [], [pool[0]])
+        record = svc.sessions._sessions[sid]
+        epoch = record.epoch
+        # The parent's arrays drift from the worker's maintainer.
+        if problem == "mis":
+            record.state["status"][0] = 3 - record.state["status"][0]
+        else:
+            record.state["edges"][-1, 3] = 1 - record.state["edges"][-1, 3]
+        with pytest.raises(InvariantViolationError, match="differ from the worker"):
+            svc.mutate_session(sid, [], [pool[1]])
+        assert svc.session_info(sid).version == 1
+        # The worker holds a version 2 the parent never committed: the
+        # timeline moves on to a fresh epoch, so no mutate can find it.
+        assert record.epoch != epoch
+        svc.close_session(sid)
+
+
 class TestVersionZero:
     """Version 0 is one solve: the in-process constructors and the
     service build the same state arrays, and the answer they hold is
@@ -325,6 +426,116 @@ class TestRestoreChecks:
             state["edges"][0][3] = 1 - state["edges"][0][3]
         assert svc.restore_session(snap).version == 0
         svc.close_session(info.session_id)
+
+
+def _greedy(problem, n, live, pi, seed):
+    """Sequential greedy on a session's live edge set under its order."""
+    edges = np.array(sorted(live), dtype=np.int64).reshape(-1, 2)
+    u, v = edges[:, 0], edges[:, 1]
+    if problem == "mis":
+        return maximal_independent_set(from_edges(n, u, v), pi, method="sequential")
+    from repro.dynamic.incremental import edge_priorities
+
+    ranks = np.empty(u.size, dtype=np.int64)
+    ranks[np.lexsort((v, u, edge_priorities(seed, u, v)))] = np.arange(u.size)
+    return maximal_matching(EdgeList(n, u, v), ranks, method="sequential")
+
+
+class TestConcurrentSessions:
+    """Sessions that share a pool of more workers than cores, with a
+    short switch interval: maintainers move between workers through
+    ``state_needed``, logs interleave, and a close races a mutate."""
+
+    @pytest.fixture
+    def fast_switching(self):
+        import sys
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(old)
+
+    def test_parallel_sessions_end_exact_and_replay(self, tmp_path, graph, pi, fast_switching):
+        import threading
+
+        svc = SolverService(ServiceConfig(workers=3, session_dir=str(tmp_path))).start()
+        errors, shadows = [], {}
+        specs = [(k, problem, f"c{k}") for k, problem in enumerate(("mis", "matching") * 2)]
+
+        def churn(k, sid):
+            try:
+                rng = np.random.default_rng(k)
+                live, prev = _live(graph), []
+                for i in range(12):
+                    pool = sorted(live)
+                    dels = [pool[j] for j in rng.choice(len(pool), 3, replace=False)]
+                    svc.mutate_session(sid, prev, dels, mutation_id=f"{sid}-{i}")
+                    live, prev = (live - set(dels)) | set(prev), dels
+                shadows[sid] = live
+            except BaseException as exc:  # noqa: BLE001 — reported below
+                errors.append(exc)
+
+        try:
+            for k, problem, sid in specs:
+                svc.create_session(problem, graph, pi if problem == "mis" else None,
+                                   seed=k, session_id=sid)
+            threads = [threading.Thread(target=churn, args=(k, sid)) for k, _, sid in specs]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120)
+            assert not any(t.is_alive() for t in threads) and not errors, errors
+            for k, problem, sid in specs:
+                assert svc.session_info(sid).version == 12
+                ref = _greedy(problem, graph.num_vertices, shadows[sid], pi, k)
+                assert np.array_equal(svc.session_result(sid).status, ref.status)
+            svc.shutdown()  # no close: every session's log stays behind
+            svc = SolverService(ServiceConfig(workers=3, session_dir=str(tmp_path))).start()
+            for k, problem, sid in specs:
+                assert svc.restore_session(session_id=sid).version == 12
+                ref = _greedy(problem, graph.num_vertices, shadows[sid], pi, k)
+                assert np.array_equal(svc.session_result(sid).status, ref.status)
+        finally:
+            svc.shutdown()
+
+    def test_a_close_racing_mutates_persists_exactly_the_acknowledged_ones(
+        self, tmp_path, graph, pi, fast_switching
+    ):
+        import threading
+
+        svc = SolverService(ServiceConfig(workers=3, session_dir=str(tmp_path))).start()
+        acked, errors = [], []
+        try:
+            svc.create_session("mis", graph, pi, session_id="r")
+            live = _live(graph)
+            pool = sorted(live)
+
+            def churn():
+                try:
+                    for pair in pool[:60]:
+                        svc.mutate_session("r", [], [pair])
+                        acked.append(pair)
+                except UnknownSessionError:
+                    pass
+                except BaseException as exc:  # noqa: BLE001 — reported below
+                    errors.append(exc)
+
+            thread = threading.Thread(target=churn)
+            thread.start()
+            deadline = time.monotonic() + 30
+            while len(acked) < 5 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            svc.close_session("r")
+            thread.join(60)
+            assert not thread.is_alive() and not errors, errors
+            info = svc.restore_session(session_id="r")
+            assert info.version == len(acked)
+            ref = _greedy("mis", graph.num_vertices, live - set(acked), pi, 0)
+            assert np.array_equal(svc.session_result("r").status, ref.status)
+        finally:
+            svc.shutdown()
 
 
 class TestCrashReplay:

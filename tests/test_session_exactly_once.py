@@ -58,6 +58,62 @@ def _pool(graph):
     )
 
 
+#: Child-process preamble: read the spec line, build the graph, start a
+#: service on the spec's session_dir.
+_CHILD_HEAD = """
+import json, sys, time
+import numpy as np
+from repro.graphs.builders import from_edges
+from repro.service import ServiceConfig, SolverService
+
+spec = json.loads(sys.stdin.readline())
+edges = np.asarray(spec["edges"], dtype=np.int64)
+g = from_edges(spec["n"], edges[:, 0], edges[:, 1])
+pi = np.asarray(spec["pi"], dtype=np.int64)
+svc = SolverService(ServiceConfig(
+    workers=1, session_dir=spec["session_dir"],
+)).start()
+"""
+
+
+def _sigkill_after_commit(body, graph, **spec):
+    """Run ``_CHILD_HEAD + body`` in its own process group, wait for its
+    ``COMMITTED <version>`` line, SIGKILL the whole group and return the
+    version.  The spec line carries the graph, π and *spec*."""
+    el = graph.edge_list()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (
+            str((os.path.dirname(__file__) or ".") + "/../src"),
+            env.get("PYTHONPATH", ""),
+        ) if p
+    )
+    child = subprocess.Popen(
+        [sys.executable, "-c", _CHILD_HEAD + textwrap.dedent(body)],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        env=env, start_new_session=True, text=True,
+    )
+    try:
+        child.stdin.write(json.dumps(dict(
+            spec,
+            n=graph.num_vertices,
+            edges=np.stack([el.u, el.v], axis=1).tolist(),
+            pi=np.random.default_rng(8).permutation(graph.num_vertices).tolist(),
+        )) + "\n")
+        child.stdin.flush()
+        line = child.stdout.readline().strip()
+        assert line.startswith("COMMITTED"), f"child said {line!r}"
+        # Kill the whole process group: parent *and* its workers,
+        # no graceful shutdown hooks run anywhere.
+        os.killpg(os.getpgid(child.pid), signal.SIGKILL)
+        child.wait(timeout=30)
+    finally:
+        if child.poll() is None:  # pragma: no cover - assertion path
+            os.killpg(os.getpgid(child.pid), signal.SIGKILL)
+            child.wait(timeout=30)
+    return int(line.split()[1])
+
+
 class TestIdempotencyWindow:
     def test_duplicate_replays_without_invoking_a_worker(self, svc, graph, pi):
         info = svc.create_session("mis", graph, pi)
@@ -137,11 +193,9 @@ class TestIdempotencyWindow:
         # the dedup bookkeeping, not 129 real incremental solves.
         def fake_call(func, kwargs, timeout_s):
             return {
-                "state": record.state,
-                "n": record.n,
-                "m": record.m,
-                "size": record.size,
                 "dynamic": {"batches": record.version + 1},
+                "counters": record.state["counters"],
+                "flips": [],
             }
 
         monkeypatch.setattr(svc.sessions, "_call", fake_call)
@@ -189,21 +243,8 @@ class TestDurableWindow:
         """SIGKILL the entire service process group between commit and
         response; a fresh service on the same ``session_dir`` restores
         the session and the retried ``mutation_id`` replays."""
-        el = graph.edge_list()
-        edges = np.stack([el.u, el.v], axis=1).tolist()
-        child_src = textwrap.dedent("""
-            import json, sys, time
-            import numpy as np
-            from repro.graphs.builders import from_edges
-            from repro.service import ServiceConfig, SolverService
-
-            spec = json.loads(sys.stdin.readline())
-            edges = np.asarray(spec["edges"], dtype=np.int64)
-            g = from_edges(spec["n"], edges[:, 0], edges[:, 1])
-            pi = np.asarray(spec["pi"], dtype=np.int64)
-            svc = SolverService(ServiceConfig(
-                workers=1, session_dir=spec["session_dir"],
-            )).start()
+        pool = _pool(graph)
+        committed_version = _sigkill_after_commit("""
             svc.create_session("mis", g, pi, session_id="kill-me")
             stats = svc.mutate_session(
                 "kill-me", [], [tuple(spec["batch"][0])],
@@ -211,41 +252,7 @@ class TestDurableWindow:
             )
             print("COMMITTED", stats["version"], flush=True)
             time.sleep(120)  # the response never reaches the client
-        """)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (
-                str((os.path.dirname(__file__) or ".") + "/../src"),
-                env.get("PYTHONPATH", ""),
-            ) if p
-        )
-        pool = _pool(graph)
-        child = subprocess.Popen(
-            [sys.executable, "-c", child_src],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            env=env, start_new_session=True, text=True,
-        )
-        try:
-            child.stdin.write(json.dumps({
-                "n": graph.num_vertices,
-                "edges": edges,
-                "pi": np.random.default_rng(8)
-                        .permutation(graph.num_vertices).tolist(),
-                "session_dir": str(tmp_path),
-                "batch": [list(pool[0])],
-            }) + "\n")
-            child.stdin.flush()
-            line = child.stdout.readline().strip()
-            assert line.startswith("COMMITTED"), f"child said {line!r}"
-            committed_version = int(line.split()[1])
-            # Kill the whole process group: parent *and* its workers,
-            # no graceful shutdown hooks run anywhere.
-            os.killpg(os.getpgid(child.pid), signal.SIGKILL)
-            child.wait(timeout=30)
-        finally:
-            if child.poll() is None:  # pragma: no cover - assertion path
-                os.killpg(os.getpgid(child.pid), signal.SIGKILL)
-                child.wait(timeout=30)
+        """, graph, session_dir=str(tmp_path), batch=[list(pool[0])])
 
         from repro.resilience import reap_orphans
 
@@ -267,6 +274,104 @@ class TestDurableWindow:
 
             snap = svc.session_snapshot("kill-me")
             _maintainer_from_state(snap["state"]).verify()
+        finally:
+            svc.shutdown()
+
+
+    @pytest.mark.recovery
+    def test_sigkill_after_logged_mutates_replays_the_log(self, tmp_path, graph):
+        """Several mutates commit past the last snapshot (each only as an
+        fsync'd log record) before the SIGKILL; the restore replays them,
+        and the retried id replays its outcome instead of re-applying."""
+        pool = _pool(graph)
+        pi = np.random.default_rng(8).permutation(graph.num_vertices)
+        batches = [list(pair) for pair in pool[:4]]
+        _sigkill_after_commit("""
+            for problem in ("mis", "matching"):
+                sid = "kill-" + problem
+                svc.create_session(problem, g, pi if problem == "mis" else None,
+                                   seed=4, session_id=sid)
+                for i, pair in enumerate(spec["batches"]):
+                    stats = svc.mutate_session(sid, [], [tuple(pair)],
+                                               mutation_id=f"m{i}")
+            print("COMMITTED", stats["version"], flush=True)
+            time.sleep(120)  # the last response never reaches the client
+        """, graph, session_dir=str(tmp_path), batches=batches)
+
+        from repro.core.matching import maximal_matching
+        from repro.core.mis import maximal_independent_set
+        from repro.dynamic.incremental import edge_priorities
+        from repro.dynamic.store import SnapshotStore
+        from repro.graphs.builders import from_edges
+        from repro.graphs.csr import EdgeList
+        from repro.resilience import reap_orphans
+
+        reap_orphans()  # the SIGKILL'd stack could not clean its segments
+        store = SnapshotStore(tmp_path)
+        for problem in ("mis", "matching"):
+            assert store.load(f"kill-{problem}")["version"] == 0
+            assert len(store.load_log(f"kill-{problem}", 0)) == len(batches)
+        svc = SolverService(ServiceConfig(
+            workers=1, session_dir=str(tmp_path),
+        )).start()
+        try:
+            for problem in ("mis", "matching"):
+                sid = f"kill-{problem}"
+                assert svc.restore_session(session_id=sid).version == len(batches)
+                dup = svc.mutate_session(sid, [], [pool[3]], mutation_id="m3")
+                assert dup["idempotent_replay"] is True
+                assert dup["version"] == len(batches)
+                assert svc.session_info(sid).version == len(batches)
+                result = svc.session_result(sid)
+                live = sorted(set(pool) - set(pool[:4]))
+                u = np.array([a for a, _ in live]); v = np.array([b for _, b in live])
+                if problem == "mis":
+                    ref = maximal_independent_set(
+                        from_edges(graph.num_vertices, u, v), pi, method="sequential")
+                else:
+                    assert np.array_equal(result.edge_u, u)
+                    assert np.array_equal(result.edge_v, v)
+                    ranks = np.empty(u.size, dtype=np.int64)
+                    ranks[np.lexsort((v, u, edge_priorities(4, u, v)))] = np.arange(u.size)
+                    assert np.array_equal(result.ranks, ranks)
+                    ref = maximal_matching(EdgeList(graph.num_vertices, u, v),
+                                           ranks, method="sequential")
+                assert np.array_equal(result.status, ref.status)
+                # The restore folded the log into a fresh snapshot.
+                assert store.load(sid)["version"] == len(batches)
+                assert not (tmp_path / f"{sid}.log").exists()
+        finally:
+            svc.shutdown()
+
+
+    def test_a_failed_append_makes_the_next_commit_a_snapshot(
+        self, tmp_path, graph, pi, monkeypatch
+    ):
+        """The log never skips a version: after an append fails (the
+        commit stands in memory), the next mutate writes a full snapshot
+        in place of its record."""
+        from repro.dynamic.store import SnapshotStore
+
+        pool = _pool(graph)
+        svc = SolverService(ServiceConfig(workers=1, session_dir=str(tmp_path))).start()
+        try:
+            svc.create_session("mis", graph, pi, session_id="s")
+            svc.mutate_session("s", [], [pool[0]])
+            store = svc.sessions._store
+
+            def full_disk(session_id, record):
+                raise OSError(28, "No space left on device")
+
+            monkeypatch.setattr(store, "append", full_disk)
+            with pytest.raises(OSError):
+                svc.mutate_session("s", [], [pool[1]])
+            monkeypatch.undo()
+            assert svc.session_info("s").version == 2
+            svc.mutate_session("s", [], [pool[2]])
+            assert store.load("s")["version"] == 3
+            assert not (tmp_path / "s.log").exists()
+            svc.mutate_session("s", [], [pool[3]])
+            assert [r["version"] for r in SnapshotStore(tmp_path).load_log("s", 3)] == [4]
         finally:
             svc.shutdown()
 
@@ -472,7 +577,76 @@ class TestHTTPExactlyOnce:
         assert sessions["version_conflicts"] >= 1
 
 
+    def test_quarantined_log_is_counted_and_purged(self, tmp_path, graph, pi):
+        """A log that fails its checksum on restore is quarantined as
+        ``<id>.log.corrupt``, which health(), the reaper and /v1/metrics
+        count beside snapshot quarantine, and the reaper purges."""
+        from repro.backends.ledger import SegmentLedger
+        from repro.resilience import reap_orphans
+
+        session_dir = tmp_path / "sessions"
+        svc = SolverService(ServiceConfig(
+            workers=1, session_dir=str(session_dir),
+        )).start()
+        try:
+            svc.create_session("mis", graph, pi, session_id="logged")
+            for pair in _pool(graph)[:3]:
+                svc.mutate_session("logged", [], [pair])
+            # Stop without a close, as a crash would: the log stays.
+            svc.sessions._sessions.pop("logged")
+            log = session_dir / "logged.log"
+            raw = bytearray(log.read_bytes())
+            raw[raw.index(b"\n") + 30] ^= 0x01  # inside record 2
+            log.write_bytes(bytes(raw))
+            with pytest.raises(SnapshotCorruptError, match="corrupt session log"):
+                svc.restore_session(session_id="logged")
+            assert (session_dir / "logged.log.corrupt").exists()
+            assert svc.health().durability["quarantined_snapshots"] == 1
+        finally:
+            svc.shutdown()
+        ledger = SegmentLedger(tmp_path / "ledger")
+        report = reap_orphans(ledger, snapshot_dir=str(session_dir))
+        assert report.quarantined_snapshots == 1 and report.quarantine_purged == 0
+        report = reap_orphans(ledger, snapshot_dir=str(session_dir), purge_quarantine=True)
+        assert report.quarantine_purged == 1
+        assert not (session_dir / "logged.log.corrupt").exists()
+
+
 class TestCLI:
+    def test_recover_reports_versions_and_exits_5_on_a_corrupt_log(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.cli import main
+        from repro.dynamic.store import SnapshotStore
+
+        monkeypatch.setenv("REPRO_LEDGER_DIR", str(tmp_path / "ledger"))
+        store = SnapshotStore(tmp_path / "sessions")
+        for sid in ("a", "b"):
+            store.save(sid, {"session_id": sid, "version": 4})
+            for version in (3, 4, 5, 6):  # 3 and 4 are in the snapshot
+                store.append(sid, {"version": version, "mutation_id": None,
+                                   "insertions": [], "deletions": [], "outcome": {}})
+        args = ["recover", "--session-dir", str(tmp_path / "sessions")]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "sessions:    2 persisted" in out
+        assert "a  snapshot version 4, a restore replays 2 log record(s)" in out
+        assert main(args + ["--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["sessions"][1] == {"session_id": "b", "version": 4, "replay": 2}
+
+        log = tmp_path / "sessions" / "b.log"
+        raw = bytearray(log.read_bytes())
+        raw[raw.index(b"\n") + 20] ^= 0x01  # a middle record
+        log.write_bytes(bytes(raw))
+        assert main(args) == 5
+        captured = capsys.readouterr()
+        assert "b  CORRUPT" in captured.out and "b.log.corrupt" in captured.out
+        assert "corrupt session log" in captured.err
+        assert main(args + ["--purge"]) == 0  # held, listed, then purged
+        assert "purged:      1 file(s)" in capsys.readouterr().out
+        assert store.corrupt_files() == []
+
     def test_recover_lists_and_purges(self, tmp_path, capsys):
         from repro.cli import main
         from repro.dynamic.store import SnapshotStore
