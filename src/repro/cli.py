@@ -206,8 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--seeds", default="0:8",
                    help="seed range lo:hi (hi exclusive), or a count N (= 0:N)")
     b.add_argument("--method", default=None,
-                   help="engine (default: the service's default_method, "
-                   "prefix)")
+                   help="engine (default: the library's, prefix)")
     b.add_argument("--workers", type=int, default=2)
     b.add_argument("--guards", default=None, choices=["off", "cheap", "full"])
     b.add_argument("--timeout-seconds", type=float, default=None,

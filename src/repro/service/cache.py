@@ -15,11 +15,13 @@ service's back therefore hashes to a *different* key and can never be
 served a stale solution for the bytes it used to hold (the
 ``cache_poison_guard`` chaos axis attacks exactly this).
 
-:class:`ResultCache` is a thread-safe LRU with optional TTL and a
-"stale" escape hatch: :meth:`ResultCache.get` honors the TTL,
-:meth:`ResultCache.get_stale` ignores it (used only on degraded paths,
-where a deterministic stale answer beats a 503).  Counters (hits,
-misses, evictions, expirations, stale serves) feed
+:class:`ResultCache` is a thread-safe LRU.  Entries never expire: one
+(graph, π) has one answer under every schedule and the key rehashes the
+graph bytes, so there is nothing for a timer to invalidate.
+:meth:`ResultCache.get` is the counted lookup;
+:meth:`ResultCache.get_stale` is the degraded path's re-read after a
+failed solve (a deterministic resident answer beats a 503).  Counters
+(hits, misses, evictions, stale serves) feed
 :class:`~repro.service.stats.ServiceStats` and the gateway's
 ``/v1/metrics``.
 
@@ -35,9 +37,8 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-import time
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -127,71 +128,42 @@ def key_graph_digest(key: str) -> str:
 
 
 class CacheEntry:
-    """One cached solution plus its bookkeeping."""
+    """One cached solution plus its hit count."""
 
-    __slots__ = ("value", "stored_at", "hits")
+    __slots__ = ("value", "hits")
 
-    def __init__(self, value: Any, stored_at: float) -> None:
+    def __init__(self, value: Any) -> None:
         self.value = value
-        self.stored_at = stored_at
         self.hits = 0
 
 
 class ResultCache:
-    """Thread-safe content-addressed LRU + TTL cache of solve results.
+    """Thread-safe content-addressed LRU cache of solve results.
 
     Parameters
     ----------
     max_entries:
         LRU bound; inserting past it evicts the least-recently-used
         entry.
-    ttl_s:
-        Optional freshness window.  :meth:`get` treats entries older
-        than this as misses (they stay resident for :meth:`get_stale`
-        until LRU pressure evicts them); ``None`` means entries never
-        expire.
-    clock:
-        Monotonic time source (injectable for tests).
     """
 
-    def __init__(
-        self,
-        max_entries: int = 128,
-        ttl_s: Optional[float] = None,
-        *,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
+    def __init__(self, max_entries: int = 128) -> None:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        if ttl_s is not None and ttl_s <= 0:
-            raise ValueError(f"ttl_s must be positive, got {ttl_s}")
         self.max_entries = int(max_entries)
-        self.ttl_s = ttl_s
-        self._clock = clock
         self._lock = threading.Lock()
         self._entries: "OrderedDict[str, CacheEntry]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.expirations = 0
         self.stale_served = 0
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
 
-    def _fresh(self, entry: CacheEntry) -> bool:
-        return (
-            self.ttl_s is None
-            or self._clock() - entry.stored_at <= self.ttl_s
-        )
-
     def get(self, key: Optional[str]) -> Optional[Any]:
-        """Fresh lookup: LRU-touches and returns the value, else ``None``.
-
-        An expired entry counts as a miss (and an expiration) but stays
-        resident so a degraded path can still :meth:`get_stale` it.
-        """
+        """Counted lookup: LRU-touches and returns the value, else ``None``."""
         if key is None:
             return None
         with self._lock:
@@ -199,18 +171,15 @@ class ResultCache:
             if entry is None:
                 self.misses += 1
                 return None
-            if not self._fresh(entry):
-                self.misses += 1
-                self.expirations += 1
-                return None
             self._entries.move_to_end(key)
             entry.hits += 1
             self.hits += 1
             return entry.value
 
     def get_stale(self, key: Optional[str]) -> Optional[Any]:
-        """Degraded-path lookup: ignores the TTL (determinism makes a
-        stale entry identical to a fresh solve for immutable content)."""
+        """Degraded-path re-read after a failed solve, counted as a stale
+        serve rather than a hit or miss (determinism makes the entry
+        identical to a fresh solve for the same content)."""
         if key is None:
             return None
         with self._lock:
@@ -229,12 +198,12 @@ class ResultCache:
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
-                self._entries[key] = CacheEntry(value, self._clock())
+                self._entries[key] = CacheEntry(value)
                 return True
             while len(self._entries) >= self.max_entries:
                 self._entries.popitem(last=False)
                 self.evictions += 1
-            self._entries[key] = CacheEntry(value, self._clock())
+            self._entries[key] = CacheEntry(value)
             return True
 
     def invalidate(self, key: str) -> bool:
@@ -253,11 +222,9 @@ class ResultCache:
             return {
                 "entries": len(self._entries),
                 "max_entries": self.max_entries,
-                "ttl_s": self.ttl_s,
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
-                "expirations": self.expirations,
                 "stale_served": self.stale_served,
             }
 

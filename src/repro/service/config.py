@@ -8,11 +8,12 @@ fault storms.  :class:`SolveRequest` describes one unit of work — a
 solver run (``problem="mis"``/``"matching"``) or a generic
 crash-isolated call (``problem="call"``).
 
-Everything random in the service (backoff jitter, chaos draws) is
-derived from seeds in the config via per-request, per-attempt
-``np.random.default_rng((seed, request_id, attempt))`` streams, so an
-attempt's kill, and its fault on a given engine, replay regardless of
-completion order.  Which engine an attempt runs can depend on breaker
+Everything random in the service (backoff jitter, chaos draws) comes
+from per-request, per-attempt
+``np.random.default_rng((seed, request_id, attempt))`` streams (seed
+``0`` for jitter, ``chaos_seed`` for chaos), so a retry's backoff and
+an attempt's kill, and its fault on a given engine, replay regardless
+of completion order.  Which engine an attempt runs can depend on breaker
 state, which does not replay (see :mod:`repro.service.service`).
 """
 
@@ -28,8 +29,8 @@ __all__ = ["ServiceConfig", "SolveRequest"]
 _START_METHODS = ("fork", "spawn", "forkserver")
 _PROBLEMS = ("mis", "matching", "mm", "call")
 
-#: The library front doors' default engine, read once so the service
-#: cannot drift from it.
+#: The library front doors' default engine, read once: a request that
+#: names no engine runs it, in process and through the service alike.
 _LIBRARY_METHOD: str = SolveOptions.__dataclass_fields__["method"].default
 
 
@@ -46,27 +47,16 @@ class ServiceConfig:
         load by raising :class:`~repro.errors.QueueFullError` at submit.
     start_method:
         Multiprocessing start method (``fork``/``spawn``/``forkserver``).
-    default_method:
-        Engine used when a request does not name one.  The default is the
-        library's (:class:`~repro.core.options.SolveOptions` ``method``,
-        ``prefix``), so a request solves with the same engine in process
-        and through the service.
-    default_guards:
-        Guard mode handed to workers when the request does not set one.
-    degrade:
-        Route failed/broken engines down the registry's
-        ``fallback_chain()``; turning this off pins every retry to the
-        requested engine.
     max_retries:
         Additional attempts after the first, per request, across crash
         and engine failures.
-    backoff_base, backoff_factor, backoff_max, backoff_jitter:
+    backoff_base, backoff_max:
         Exponential backoff between attempts: attempt *k* (1-based retry)
-        sleeps ``min(backoff_max, backoff_base * backoff_factor**(k-1))``
-        scaled by a uniform ``1 ± backoff_jitter`` drawn from the seeded
-        per-request stream.
-    retry_seed, chaos_seed:
-        Seeds for the jitter and chaos streams.
+        sleeps ``min(backoff_max, backoff_base * 2**(k-1))`` scaled by a
+        uniform ``1 ± 0.25`` drawn from the per-request stream
+        ``(0, request id, k)``.
+    chaos_seed:
+        Seed for the chaos stream.
     breaker_threshold, breaker_reset_seconds:
         Per-engine circuit breaker tuning (see
         :class:`~repro.service.breaker.CircuitBreaker`).
@@ -92,26 +82,11 @@ class ServiceConfig:
         jobs import script modules).
     tick:
         Scheduler poll interval in seconds (latency floor for pickups).
-    latency_window:
-        Completed-request window for the p50/p95 stats.
     cache_entries:
         Size of the content-addressed result cache
         (:class:`~repro.service.cache.ResultCache`) consulted by
         :meth:`~repro.service.SolverService.solve_cached`; ``0`` (the
         default) disables caching entirely.
-    cache_ttl_s:
-        Freshness window for cached results; ``None`` never expires.
-        Expired entries remain eligible for degraded serve-stale reads.
-    reap_on_start:
-        Run one :func:`~repro.resilience.reaper.reap_orphans` sweep when
-        the service starts, so segments leaked by previously killed
-        processes are recovered before new work begins.
-    supervise_interval_s:
-        When set, :meth:`~repro.service.SolverService.start` launches a
-        :class:`~repro.resilience.supervisor.Supervisor` thread probing
-        health on this period; ``None`` (the default) runs unsupervised.
-    reap_interval_s:
-        Minimum spacing between the supervisor's reap sweeps.
     session_dir:
         Directory for durable session snapshots
         (:class:`~repro.dynamic.store.SnapshotStore`).  When set, every
@@ -124,15 +99,9 @@ class ServiceConfig:
     workers: int = 2
     max_queue: int = 64
     start_method: str = "fork"
-    default_method: str = _LIBRARY_METHOD
-    default_guards: Optional[str] = None
-    degrade: bool = True
     max_retries: int = 2
     backoff_base: float = 0.02
-    backoff_factor: float = 2.0
     backoff_max: float = 0.5
-    backoff_jitter: float = 0.25
-    retry_seed: int = 0
     breaker_threshold: int = 3
     breaker_reset_seconds: float = 5.0
     deadline_grace: float = 0.5
@@ -143,12 +112,7 @@ class ServiceConfig:
     chaos_seed: int = 0
     worker_sys_path: Tuple[str, ...] = ()
     tick: float = 0.02
-    latency_window: int = 512
     cache_entries: int = 0
-    cache_ttl_s: Optional[float] = None
-    reap_on_start: bool = True
-    supervise_interval_s: Optional[float] = None
-    reap_interval_s: float = 60.0
     session_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -163,13 +127,9 @@ class ServiceConfig:
             )
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        for name in ("backoff_base", "backoff_factor", "backoff_max", "tick"):
+        for name in ("backoff_base", "backoff_max", "tick"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if not 0.0 <= self.backoff_jitter < 1.0:
-            raise ValueError(
-                f"backoff_jitter must be in [0, 1), got {self.backoff_jitter}"
-            )
         for name in ("kill_probability", "fault_probability"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
@@ -188,22 +148,6 @@ class ServiceConfig:
         if self.cache_entries < 0:
             raise ValueError(
                 f"cache_entries must be >= 0, got {self.cache_entries}"
-            )
-        if self.cache_ttl_s is not None and not self.cache_ttl_s > 0:
-            raise ValueError(
-                f"cache_ttl_s must be positive, got {self.cache_ttl_s}"
-            )
-        if (
-            self.supervise_interval_s is not None
-            and not self.supervise_interval_s > 0
-        ):
-            raise ValueError(
-                f"supervise_interval_s must be positive, "
-                f"got {self.supervise_interval_s}"
-            )
-        if self.reap_interval_s < 0:
-            raise ValueError(
-                f"reap_interval_s must be >= 0, got {self.reap_interval_s}"
             )
 
     @property
@@ -228,10 +172,10 @@ class SolveRequest:
         Optional priority array; workers draw from ``options["seed"]``
         when omitted, exactly like the front doors.
     method:
-        Engine name (default: the config's ``default_method``); must be
+        Engine name (default: the library's, ``prefix``); must be
         registered for the problem.
     guards:
-        Guard mode override (default: config's ``default_guards``).
+        Guard mode handed to the worker (default: the front door's).
     timeout_seconds:
         Wall-clock deadline measured from submission.  Propagated into
         the worker as ``Budget(max_seconds=remaining)`` and enforced
@@ -266,35 +210,13 @@ class SolveRequest:
 
     def __post_init__(self) -> None:
         if isinstance(self.options, SolveOptions):
-            opts = self.options
-            wire = opts.to_wire()  # rejects budget/tracer/machine
-            wire.pop("method", None)
-            wire.pop("guards", None)
-            # Mirror to_wire's non-default filtering: a SolveOptions left
-            # at the default method expresses no choice, so it neither
-            # conflicts with an explicit request method nor overrides the
-            # service's default_method.
-            if opts.method != _LIBRARY_METHOD:
-                if self.method is None:
-                    self.method = opts.method
-                elif self.method != opts.method:
-                    raise ValueError(
-                        f"method set to {self.method!r} on the request but "
-                        f"{opts.method!r} in options"
-                    )
-            if opts.guards is not None:
-                if self.guards is None:
-                    self.guards = opts.guards
-                elif self.guards != opts.guards:
-                    raise ValueError(
-                        f"guards set to {self.guards!r} on the request but "
-                        f"{opts.guards!r} in options"
-                    )
-            self.options = wire
-        elif self.options:
-            # Plain-dict options (the wire form) get the same lifting, so
-            # the worker never sees method/guards both as job fields and
-            # inside **options.
+            # to_wire rejects budget/tracer/machine and keeps only the
+            # non-default fields, so a SolveOptions left at the default
+            # method expresses no engine choice.
+            self.options = self.options.to_wire()
+        if self.options:
+            # Lift method/guards into the request fields, so the worker
+            # never sees them both as job fields and inside **options.
             opts = dict(self.options)
             o_method = opts.pop("method", None)
             o_guards = opts.pop("guards", None)

@@ -9,7 +9,7 @@ of a :class:`~repro.service.SolverService`, designed failure-first:
   admission queue, and into the worker as ``Budget(max_seconds=…)``.
   An expired deadline is a ``504`` carrying the typed error name —
   never a hung socket: the gateway bounds its own wait at the deadline
-  plus the service grace plus ``deadline_slack_s``.
+  plus the service grace plus one second of slack.
 * **load shedding** — admission rides the service's bounded queue; a
   shed request is a ``429`` with ``Retry-After`` derived from the
   observed p95 solve latency.  Request bodies are bounded
@@ -105,6 +105,21 @@ _REASONS = {
     504: "Gateway Timeout",
 }
 
+#: Socket-side slack the gateway waits past a request's deadline plus
+#: the service's ``deadline_grace`` before answering ``504`` itself — the
+#: "never a hung socket" bound.
+_DEADLINE_SLACK_S = 1.0
+
+#: Minimum ``Retry-After`` seconds on a ``429`` (above it, twice the
+#: observed p95 solve latency, rounded up).
+_RETRY_AFTER_FLOOR_S = 1
+
+#: The event loop stamps a heartbeat every ``_HEARTBEAT_INTERVAL_S``; a
+#: probe that finds the stamp older than ``_WEDGED_AFTER_S`` reports the
+#: loop wedged (surfaced in ``/v1/health``).
+_HEARTBEAT_INTERVAL_S = 0.25
+_WEDGED_AFTER_S = 5.0
+
 #: The legal solve-object field set — owned by :mod:`repro.service.schema`
 #: so the gateway, the CLI, and ``SolveRequest`` cannot drift.
 _SOLVE_FIELDS = wire_schema.SOLVE_FIELDS
@@ -147,24 +162,10 @@ class GatewayConfig:
     default_timeout_s:
         Deadline applied to solve requests that do not set one
         (``None``: no deadline unless the request asks).
-    deadline_slack_s:
-        Socket-side grace the gateway waits past a request's deadline
-        plus the service's ``deadline_grace`` before answering ``504``
-        itself — the "never a hung socket" bound.
-    retry_after_floor_s:
-        Minimum ``Retry-After`` on a ``429`` (the ceiling is twice the
-        observed p95 solve latency).
-    heartbeat_interval_s, wedged_after_s:
-        The event loop stamps a heartbeat every interval; a probe that
-        finds the stamp older than ``wedged_after_s`` reports the loop
-        wedged (surfaced in ``/v1/health``).
     supervise_interval_s:
         Period of the gateway-owned
         :class:`~repro.resilience.Supervisor` probing service health
         and the loop heartbeat from a plain thread; ``None`` disables.
-    executor_threads:
-        Threads bridging the event loop to the blocking service API
-        (default ``2 * workers + 4``).
     """
 
     host: str = "127.0.0.1"
@@ -175,12 +176,7 @@ class GatewayConfig:
     body_timeout_s: float = 10.0
     drain_timeout_s: float = 10.0
     default_timeout_s: Optional[float] = None
-    deadline_slack_s: float = 1.0
-    retry_after_floor_s: float = 1.0
-    heartbeat_interval_s: float = 0.25
-    wedged_after_s: float = 5.0
     supervise_interval_s: Optional[float] = None
-    executor_threads: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.max_body_bytes < 1:
@@ -191,15 +187,9 @@ class GatewayConfig:
             raise ValueError(
                 f"max_connections must be >= 1, got {self.max_connections}"
             )
-        for name in (
-            "header_timeout_s", "body_timeout_s", "drain_timeout_s",
-            "heartbeat_interval_s", "wedged_after_s",
-        ):
+        for name in ("header_timeout_s", "body_timeout_s", "drain_timeout_s"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("deadline_slack_s", "retry_after_floor_s"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
         if self.default_timeout_s is not None and not self.default_timeout_s > 0:
             raise ValueError(
                 f"default_timeout_s must be positive, got {self.default_timeout_s}"
@@ -211,10 +201,6 @@ class GatewayConfig:
             raise ValueError(
                 f"supervise_interval_s must be positive, "
                 f"got {self.supervise_interval_s}"
-            )
-        if self.executor_threads is not None and self.executor_threads < 1:
-            raise ValueError(
-                f"executor_threads must be >= 1, got {self.executor_threads}"
             )
 
 
@@ -376,12 +362,9 @@ class HTTPGateway:
     async def start_async(self) -> "HTTPGateway":
         """Start the service, warm registered graphs, bind the listener."""
         cfg = self.config
+        # Threads bridging the event loop to the blocking service API.
         self._executor = ThreadPoolExecutor(
-            max_workers=(
-                cfg.executor_threads
-                if cfg.executor_threads is not None
-                else 2 * self.service.config.workers + 4
-            ),
+            max_workers=2 * self.service.config.workers + 4,
             thread_name_prefix="repro-gateway",
         )
         loop = asyncio.get_running_loop()
@@ -528,7 +511,7 @@ class HTTPGateway:
     async def _beat(self) -> None:
         while True:
             self._heartbeat = time.monotonic()
-            await asyncio.sleep(self.config.heartbeat_interval_s)
+            await asyncio.sleep(_HEARTBEAT_INTERVAL_S)
 
     def heartbeat_age(self) -> float:
         """Seconds since the event loop last stamped its heartbeat."""
@@ -542,7 +525,7 @@ class HTTPGateway:
             "draining": self._draining,
             "connections": self._conns,
             "heartbeat_age_s": round(age, 3),
-            "wedged": age > self.config.wedged_after_s,
+            "wedged": age > _WEDGED_AFTER_S,
             "wedge_events": self._wedge_events,
         }
 
@@ -768,10 +751,7 @@ class HTTPGateway:
         rec = self._routes.get("POST /v1/solve")
         lat = list(rec["latencies"]) if rec else []
         p95 = float(np.percentile(np.asarray(lat), 95)) if lat else 0.0
-        return max(
-            int(math.ceil(self.config.retry_after_floor_s)),
-            int(math.ceil(2.0 * p95)),
-        )
+        return max(_RETRY_AFTER_FLOOR_S, int(math.ceil(2.0 * p95)))
 
     # -- request parsing ---------------------------------------------------
 
@@ -844,7 +824,7 @@ class HTTPGateway:
         """Bridge one cache-aware solve to the executor, deadline-bounded.
 
         The socket-side wait is the request deadline plus the service
-        grace plus ``deadline_slack_s``; past that the response is a
+        grace plus ``_DEADLINE_SLACK_S``; past that the response is a
         504 even if the worker-kill path has not reported back yet —
         the abandoned executor call finishes (and is discarded) in the
         background, so the client never holds a silent socket.
@@ -854,7 +834,7 @@ class HTTPGateway:
             None if timeout_s is None
             else timeout_s
             + self.service.config.deadline_grace
-            + self.config.deadline_slack_s
+            + _DEADLINE_SLACK_S
         )
         call = functools.partial(
             self.service.solve_cached, request, timeout=allowance,
@@ -1139,7 +1119,7 @@ class HTTPGateway:
         """Bridge one blocking session call to the executor, deadline-bounded.
 
         Same never-a-hung-socket contract as :meth:`_solve_one`: past the
-        deadline plus grace plus ``deadline_slack_s`` the response is a
+        deadline plus grace plus ``_DEADLINE_SLACK_S`` the response is a
         504 even if the worker-kill path has not reported back yet.
         """
         loop = asyncio.get_running_loop()
@@ -1149,7 +1129,7 @@ class HTTPGateway:
         allowance = (
             timeout_s
             + self.service.config.deadline_grace
-            + self.config.deadline_slack_s
+            + _DEADLINE_SLACK_S
         )
         try:
             return await asyncio.wait_for(asyncio.shield(future), allowance)

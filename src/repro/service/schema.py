@@ -13,7 +13,7 @@ A solve object looks like::
      "ranks":   [...],          # optional explicit priorities
      "seed":    7,              # optional (merged into options)
      "method":  "prefix",       # optional engine name (default: the
-                                #   service's default_method)
+                                #   library's, prefix)
      "guards":  "full",         # optional guard mode
      "budget_steps": 10000,     # optional step budget
      "timeout_s": 2.5,          # optional wall-clock deadline

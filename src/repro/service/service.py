@@ -32,15 +32,15 @@
   ordered sequence;
 * a :class:`~repro.service.stats.ServiceStats` snapshot, and graceful
   drain/shutdown (which also unlinks every registered segment);
-* resilience hooks: an orphaned-segment reap sweep at :meth:`start`
-  (``reap_on_start``), an optional background
-  :class:`~repro.resilience.supervisor.Supervisor`
-  (``supervise_interval_s``), and :meth:`SolverService.health` for a
-  cross-layer health report.
+* resilience hooks: an orphaned-segment reap sweep at every
+  :meth:`start`, and :meth:`SolverService.health` for a cross-layer
+  health report (which a :class:`~repro.resilience.supervisor.Supervisor`
+  can probe from a thread).
 
 The scheduler runs on one background thread; workers are the only other
 processes.  All randomness (jitter, chaos draws) comes from streams
-keyed by (seed, request id, attempt).  So at one seed a storm submitted
+keyed by (seed, request id, attempt): seed ``0`` for the backoff jitter,
+``chaos_seed`` for chaos.  So at one seed a storm submitted
 in order replays its kills: the crash, restart and retry counts of a
 kill storm, and every attempt's chaos and outcome, repeat run to run.
 A fault is drawn from the kinds the attempt's engine binds, so it
@@ -75,7 +75,7 @@ from repro.graphs.csr import EdgeList
 from repro.robustness.faults import kernel_faults_for
 from repro.service.breaker import CircuitBreaker
 from repro.service.cache import ResultCache, request_key
-from repro.service.config import ServiceConfig, SolveRequest
+from repro.service.config import _LIBRARY_METHOD, ServiceConfig, SolveRequest
 from repro.service.pool import WorkerHandle, WorkerPool
 from repro.service.stats import ServiceStats, StatsCollector
 from repro.service.worker import encode_payload
@@ -91,6 +91,14 @@ _NON_RETRYABLE = frozenset({
     "GraphFormatError",
     "TypeError",
 })
+
+#: Backoff between attempts: retry *k* sleeps
+#: ``min(backoff_max, backoff_base * _BACKOFF_FACTOR**(k-1))`` scaled by a
+#: uniform ``1 ± _BACKOFF_JITTER`` drawn from the stream
+#: ``(_RETRY_SEED, request id, k)``, so a storm's delays replay.
+_BACKOFF_FACTOR = 2.0
+_BACKOFF_JITTER = 0.25
+_RETRY_SEED = 0
 
 
 class ServiceFuture:
@@ -198,7 +206,7 @@ class SolverService:
             start_method=config.start_method,
             sys_path=config.worker_sys_path,
         )
-        self._stats = StatsCollector(window=config.latency_window)
+        self._stats = StatsCollector()
         self._breakers: Dict[str, CircuitBreaker] = {}
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
@@ -209,12 +217,9 @@ class SolverService:
         self._started = False
         self._closed = False
         self._stop = False
-        self._supervisor = None
         self.cache: Optional[ResultCache] = None
         if config.cache_entries > 0:
-            self.cache = ResultCache(
-                config.cache_entries, config.cache_ttl_s
-            )
+            self.cache = ResultCache(config.cache_entries)
         # id(payload) -> (payload, SharedCSR).  The payload reference is
         # load-bearing: it pins the object so the id key can never be
         # recycled while the registration is live.
@@ -227,22 +232,19 @@ class SolverService:
     def start(self) -> "SolverService":
         """Spawn the worker pool and the scheduler thread (idempotent).
 
-        With ``reap_on_start`` (the default) one orphaned-segment reap
-        sweep runs first, so shared memory leaked by previously killed
-        processes is recovered before new segments are created.  With
-        ``supervise_interval_s`` set, a background
-        :class:`~repro.resilience.supervisor.Supervisor` is started too.
+        One orphaned-segment reap sweep runs first, so shared memory
+        leaked by previously killed processes is recovered before new
+        segments are created.
         """
         with self._lock:
             if self._started:
                 return self
-            if self.config.reap_on_start:
-                from repro.resilience.reaper import reap_orphans
+            from repro.resilience.reaper import reap_orphans
 
-                try:
-                    reap_orphans(snapshot_dir=self.config.session_dir)
-                except OSError:  # pragma: no cover - ledger dir unusable
-                    pass
+            try:
+                reap_orphans(snapshot_dir=self.config.session_dir)
+            except OSError:  # pragma: no cover - ledger dir unusable
+                pass
             self._pool.start()
             self._stop = False
             self._closed = False
@@ -251,14 +253,6 @@ class SolverService:
             )
             self._started = True
             self._thread.start()
-            if self.config.supervise_interval_s is not None:
-                from repro.resilience.supervisor import Supervisor
-
-                self._supervisor = Supervisor(
-                    self,
-                    interval_s=self.config.supervise_interval_s,
-                    reap_interval_s=self.config.reap_interval_s,
-                ).start()
         return self
 
     def __enter__(self) -> "SolverService":
@@ -291,9 +285,6 @@ class SolverService:
         """
         if not self._started:
             return
-        if self._supervisor is not None:
-            self._supervisor.stop()
-            self._supervisor = None
         if drain:
             self.drain(timeout=timeout)
         with self._cond:
@@ -406,7 +397,7 @@ class SolverService:
         if request.problem != "call":
             # Fail unknown methods at submission, not inside a worker.
             engine_registry.get_engine(
-                request.problem, request.method or self.config.default_method
+                request.problem, request.method or _LIBRARY_METHOD
             )
         end = None if timeout is None else time.monotonic() + timeout
         with self._cond:
@@ -458,9 +449,8 @@ class SolverService:
             request.problem,
             request.payload,
             request.ranks,
-            request.method or self.config.default_method,
-            request.guards if request.guards is not None
-            else self.config.default_guards,
+            request.method or _LIBRARY_METHOD,
+            request.guards,
             request.options,
         )
 
@@ -473,13 +463,16 @@ class SolverService:
     ) -> tuple:
         """Cache-aware solve: returns ``(result, source)``.
 
-        ``source`` is ``"hit"`` (fresh cache entry), ``"miss"`` (solved
-        through the pool and stored), ``"stale"`` (backend degraded —
-        breaker chain fully open or every worker dead — and a resident
-        entry served instead of the failure; determinism makes it
-        bit-identical to a fresh solve), or ``"uncached"`` (caching
-        disabled or the request is uncacheable).  Failures with no stale
-        fallback re-raise the typed error unchanged.
+        ``source`` is ``"hit"`` (resident cache entry), ``"miss"``
+        (solved through the pool and stored), ``"stale"`` (the backend
+        failed — breaker chain fully open or every worker dead — but a
+        concurrent request stored this content's answer meanwhile, and
+        that entry is served instead of the failure; determinism makes
+        it bit-identical to a fresh solve), or ``"uncached"`` (caching
+        disabled or the request is uncacheable).  Failures with no
+        resident entry re-raise the typed error unchanged.  Entries never
+        expire: one (graph, π) has one answer under every schedule, and
+        the key rehashes the graph bytes on every lookup.
 
         With ``return_key=True`` the tuple is ``(result, source, key)``
         — the content address is computed exactly once per call, so a
@@ -498,9 +491,10 @@ class SolverService:
             source = "miss"
             self.cache.put(key, result)
         except (CircuitOpenError, WorkerCrashError):
-            # The backend cannot serve right now.  A resident entry for
-            # this exact content is bit-identical to the answer a healthy
-            # backend would return, so degrade to it instead of failing.
+            # The backend cannot serve right now.  An entry stored since
+            # the miss above (by a concurrent request for this exact
+            # content) is bit-identical to the answer a healthy backend
+            # would return, so degrade to it instead of failing.
             stale = self.cache.get_stale(key)
             if stale is None:
                 raise
@@ -733,13 +727,11 @@ class SolverService:
         Raises :class:`CircuitOpenError` when the whole chain is tripped.
         """
         req = ticket.request
-        primary = req.method or self.config.default_method
-        chain = [primary]
-        if self.config.degrade:
-            chain += [
-                m for m in engine_registry.fallback_chain(req.problem)
-                if m != primary
-            ]
+        primary = req.method or _LIBRARY_METHOD
+        chain = [primary] + [
+            m for m in engine_registry.fallback_chain(req.problem)
+            if m != primary
+        ]
         candidates = [m for m in chain if m not in ticket.failed_methods]
         if not candidates:
             candidates = chain  # every engine failed once; let retries re-try
@@ -817,7 +809,7 @@ class SolverService:
                 job["payload"] = encode_payload(req.payload)
                 job["ranks"] = req.ranks
             job["method"] = method
-            guards = req.guards if req.guards is not None else self.config.default_guards
+            guards = req.guards
             if chaos and "fault" in chaos and guards in (None, "off"):
                 # An armed kernel fault must be *detected or harmless*;
                 # run the attempt fully guarded so it cannot return a
@@ -827,7 +819,7 @@ class SolverService:
             job["budget_steps"] = req.budget_steps
             job["trace_path"] = req.trace_path
             options = dict(req.options)
-            if method != (req.method or self.config.default_method):
+            if method != (req.method or _LIBRARY_METHOD):
                 # A degraded attempt must not inherit engine-specific
                 # knobs: the chain engines reject them at the validation
                 # boundary, which would poison every retry.  The strip
@@ -925,7 +917,7 @@ class SolverService:
             return reply["value"]
         stats_dict = reply["stats"]
         aux = dict(stats_dict["aux"])
-        requested = ticket.request.method or self.config.default_method
+        requested = ticket.request.method or _LIBRARY_METHOD
         served = attempt["method"]
         if served != requested:
             aux["degraded"] = True
@@ -1005,8 +997,7 @@ class SolverService:
         if ticket.request.problem != "call":
             if self.breaker(ticket.request.problem, attempt["method"]).record_failure():
                 self._stats.bump("breaker_trips")
-            if self.config.degrade:
-                ticket.failed_methods.add(attempt["method"])
+            ticket.failed_methods.add(attempt["method"])
         self._retry_or_fail(ticket, _reconstruct_error(name, message), now)
 
     def _handle_crash(self, worker: WorkerHandle, now: float) -> None:
@@ -1108,12 +1099,10 @@ class SolverService:
         cfg = self.config
         delay = min(
             cfg.backoff_max,
-            cfg.backoff_base * cfg.backoff_factor ** (ticket.retries - 1),
+            cfg.backoff_base * _BACKOFF_FACTOR ** (ticket.retries - 1),
         )
-        if cfg.backoff_jitter:
-            rng = np.random.default_rng((cfg.retry_seed, ticket.id, ticket.retries))
-            delay *= 1.0 + cfg.backoff_jitter * (2.0 * rng.random() - 1.0)
-        return delay
+        rng = np.random.default_rng((_RETRY_SEED, ticket.id, ticket.retries))
+        return delay * (1.0 + _BACKOFF_JITTER * (2.0 * rng.random() - 1.0))
 
     def _finish_ok(self, ticket: _Ticket, value: Any, now: float) -> None:
         if ticket.future.done():  # pragma: no cover - a future resolves once

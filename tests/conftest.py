@@ -107,3 +107,25 @@ def family_graph(request) -> CSRGraph:
         "hypercube": lambda: hypercube_graph(6),
         "bipartite": lambda: complete_bipartite_graph(12, 20),
     }[request.param]()
+
+
+def race_the_next_solve(service, monkeypatch) -> None:
+    """Arrange the one path that serves ``stale``: the next cache miss
+    solves, a concurrent request stores the same content's answer
+    meanwhile, and the solve itself fails with ``CircuitOpenError``.
+
+    The answers resident now are taken out of the cache and stored back
+    by the patched ``solve``, so the next ``solve_cached`` of one of
+    them misses and then re-reads the stored entry.
+    """
+    from repro.errors import CircuitOpenError
+
+    resident = {key: service.cache.get(key) for key in service.cache.keys()}
+    service.cache.clear()
+
+    def racing_solve(request, timeout=None):
+        key = service.request_cache_key(request)
+        service.cache.put(key, resident[key])
+        raise CircuitOpenError("all engines unavailable")
+
+    monkeypatch.setattr(service, "solve", racing_solve)

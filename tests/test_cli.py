@@ -275,7 +275,7 @@ class TestBatchCommand:
 
         import repro
         from repro.graphs.generators import uniform_random_graph
-        from repro.service import ServiceConfig
+        from repro.core.options import SolveOptions
         from repro.service import schema
 
         graph = uniform_random_graph(40, 100, seed=3)
@@ -288,7 +288,7 @@ class TestBatchCommand:
             + json.dumps({"problem": "mm", "graph": wire_graph, "seed": 7}) + "\n"
         )
         assert main(["batch", "--file", str(path), "--workers", "1"]) == 0
-        method = ServiceConfig().default_method
+        method = SolveOptions().method
         references = [
             ("mis", repro.maximal_independent_set(graph, ranks, method=method)),
             ("matching", repro.maximal_matching(el, seed=7, method=method)),

@@ -286,6 +286,46 @@ class TestSessionApiIntegrity:
             f"{missing}"
         )
 
+    #: The knobs folded into constants, by the config class that had them.
+    RETIRED_CONFIG_KNOBS = {
+        "ServiceConfig": (
+            "default_method", "default_guards", "degrade", "backoff_factor",
+            "backoff_jitter", "retry_seed", "latency_window",
+            "reap_on_start", "supervise_interval_s", "reap_interval_s",
+            "cache_ttl_s",
+        ),
+        "GatewayConfig": (
+            "deadline_slack_s", "retry_after_floor_s",
+            "heartbeat_interval_s", "wedged_after_s", "executor_threads",
+        ),
+    }
+
+    def test_every_config_knob_is_documented_and_every_retired_one_tabled(
+        self,
+    ):
+        import dataclasses
+
+        from repro.service import ServiceConfig
+        from repro.service.http import GatewayConfig
+
+        api_md = (SRC.parent.parent / "docs" / "api.md").read_text()
+        start = api_md.index("### Retired service and gateway knobs")
+        table = api_md[start:api_md.index("\n### ", start)]
+        for cls in (ServiceConfig, GatewayConfig):
+            undocumented = [f.name for f in dataclasses.fields(cls)
+                            if f"`{f.name}`" not in api_md]
+            assert not undocumented, (
+                f"{cls.__name__} fields absent from docs/api.md: "
+                f"{undocumented}"
+            )
+            for name in self.RETIRED_CONFIG_KNOBS[cls.__name__]:
+                assert f"`{cls.__name__}.{name}`" in table, (
+                    f"retired {cls.__name__}.{name} missing from the "
+                    "api.md retired-knob table"
+                )
+                with pytest.raises(TypeError):
+                    cls(**{name: None})
+
     def test_session_manager_is_exported_and_documented(self):
         import repro.service as service
 

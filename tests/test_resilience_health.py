@@ -188,24 +188,40 @@ class TestSupervisor:
         assert len(sup.reports) == 2
         assert sup.probes == 4
 
-    def test_config_wired_supervisor(self, graph, tmp_path, monkeypatch):
+    @pytest.mark.http
+    def test_config_wired_supervisor(self, tmp_path, monkeypatch):
+        """``GatewayConfig.supervise_interval_s`` runs the gateway's
+        supervisor: it probes while the gateway serves, its reports count
+        a blocked event loop as a wedge that ``/v1/health`` reads as
+        degraded, and it stops with the gateway."""
+        import time
+
+        from repro.service import http as http_mod
+        from repro.service.http import GatewayConfig, HTTPGateway, request_json
+
         monkeypatch.setenv("REPRO_LEDGER_DIR", str(tmp_path / "ledger"))
-        svc = SolverService(ServiceConfig(
-            workers=1, supervise_interval_s=0.02, reap_interval_s=3600.0,
-        ))
-        svc.start()
-        try:
-            import time
+        monkeypatch.setattr(http_mod, "_HEARTBEAT_INTERVAL_S", 0.01)
+        monkeypatch.setattr(http_mod, "_WEDGED_AFTER_S", 0.05)
+        gw = HTTPGateway(
+            config=GatewayConfig(port=0, supervise_interval_s=0.02), workers=1
+        )
+
+        def wait_for(condition):
             deadline = time.monotonic() + 5.0
-            while ((svc._supervisor is None or svc._supervisor.probes < 1)
-                   and time.monotonic() < deadline):
+            while not condition() and time.monotonic() < deadline:
                 time.sleep(0.01)
-            assert svc._supervisor is not None
-            assert svc._supervisor.running
-            assert svc._supervisor.probes >= 1
-        finally:
-            svc.shutdown()
-        assert svc._supervisor is None or not svc._supervisor.running
+            return condition()
+
+        with gw:
+            sup = gw._supervisor
+            assert sup is not None and sup.running
+            assert wait_for(lambda: sup.probes >= 1)
+            gw._loop.call_soon_threadsafe(time.sleep, 0.3)
+            assert wait_for(lambda: gw.probe()["wedge_events"] >= 1)
+            status, _, body = request_json(gw.address, "GET", "/v1/health")
+            assert status == 207 and body["status"] == "degraded"
+            assert any("event loop stalled" in r for r in body["reasons"])
+        assert gw._supervisor is None and not sup.running
 
     def test_validation(self, service):
         with pytest.raises(ValueError):

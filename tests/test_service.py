@@ -14,6 +14,7 @@ import pytest
 
 import repro
 from repro.core.engines import solve as direct_solve
+from repro.core.options import SolveOptions
 from repro.core.orderings import random_priorities
 from repro.errors import (
     BudgetExceededError,
@@ -22,15 +23,19 @@ from repro.errors import (
     InvalidOrderingError,
     QueueFullError,
     ServiceError,
+    WorkerCrashError,
 )
 from repro.graphs.generators import uniform_random_graph
 from repro.service import (
     CircuitBreaker,
+    ResultCache,
     ServiceConfig,
     SolveRequest,
     SolverService,
     solve_many,
 )
+from repro.service.config import _LIBRARY_METHOD
+from repro.service.http import GatewayConfig
 
 pytestmark = pytest.mark.service
 
@@ -58,7 +63,7 @@ class TestParity:
     def test_mis_bit_identical_to_in_process(self, service, graph):
         res = service.solve(SolveRequest("mis", graph, options={"seed": 3}),
                             timeout=60)
-        ref = direct_solve("mis", graph, method=service.config.default_method,
+        ref = direct_solve("mis", graph, method=SolveOptions().method,
                            seed=3)
         assert np.array_equal(res.status, ref.status)
         assert np.array_equal(res.ranks, ref.ranks)
@@ -92,7 +97,7 @@ class TestParity:
         res = service.solve(SolveRequest("mis", graph, options={"seed": 0}),
                             timeout=60)
         aux = res.stats.aux["service"]
-        assert aux["engine"] == service.config.default_method
+        assert aux["engine"] == SolveOptions().method
         assert aux["retries"] == 0
         assert len(aux["attempts"]) == 1
         assert aux["attempts"][0]["outcome"] == "ok"
@@ -211,6 +216,25 @@ class TestQueueAndDeadlines:
             ref = direct_solve("mis", graph, method="rootset-vec", seed=1)
             assert np.array_equal(res.status, ref.status)
             assert svc.stats().worker_restarts >= 1
+
+    def test_hang_timeout_kills_and_retries_a_request_without_deadline(
+        self, graph
+    ):
+        with SolverService(workers=1, hang_timeout=0.2, max_retries=1,
+                           tick=0.005) as svc:
+            fut = svc.submit(_sleep_request(30))
+            with pytest.raises(WorkerCrashError, match=r"hung past 0\.200s"):
+                fut.result(timeout=30)
+            st = svc.stats()
+            assert (st.worker_crashes, st.worker_restarts, st.retries) == (
+                2, 2, 1,
+            )
+            # The pool healed: the next request is served normally.
+            res = svc.solve(SolveRequest("mis", graph, options={"seed": 1}),
+                            timeout=60)
+            ref = direct_solve("mis", graph, method=SolveOptions().method,
+                               seed=1)
+            assert np.array_equal(res.status, ref.status)
 
     def test_deadline_propagates_as_wall_clock_budget(self, graph):
         # A deadline long enough to dispatch but too short for a 30s sleep
@@ -349,31 +373,37 @@ class TestConfigAndRequestValidation:
         {"max_queue": 0},
         {"start_method": "thread"},
         {"max_retries": -1},
-        {"backoff_jitter": 1.5},
         {"kill_probability": 2.0},
         {"kill_point": "mid"},
         {"fault_probability": 1.5},
         {"hang_timeout": 0.0},
-        {"supervise_interval_s": 0.0},
+        {"backoff_base": 0.0},
+        {"tick": 0.0},
+        {"deadline_grace": -1.0},
+        {"cache_entries": -1},
     ])
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ServiceConfig(**kwargs)
 
     def test_config_knob_surface_is_pinned(self):
-        """The service's 29 knobs, pinned like SolveOptions' 11: a new
-        knob must be added here on purpose, and the retired hedging,
-        limiter and fault-kind knobs are unknown keywords."""
+        """The service's 18 knobs and the gateway's 9, pinned like
+        SolveOptions' 11: a new knob must be added here on purpose, and
+        the retired hedging, limiter and fault-kind knobs are unknown
+        keywords (the 16 folded into constants are checked against the
+        docs/api.md retired-knob table)."""
         assert [f.name for f in dataclasses.fields(ServiceConfig)] == [
-            "workers", "max_queue", "start_method", "default_method",
-            "default_guards", "degrade", "max_retries", "backoff_base",
-            "backoff_factor", "backoff_max", "backoff_jitter", "retry_seed",
+            "workers", "max_queue", "start_method", "max_retries",
+            "backoff_base", "backoff_max",
             "breaker_threshold", "breaker_reset_seconds", "deadline_grace",
             "hang_timeout", "kill_probability", "kill_point",
             "fault_probability", "chaos_seed",
-            "worker_sys_path", "tick", "latency_window", "cache_entries",
-            "cache_ttl_s", "reap_on_start", "supervise_interval_s",
-            "reap_interval_s", "session_dir",
+            "worker_sys_path", "tick", "cache_entries", "session_dir",
+        ]
+        assert [f.name for f in dataclasses.fields(GatewayConfig)] == [
+            "host", "port", "max_body_bytes", "max_connections",
+            "header_timeout_s", "body_timeout_s", "drain_timeout_s",
+            "default_timeout_s", "supervise_interval_s",
         ]
         with pytest.raises(TypeError):
             ServiceConfig(hedge_delay_s=0.1)
@@ -381,6 +411,13 @@ class TestConfigAndRequestValidation:
             ServiceConfig(backpressure=True)
         with pytest.raises(TypeError):
             ServiceConfig(fault_kinds=("min-lift",))
+
+    def test_result_cache_has_no_ttl(self):
+        """One (graph, π) has one answer: entries never expire."""
+        with pytest.raises(TypeError):
+            ResultCache(8, ttl_s=1.0)
+        with pytest.raises(TypeError):
+            ResultCache(8, clock=time.monotonic)
 
     def test_config_object_and_overrides_are_exclusive(self):
         with pytest.raises(ValueError):
@@ -399,16 +436,12 @@ class TestConfigAndRequestValidation:
     def test_service_default_method_is_the_library_default(self):
         """One default engine for every front door: the service serves
         what the library front doors run, the paper's Algorithm 3."""
-        from repro.core.options import SolveOptions
-
-        assert ServiceConfig().default_method == SolveOptions().method == "prefix"
+        assert _LIBRARY_METHOD == SolveOptions().method == "prefix"
 
     def test_options_default_method_is_not_an_explicit_choice(self):
-        from repro.core.options import SolveOptions
-
         # A SolveOptions left at its default method expresses no engine
         # choice: it neither conflicts with an explicit request method
-        # nor pins the request (the service default_method still wins).
+        # nor pins the request (the library default still wins).
         req = SolveRequest("mis", None, method="rootset-vec",
                            options=SolveOptions(seed=1))
         assert req.method == "rootset-vec"

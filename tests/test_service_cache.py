@@ -4,7 +4,7 @@ The cache is only safe because keys bind *everything* that can change
 the answer — graph bytes, π (or its seed), problem, engine, guard
 mode, and knobs.  The first half of this file attacks the key
 derivation (any difference that could change the output must miss);
-the second half pins the LRU/TTL/stale mechanics and the service-level
+the second half pins the LRU/stale mechanics and the service-level
 integration (hit / miss / stale / uncached, and the poisoned-segment
 forced miss).
 """
@@ -15,6 +15,8 @@ import pytest
 from repro.graphs.generators import uniform_random_graph
 from repro.service import ResultCache, ServiceConfig, SolveRequest, request_key
 from repro.service.cache import content_digest
+
+from conftest import race_the_next_solve
 
 pytestmark = pytest.mark.service
 
@@ -112,31 +114,11 @@ class TestResultCacheMechanics:
         assert cache.get("a") == 1 and cache.get("c") == 3
         assert cache.snapshot()["evictions"] == 1
 
-    def test_ttl_expiry_stays_resident_for_stale(self):
-        clock = [0.0]
-        cache = ResultCache(max_entries=4, ttl_s=1.0, clock=lambda: clock[0])
-        cache.put("k", "v")
-        assert cache.get("k") == "v"
-        clock[0] = 2.0
-        assert cache.get("k") is None  # expired for the fresh path
-        assert cache.get_stale("k") == "v"  # resident for degraded serving
-        snap = cache.snapshot()
-        assert snap["expirations"] == 1 and snap["stale_served"] == 1
-
     def test_none_key_is_inert(self):
         cache = ResultCache(max_entries=2)
         assert cache.put(None, "x") is False
         assert cache.get(None) is None and cache.get_stale(None) is None
         assert len(cache) == 0
-
-    def test_put_refreshes_timestamp(self):
-        clock = [0.0]
-        cache = ResultCache(max_entries=4, ttl_s=1.0, clock=lambda: clock[0])
-        cache.put("k", "old")
-        clock[0] = 0.9
-        cache.put("k", "new")
-        clock[0] = 1.5  # old entry would be expired; refresh is not
-        assert cache.get("k") == "new"
 
     def test_invalidate_and_clear(self):
         cache = ResultCache(max_entries=4)
@@ -150,16 +132,14 @@ class TestResultCacheMechanics:
     def test_rejects_degenerate_configs(self):
         with pytest.raises(ValueError):
             ResultCache(max_entries=0)
-        with pytest.raises(ValueError):
-            ResultCache(ttl_s=0.0)
 
 
 class TestServiceIntegration:
-    def test_hit_miss_stale_uncached_lifecycle(self, graph, pi):
+    def test_hit_miss_stale_uncached_lifecycle(self, graph, pi, monkeypatch):
         from repro.core.engines import engine_methods
         from repro.service import SolverService
 
-        config = ServiceConfig(workers=1, cache_entries=8, cache_ttl_s=0.3)
+        config = ServiceConfig(workers=1, cache_entries=8)
         service = SolverService(config).start()
         try:
             req = SolveRequest("mis", graph, ranks=pi)
@@ -175,21 +155,25 @@ class TestServiceIntegration:
             )
             assert source == "uncached"
 
-            # Degrade the backend: TTL-expired entry is served stale
-            # (and is bit-identical — determinism).
+            # Degrade the backend: a resident entry never expires, so it
+            # is still a hit, bit-identical to the cold answer.
             breakers = [
                 service.breaker("mis", m) for m in engine_methods("mis")
             ]
             for breaker in breakers:
                 for _ in range(config.breaker_threshold):
                     breaker.record_failure()
-            import time
-
-            time.sleep(0.35)
             r2, source2 = service.solve_cached(req, timeout=60)
-            assert source2 == "stale"
+            assert source2 == "hit"
             assert np.array_equal(r2.status, r0.status)
-            assert service.stats().cache_stale_served >= 1
+
+            # Stale: the solve fails after a concurrent request stored
+            # the same content's answer, and that entry is served.
+            race_the_next_solve(service, monkeypatch)
+            r3, source3 = service.solve_cached(req, timeout=60)
+            assert source3 == "stale"
+            assert np.array_equal(r3.status, r0.status)
+            assert service.stats().cache_stale_served == 1
         finally:
             service.shutdown()
 

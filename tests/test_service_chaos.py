@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.engines import fallback_chain
 from repro.core.engines import solve as direct_solve
+from repro.core.options import SolveOptions
 from repro.errors import CircuitOpenError, ReproError, WorkerCrashError
 from repro.graphs.generators import rmat_graph, uniform_random_graph
 from repro.service import SolveRequest, SolverService
@@ -180,7 +181,7 @@ class TestFaultStorm:
         with SolverService(workers=2, fault_probability=0.6,
                            max_retries=8, chaos_seed=3, backoff_base=0.002,
                            tick=0.005) as svc:
-            default = svc.config.default_method
+            default = SolveOptions().method
             results = svc.solve_many(requests, return_errors=True)
             stats = svc.stats()
         degraded = _assert_storm_degraded(requests, results, stats, default)
@@ -295,7 +296,7 @@ class TestBreakerDegradation:
         must be served by the next engine in the chain, bit-identically."""
         with SolverService(workers=1, breaker_threshold=2,
                            breaker_reset_seconds=60.0, tick=0.005) as svc:
-            default = svc.config.default_method
+            default = SolveOptions().method
             b = svc.breaker("mis", default)
             b.record_failure()
             b.record_failure()
@@ -343,7 +344,7 @@ class TestBreakerDegradation:
         with SolverService(workers=1, breaker_threshold=1,
                            breaker_reset_seconds=clock_cheat,
                            tick=0.005) as svc:
-            default = svc.config.default_method
+            default = SolveOptions().method
             svc.breaker("mis", default).record_failure()
             assert svc.breaker("mis", default).state == "open"
             import time
@@ -364,7 +365,7 @@ class TestBreakerDegradation:
 
         with SolverService(workers=1, breaker_threshold=1,
                            breaker_reset_seconds=0.2, tick=0.005) as svc:
-            default = svc.config.default_method
+            default = SolveOptions().method
             svc.breaker("mis", default).record_failure()
             time.sleep(0.3)
             assert svc.breaker("mis", default).state == "half-open"

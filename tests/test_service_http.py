@@ -23,9 +23,13 @@ import pytest
 
 from repro.core.engines import engine_methods
 from repro.core.mis import maximal_independent_set
+from repro.core.options import SolveOptions
 from repro.graphs.generators import uniform_random_graph
+from repro.service import http as http_mod
 from repro.service.http import GatewayConfig, HTTPGateway, request_json
 from repro.service.schema import encode_result
+
+from conftest import race_the_next_solve
 
 pytestmark = [pytest.mark.http, pytest.mark.service]
 
@@ -197,7 +201,7 @@ class TestDeadline:
         assert status == 504 and body["error"] == "DeadlineExceededError"
         # "Never a hung socket": bounded by deadline + grace + slack.
         grace = gateway.service.config.deadline_grace
-        assert elapsed < grace + gateway.config.deadline_slack_s + 10.0
+        assert elapsed < grace + http_mod._DEADLINE_SLACK_S + 10.0
 
     def test_header_deadline_maps_to_504(self, gateway):
         status, _, body = request_json(
@@ -238,7 +242,7 @@ class TestBatch:
         assert status == 200
         assert [r["ok"] for r in body["results"]] == [True, True]
         assert body["results"][0]["cache"] == "hit"
-        method = gateway.service.config.default_method
+        method = SolveOptions().method
         refs = [
             maximal_independent_set(graph, pi, method=method),
             maximal_independent_set(graph, seed=5, method=method),
@@ -266,7 +270,7 @@ class TestBatch:
         }
         assert bogus["http_status"] == 400
         ref = maximal_independent_set(
-            graph, pi, method=gateway.service.config.default_method
+            graph, pi, method=SolveOptions().method
         )
         assert raw == _reference_batch([(ref, ok["cache"]), missing, bogus])
 
@@ -363,7 +367,7 @@ class TestHealthAndMetrics:
     def test_probe_shape(self, gateway):
         probe = gateway.probe()
         assert probe["listening"] and not probe["draining"]
-        assert probe["heartbeat_age_s"] < gateway.config.wedged_after_s
+        assert probe["heartbeat_age_s"] < http_mod._WEDGED_AFTER_S
         assert probe["wedge_events"] == 0
 
 
@@ -516,12 +520,13 @@ class TestOverloadAndSlowClients:
 
 
 class TestServeStale:
-    def test_stale_degraded_response_is_byte_identical(self, graph):
+    def test_stale_degraded_response_is_byte_identical(
+        self, graph, monkeypatch
+    ):
         gw = HTTPGateway(
             config=GatewayConfig(port=0),
             workers=1,
             cache_entries=8,
-            cache_ttl_s=0.3,
         )
         gw.add_graph("g", graph)
         req = {"graph": "g", "seed": 11}
@@ -542,16 +547,26 @@ class TestServeStale:
             for breaker in breakers:
                 for _ in range(gw.service.config.breaker_threshold):
                     breaker.record_failure()
-            time.sleep(0.35)  # expire the TTL; entry stays resident
-            s2, h2, raw_stale = _raw_response(
+            # Every engine is open, but the entry never expires: a hit.
+            s2, h2, raw_open = _raw_response(
                 gw.address, "POST", "/v1/solve", req
             )
             assert s2 == 200
-            assert h2["x-repro-cache"] == "stale"
-            assert h2["x-repro-degraded"] == "stale"
+            assert h2["x-repro-cache"] == "hit"
+            assert "x-repro-degraded" not in h2
+
+            race_the_next_solve(gw.service, monkeypatch)
+            gw._body_cache.clear()  # encode the stale body afresh
+            s3, h3, raw_stale = _raw_response(
+                gw.address, "POST", "/v1/solve", req
+            )
+            assert s3 == 200
+            assert h3["x-repro-cache"] == "stale"
+            assert h3["x-repro-degraded"] == "stale"
+            assert gw.service.stats().cache_stale_served == 1
         # Determinism over HTTP: one content address, three serving
         # paths, identical bytes.
-        assert raw_cold == raw_warm == raw_stale
+        assert raw_cold == raw_warm == raw_open == raw_stale
 
     def test_breaker_open_without_resident_entry_is_503(self, graph):
         gw = HTTPGateway(

@@ -12,13 +12,13 @@ field, and every HTTP body to ``json.dumps(encode_result(...))``.
 
 import http.client
 import json
-import time
 
 import numpy as np
 import pytest
 
 from repro.backends.sharedmem import SharedCSR
 from repro.core.engines import engine_methods, solve
+from repro.core.options import SolveOptions
 from repro.errors import GraphFormatError
 from repro.graphs.csr import EdgeList
 from repro.graphs.generators import uniform_random_graph
@@ -28,6 +28,8 @@ from repro.service.schema import decode_solve, encode_result
 from repro.service.service import _Ticket
 from repro.service.shared import detach_shared
 from repro.service.worker import encode_payload, execute_job
+
+from conftest import race_the_next_solve
 
 pytestmark = pytest.mark.service
 
@@ -158,7 +160,7 @@ def test_registered_pi_matches_in_process(service, graph):
 def test_degraded_attempt_matches_the_served_engine(graph):
     el = graph.edge_list()
     with SolverService(workers=1, tick=0.005, breaker_reset_seconds=60.0) as svc:
-        breaker = svc.breaker("matching", svc.config.default_method)
+        breaker = svc.breaker("matching", SolveOptions().method)
         for _ in range(svc.config.breaker_threshold):
             breaker.record_failure()
         pi = np.random.default_rng(5).permutation(graph.num_edges)
@@ -166,7 +168,7 @@ def test_degraded_attempt_matches_the_served_engine(graph):
             got = svc.solve(SolveRequest("matching", el, ranks=ranks, options=options),
                             timeout=60)
             served = got.stats.aux["fallback_engine"]
-            assert got.stats.aux["degraded"] and served != svc.config.default_method
+            assert got.stats.aux["degraded"] and served != SolveOptions().method
             _assert_same_result(got, solve("matching", el, ranks, method=served, **options))
 
 
@@ -246,7 +248,7 @@ def _reference_body(result, **extra):
     ).encode()
 
 
-def test_mm_bodies_equal_the_reference_dump(graph):
+def test_mm_bodies_equal_the_reference_dump(graph, monkeypatch):
     other = uniform_random_graph(200, 700, seed=5)
     el = other.edge_list()
     ref = {(name, seed): solve("matching", g, seed=seed)
@@ -255,8 +257,7 @@ def test_mm_bodies_equal_the_reference_dump(graph):
     def mm(name, seed):
         return {"problem": "mm", "graph": name, "seed": seed}
 
-    gw = HTTPGateway(config=GatewayConfig(port=0), workers=1, cache_entries=8,
-                     cache_ttl_s=1.0)
+    gw = HTTPGateway(config=GatewayConfig(port=0), workers=1, cache_entries=8)
     gw.add_graph("g", graph)
     gw.add_graph("h", other)
     with gw:
@@ -311,7 +312,13 @@ def test_mm_bodies_equal_the_reference_dump(graph):
             breaker = gw.service.breaker("matching", method)
             for _ in range(gw.service.config.breaker_threshold):
                 breaker.record_failure()
-        time.sleep(1.05)  # expire the TTL; the entry stays resident
+        # Every engine is open, but the entry never expires: a hit.
+        assert _call(addr, "POST", "/v1/solve", mm("g", 2)) == (
+            200, "hit", _reference_body(ref["g", 2]))
+        # The solve fails after a racing request stored the answer:
+        # stale, encoded afresh around the graph's kept edge bytes.
+        race_the_next_solve(gw.service, monkeypatch)
+        gw._body_cache.clear()
         assert _call(addr, "POST", "/v1/solve", mm("g", 2)) == (
             200, "stale", _reference_body(ref["g", 2]))
 
