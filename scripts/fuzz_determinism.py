@@ -18,7 +18,9 @@ the graph/rank inputs (front-door validation watching) — and asserts the
 fault is *detected or harmless*: every run must end in a typed error or in
 a result bit-identical to the fault-free reference.  A run that completes
 with a different answer is a silent wrong answer, the one outcome the
-robustness layer exists to prevent.
+robustness layer exists to prevent.  A corrupted π goes to an engine drawn
+from every registered method that takes ranks (the served ``prefix`` and
+``sequential`` among them), and must raise ``InvalidOrderingError``.
 
 ``--service`` replays each trial through the crash-isolated worker pool
 (:class:`repro.service.SolverService`) with worker kills *and* kernel
@@ -50,6 +52,7 @@ from repro.core.mis import (
     sequential_greedy_mis,
     theorem45_prefix_sizes,
 )
+from repro.core.engines import engine_specs, solve
 from repro.core.orderings import random_priorities
 from repro.extensions.reservations import reservation_matching, reservation_mis
 from repro.graphs.generators import (
@@ -229,27 +232,28 @@ def check_fault_instance(rng, tally) -> None:
         )
 
     if site == "rank":
+        # Any engine that takes ranks, the served prefix and the
+        # sequential reference included: each checks π at its boundary.
+        problem = "mis" if alg == "mis" else "matching"
+        methods = [s.method for s in engine_specs(problem) if s.supports_ranks]
+        method = methods[int(rng.integers(0, len(methods)))]
         kind = RANK_FAULTS[int(rng.integers(0, len(RANK_FAULTS)))]
-        if alg == "mis":
-            bad = corrupt_ranks(
-                random_priorities(g.num_vertices, rng), kind,
-                seed=int(rng.integers(0, 2**31)),
-            )
-            call = lambda: maximal_independent_set(g, bad, method="rootset-vec")
-        else:
-            el = g.edge_list()
-            bad = corrupt_ranks(
-                random_priorities(el.num_edges, rng), kind,
-                seed=int(rng.integers(0, 2**31)),
-            )
-            call = lambda: maximal_matching(el, bad, method="rootset-vec")
+        payload = g if alg == "mis" else g.edge_list()
+        size = g.num_vertices if alg == "mis" else payload.num_edges
+        bad = corrupt_ranks(
+            random_priorities(size, rng), kind,
+            seed=int(rng.integers(0, 2**31)),
+        )
+        if kind == "rank-dup" and size < 2:
+            tally["not-fired"] += 1  # one item has no other rank to copy
+            return
         try:
-            call()
+            solve(problem, payload, bad, method=method)
         except InvalidOrderingError:
             tally["detected"] += 1
             return
         raise AssertionError(
-            f"UNDETECTED INPUT FAULT: {label} fault={kind} "
+            f"UNDETECTED INPUT FAULT: {label} fault={kind} method={method} "
             "(front door accepted a corrupted ordering)"
         )
 

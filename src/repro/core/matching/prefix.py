@@ -11,13 +11,21 @@ order's share of live edges instead
 (:func:`repro.core.mis.prefix.default_window`, target t = ``m // 50``):
 they grow as the order thins, and none holds more than t live edges.
 
-The engine walks π in order.  It scatters the endpoints into priority
-order once per solve (``pu[ranks] = u``, ``pv[ranks] = v``), so the edge
-of rank ``p`` sits at position ``p``: a round's window is the slice
-``[pos, pos + k)`` and a slot's position is its rank, which is what
-``scatter_min`` takes as its value.  Every slot of a fresh window is still
-live (only a window's own steps decide its edges), so no status scan
-precedes the endpoint check.  One ``pstatus[ranks]`` gather at the end
+The engine walks π in order.  It lays the endpoints out in priority
+order once per solve, so the edge of rank ``p`` sits at position ``p``:
+a round's window is the slice ``[pos, pos + k)`` and a slot's position
+is its rank, which is what ``scatter_min`` takes as its value.  The
+layout is one scatter of the packed pair ``(u << 32) | v``, unpacked into
+``pu``/``pv``; for a caller's π it is the checked scatter
+(:func:`~repro.core.orderings.scatter_by_priority`), so checking π costs
+no pass of its own.  Vertex ids past 2³¹ do not pack, and an n-sized
+scratch array that large may not fit in memory, so such a graph's
+endpoints are first relabelled to ``0..k-1`` in id order (``k`` ≤ 2m),
+which moves no answer.  Every slot of a fresh window is still live (only
+a window's own steps decide its edges), so no status scan precedes the
+endpoint check.  An unguarded run starts every slot ``EDGE_DEAD`` and
+writes only its matches; a guarded run writes each death too, for the
+guard's live-edge ledger.  One ``pstatus[ranks]`` gather at the end
 returns the edge-indexed status.
 
 Within a round, only edges *inside* the prefix can block each other: all
@@ -32,9 +40,9 @@ from typing import Optional
 import numpy as np
 
 from repro.core.mis.prefix import default_window, resolve_prefix_size
-from repro.core.orderings import random_priorities, validate_priorities
+from repro.core.orderings import random_priorities, scatter_by_priority
 from repro.core.result import MatchingResult, stats_from_machine
-from repro.core.status import EDGE_DEAD, EDGE_MATCHED, new_edge_status
+from repro.core.status import EDGE_DEAD, EDGE_MATCHED, STATUS_DTYPE, new_edge_status
 from repro.graphs.csr import EdgeList
 from repro.kernels import scatter_min
 from repro.pram.machine import Machine, log2_depth
@@ -43,6 +51,11 @@ from repro.robustness.guards import MatchingInvariantGuard, resolve_guard_mode
 from repro.util.rng import SeedLike
 
 __all__ = ["prefix_greedy_matching"]
+
+#: The most vertices whose endpoint pairs pack into one int64,
+#: ``(u << 32) | v`` with ``u < v < 2**31``.
+_PACKED_VERTICES = 2**31
+_LOW32 = 0xFFFFFFFF
 
 
 def prefix_greedy_matching(
@@ -80,7 +93,8 @@ def prefix_greedy_matching(
         :class:`~repro.errors.InvariantViolationError`.  The guard watches
         the relabelled instance ``EdgeList(n, pu, pv)`` under identity
         ranks, the same problem, so the edge ids its messages name are π
-        positions: edge ``p`` is the edge of rank ``p``.
+        positions: edge ``p`` is the edge of rank ``p`` (past 2³¹
+        vertices, the vertex ids it names are relabelled too).
     budget:
         Optional :class:`~repro.robustness.Budget`; one step is spent per
         inner synchronous step.
@@ -90,20 +104,31 @@ def prefix_greedy_matching(
 
     m = edges.num_edges
     n = edges.num_vertices
+    eu, ev, nv = edges.u, edges.v, n
+    if n > _PACKED_VERTICES:
+        # Relabel in id order, so u < v still holds and no answer moves.
+        ids, inv = np.unique(np.concatenate((eu, ev)), return_inverse=True)
+        eu, ev, nv = inv[:m], inv[m:], int(ids.size)
+    # Endpoints in priority order: position p holds the edge of rank p,
+    # packed, and a caller's π is checked in the same scatter.
+    pairs = eu << 32
+    pairs |= ev
     if ranks is None:
         ranks = random_priorities(m, seed)
+        laid = np.empty(m, dtype=np.int64)
+        laid[ranks] = pairs
     else:
-        ranks = validate_priorities(ranks, m)
-    # Endpoints in priority order: position p holds the edge of rank p.
-    pu = np.empty(m, dtype=np.int64)
-    pv = np.empty(m, dtype=np.int64)
-    pu[ranks] = edges.u
-    pv[ranks] = edges.v
+        ranks, laid = scatter_by_priority(ranks, m, pairs)
+    # Only the layout stays resident: pv is unpacked in place.
+    del pairs
+    pu = laid >> 32
+    pv = laid
+    pv &= _LOW32
     mode = resolve_guard_mode(guards)
     guard = None
     if mode != "off":
         guard = MatchingInvariantGuard(
-            EdgeList(n, pu, pv), np.arange(m, dtype=np.int64), mode,
+            EdgeList(nv, pu, pv), np.arange(m, dtype=np.int64), mode,
             "mm/prefix (edge ids are π positions)",
         )
     if budget is not None:
@@ -129,9 +154,13 @@ def prefix_greedy_matching(
     if tracer is not None:
         tracer.begin_run("mm/prefix", n, m, machine=machine)
 
-    pstatus = new_edge_status(m)
-    matched_v = np.zeros(n, dtype=bool)
-    min_at = np.full(n, m, dtype=np.int64)
+    # Unguarded, every slot starts dead and only matches are written.
+    if guard is None:
+        pstatus = np.full(m, EDGE_DEAD, dtype=STATUS_DTYPE)
+    else:
+        pstatus = new_edge_status(m)
+    matched_v = np.zeros(nv, dtype=bool)
+    min_at = np.full(nv, m, dtype=np.int64)
     rounds = 0
     steps = 0
     pos = 0
@@ -148,7 +177,7 @@ def prefix_greedy_matching(
         lu = pu[pos:end]
         lv = pv[pos:end]
         # Lazy status update: a slot whose endpoint was matched by an
-        # earlier round dies now.  Compact through index arrays: a
+        # earlier round is dropped now.  Compact through index arrays: a
         # boolean mask with a mixed pattern costs several times more per
         # element to apply.
         stale = matched_v[lu] | matched_v[lv]
@@ -157,15 +186,15 @@ def prefix_greedy_matching(
         if default:
             size, keep, k = default_window(target, size, keep)
             end = pos + size
-            stale = stale[:size]
         machine.charge(size, log2_depth(size), tag="scan")
-        dead = pos + np.flatnonzero(stale)
-        pstatus[dead] = EDGE_DEAD
         machine.charge(size, log2_depth(max(size, 2)), tag="filter")
-        if guard is not None and dead.size:
-            # Lazily discovered kills from earlier rounds: account them so
-            # the guard's live-edge ledger stays exact.
-            guard.check_step(pstatus, np.empty(0, dtype=np.int64), dead)
+        if guard is not None:
+            # Lazily discovered kills from earlier rounds: write and
+            # account them so the guard's live-edge ledger stays exact.
+            dead = pos + np.flatnonzero(stale[:size])
+            pstatus[dead] = EDGE_DEAD
+            if dead.size:
+                guard.check_step(pstatus, np.empty(0, dtype=np.int64), dead)
         live, lu, lv = pos + keep, lu[keep], lv[keep]
         pos = end
         while live.size:
@@ -193,18 +222,18 @@ def prefix_greedy_matching(
             # Winners touch their own matched endpoints: every touched
             # slot is decided, and the touched losers die.
             touched = matched_v[lu] | matched_v[lv]
-            dead = live[np.flatnonzero(touched & ~won)]
-            pstatus[dead] = EDGE_DEAD
+            keep = np.flatnonzero(~touched)
             if guard is not None:
+                dead = live[np.flatnonzero(touched & ~won)]
+                pstatus[dead] = EDGE_DEAD
                 guard.check_step(pstatus, winners, dead)
             if tracer is not None:
                 tracer.round(
                     frontier=int(live.size),
-                    decided=int(winners.size) + int(dead.size),
+                    decided=int(live.size - keep.size),
                     selected=int(winners.size),
                     tag="inner",
                 )
-            keep = np.flatnonzero(~touched)
             live, lu, lv = live[keep], lu[keep], lv[keep]
     if guard is not None:
         guard.finalize(pstatus)

@@ -15,7 +15,7 @@ import numpy as np
 from repro.core.orderings import (
     permutation_from_ranks,
     random_priorities,
-    validate_priorities,
+    scatter_by_priority,
 )
 from repro.core.result import MatchingResult, stats_from_machine
 from repro.core.status import EDGE_DEAD, EDGE_MATCHED, new_edge_status
@@ -56,8 +56,9 @@ def sequential_greedy_matching(
     m = edges.num_edges
     if ranks is None:
         ranks = random_priorities(m, seed)
+        perm = permutation_from_ranks(ranks)
     else:
-        ranks = validate_priorities(ranks, m)
+        ranks, perm = scatter_by_priority(ranks, m)
     if budget is not None:
         budget.start()
     if machine is None:
@@ -70,7 +71,6 @@ def sequential_greedy_matching(
 
     status = new_edge_status(m)
     matched_v = np.zeros(edges.num_vertices, dtype=bool)
-    perm = permutation_from_ranks(ranks)
     eu = edges.u
     ev = edges.v
     work = 0

@@ -41,7 +41,7 @@ import numpy as np
 from repro.core.orderings import (
     permutation_from_ranks,
     random_priorities,
-    validate_priorities,
+    scatter_by_priority,
 )
 from repro.core.result import MISResult, stats_from_machine
 from repro.core.status import IN_SET, KNOCKED_OUT, UNDECIDED, new_vertex_status
@@ -187,8 +187,9 @@ def prefix_greedy_mis(
     n = graph.num_vertices
     if ranks is None:
         ranks = random_priorities(n, seed)
+        perm = permutation_from_ranks(ranks)
     else:
-        ranks = validate_priorities(ranks, n)
+        ranks, perm = scatter_by_priority(ranks, n)
     guard = mis_guard(guards, graph, ranks, "mis/prefix")
     if budget is not None:
         budget.start()
@@ -214,7 +215,6 @@ def prefix_greedy_mis(
         tracer.begin_run("mis/prefix", n, graph.num_edges, machine=machine)
 
     status = new_vertex_status(n)
-    perm = permutation_from_ranks(ranks)
     in_prefix = np.zeros(n, dtype=bool)
     min_nb = np.full(n, n, dtype=np.int64)
     rounds = 0

@@ -21,7 +21,7 @@ import numpy as np
 from repro.core.orderings import (
     permutation_from_ranks,
     random_priorities,
-    validate_priorities,
+    scatter_by_priority,
 )
 from repro.core.result import MISResult, stats_from_machine
 from repro.core.status import IN_SET, KNOCKED_OUT, UNDECIDED, new_vertex_status
@@ -78,8 +78,9 @@ def sequential_greedy_mis(
     n = graph.num_vertices
     if ranks is None:
         ranks = random_priorities(n, seed)
+        perm = permutation_from_ranks(ranks)
     else:
-        ranks = validate_priorities(ranks, n)
+        ranks, perm = scatter_by_priority(ranks, n)
     if budget is not None:
         budget.start()
     if machine is None:
@@ -89,7 +90,6 @@ def sequential_greedy_mis(
         tracer.begin_run("mis/sequential", n, graph.num_edges, machine=machine)
 
     status = new_vertex_status(n)
-    perm = permutation_from_ranks(ranks)
     offsets = graph.offsets
     neighbors = graph.neighbors
     work = 0

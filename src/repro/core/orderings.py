@@ -15,7 +15,7 @@ mutual inverses, converted by the helpers below.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -29,6 +29,7 @@ __all__ = [
     "ranks_from_permutation",
     "permutation_from_ranks",
     "validate_priorities",
+    "scatter_by_priority",
     "parallel_random_priorities",
 ]
 
@@ -125,8 +126,10 @@ def validate_priorities(ranks: object, n: int) -> np.ndarray:
     """Check that *ranks* is a permutation of ``0..n-1``; return as int64.
 
     The package's one priority check (also exported as
-    :func:`repro.robustness.validate.check_ranks`).  Every engine calls it
-    at its public boundary on a caller's π, and on none it draws from a
+    :func:`repro.robustness.validate.check_ranks`); an engine that lays
+    items out in π order checks with :func:`scatter_by_priority` instead,
+    which runs the same checks inside that scatter.  Every engine checks
+    a caller's π once at its public boundary, and none it draws from a
     seed; the front doors rely on that, so a solve checks π once.  O(n)
     and sort-free: a
     range check, then one scatter into a seen-mask.  Raises
@@ -134,6 +137,43 @@ def validate_priorities(ranks: object, n: int) -> np.ndarray:
     length, NaN entries, a non-integer dtype, out-of-range entries, or a
     duplicated rank (the smallest one, counted with ``np.bincount``).
     """
+    ranks = _checked_int_ranks(ranks, n)
+    if n:
+        seen = np.zeros(n, dtype=bool)
+        seen[ranks] = True
+        if not seen.all():
+            # n in-range entries leave a rank unseen only if another repeats.
+            _raise_duplicate(ranks, n)
+    return ranks
+
+
+def scatter_by_priority(
+    ranks: object, n: int, values: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Check *ranks* as :func:`validate_priorities` does, in the scatter
+    that lays *values* out in π order.
+
+    Returns ``(ranks, laid)``: *ranks* as int64, and ``laid`` with
+    ``laid[ranks[i]] = values[i]``.  *values* are n non-negative int64s,
+    the item ids when omitted (``laid`` is then the permutation, as
+    :func:`permutation_from_ranks` gives it).  The scatter writes into a
+    −1-filled array, so after n in-range writes a slot still −1 means a
+    rank repeats: the seen-mask pass of :func:`validate_priorities` is
+    not needed.  Raises what :func:`validate_priorities` raises, with
+    the same messages.
+    """
+    ranks = _checked_int_ranks(ranks, n)
+    if values is None:
+        values = np.arange(n, dtype=np.int64)
+    laid = np.full(n, -1, dtype=np.int64)
+    laid[ranks] = values
+    if n and int(laid.min()) < 0:
+        _raise_duplicate(ranks, n)
+    return ranks, laid
+
+
+def _checked_int_ranks(ranks: object, n: int) -> np.ndarray:
+    """Shape, dtype and range checks of a π; return it as contiguous int64."""
     ranks = np.asarray(ranks)
     if ranks.ndim != 1 or ranks.size != n:
         raise InvalidOrderingError(
@@ -154,14 +194,14 @@ def validate_priorities(ranks: object, n: int) -> np.ndarray:
             raise InvalidOrderingError(
                 f"priorities must lie in [0, {n}), found [{lo}, {hi}]"
             )
-        seen = np.zeros(n, dtype=bool)
-        seen[ranks] = True
-        if not seen.all():
-            # n in-range entries leave a rank unseen only if another repeats.
-            counts = np.bincount(ranks, minlength=n)
-            dup = int(np.flatnonzero(counts > 1)[0])
-            raise InvalidOrderingError(
-                f"priorities are not a permutation: rank {dup} appears "
-                f"{int(counts[dup])} times"
-            )
     return ranks
+
+
+def _raise_duplicate(ranks: np.ndarray, n: int) -> None:
+    """Raise for the smallest repeated rank of an in-range π."""
+    counts = np.bincount(ranks, minlength=n)
+    dup = int(np.flatnonzero(counts > 1)[0])
+    raise InvalidOrderingError(
+        f"priorities are not a permutation: rank {dup} appears "
+        f"{int(counts[dup])} times"
+    )

@@ -231,8 +231,8 @@ class EdgeList:
             require(bool(np.all(u < v)),
                     "edge list must be canonical: u[i] < v[i] for all edges",
                     InvalidGraphError)
-            lo = int(min(u.min(), v.min()))
-            hi = int(max(u.max(), v.max()))
+            # With u < v, u holds the smallest endpoint and v the largest.
+            lo, hi = int(u.min()), int(v.max())
             require(0 <= lo and hi < num_vertices,
                     f"edge endpoints must lie in [0, {num_vertices})",
                     InvalidGraphError)

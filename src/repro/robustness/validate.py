@@ -110,8 +110,8 @@ def check_edge_list(edges: EdgeList) -> None:
                 f"edge list must be canonical (u < v); edge {e} is "
                 f"({int(u[e])}, {int(v[e])})"
             )
-        lo = int(min(u.min(), v.min()))
-        hi = int(max(u.max(), v.max()))
+        # With u < v, u holds the smallest endpoint and v the largest.
+        lo, hi = int(u.min()), int(v.max())
         if lo < 0 or hi >= n:
             raise InvalidGraphError(
                 f"edge endpoints must lie in [0, {n}), found [{lo}, {hi}]"

@@ -43,8 +43,7 @@ from typing import Any, Dict, Optional, Tuple
 import numpy as np
 
 __all__ = [
-    "CacheEntry", "ResultCache", "content_digest", "key_graph_digest",
-    "request_key",
+    "ResultCache", "content_digest", "key_graph_digest", "request_key",
 ]
 
 
@@ -127,16 +126,6 @@ def key_graph_digest(key: str) -> str:
     return key.split("|", 4)[3]
 
 
-class CacheEntry:
-    """One cached solution plus its hit count."""
-
-    __slots__ = ("value", "hits")
-
-    def __init__(self, value: Any) -> None:
-        self.value = value
-        self.hits = 0
-
-
 class ResultCache:
     """Thread-safe content-addressed LRU cache of solve results.
 
@@ -152,7 +141,7 @@ class ResultCache:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = int(max_entries)
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[str, CacheEntry]" = OrderedDict()
+        self._entries: "OrderedDict[str, Any]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -167,14 +156,12 @@ class ResultCache:
         if key is None:
             return None
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
+            if key not in self._entries:
                 self.misses += 1
                 return None
             self._entries.move_to_end(key)
-            entry.hits += 1
             self.hits += 1
-            return entry.value
+            return self._entries[key]
 
     def get_stale(self, key: Optional[str]) -> Optional[Any]:
         """Degraded-path re-read after a failed solve, counted as a stale
@@ -183,13 +170,11 @@ class ResultCache:
         if key is None:
             return None
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
+            if key not in self._entries:
                 return None
             self._entries.move_to_end(key)
-            entry.hits += 1
             self.stale_served += 1
-            return entry.value
+            return self._entries[key]
 
     def put(self, key: Optional[str], value: Any) -> bool:
         """Insert/refresh one entry; returns whether anything was stored."""
@@ -198,12 +183,12 @@ class ResultCache:
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
-                self._entries[key] = CacheEntry(value)
+                self._entries[key] = value
                 return True
             while len(self._entries) >= self.max_entries:
                 self._entries.popitem(last=False)
                 self.evictions += 1
-            self._entries[key] = CacheEntry(value)
+            self._entries[key] = value
             return True
 
     def invalidate(self, key: str) -> bool:

@@ -303,6 +303,7 @@ class HTTPGateway:
         self._stale_served = 0
         self._shed = 0
         self._wedge_events = 0
+        self._wedged = False
         self._last_wedge_age: Optional[float] = None
         self._draining = False
         self._started_at: Optional[float] = None
@@ -530,10 +531,14 @@ class HTTPGateway:
         }
 
     def _on_supervisor_report(self, report) -> None:
+        # One stall spans many probes: count it once, when it starts, and
+        # keep its heartbeat gap current while it lasts.
         probe = self.probe()
         if probe["wedged"]:
-            self._wedge_events += 1
+            if not self._wedged:
+                self._wedge_events += 1
             self._last_wedge_age = probe["heartbeat_age_s"]
+        self._wedged = probe["wedged"]
 
     # -- connection handling -----------------------------------------------
 

@@ -354,6 +354,31 @@ def test_rejected_batch_leaves_state_unchanged(problem):
         _states_equal(inc.to_state(), before)
 
 
+@pytest.mark.parametrize("spread", [5, 2**62])
+def test_mm_read_ranks_follow_priority_then_endpoints(spread):
+    """A hand-built MM state read back ranks its edges in exact
+    ``(priority, u, v)`` order: the stable sort's ranks when priorities
+    tie (few values), and the same order when none do."""
+    rng = np.random.default_rng(7)
+    n = 60
+    u, v = np.triu_indices(n, k=1)
+    pick = np.sort(rng.choice(u.size, size=400, replace=False))
+    u, v = u[pick].astype(np.int64), v[pick].astype(np.int64)
+    prio = rng.integers(0, spread, size=u.size, dtype=np.int64)
+    assert (np.unique(prio).size < prio.size) == (spread == 5)
+    matched = rng.integers(0, 2, size=u.size, dtype=np.int64)
+    state = {"problem": "matching", "n": n,
+             "edges": np.stack([u, v, prio, matched], axis=1)}
+    expected = np.empty(u.size, dtype=np.int64)
+    expected[np.lexsort((v, u, prio))] = np.arange(u.size)
+    stable = np.empty(u.size, dtype=np.int64)
+    stable[np.argsort(prio, kind="stable")] = np.arange(u.size)
+    got = result_from_state(state)
+    assert np.array_equal(got.ranks, expected)
+    assert np.array_equal(got.ranks, stable)
+    assert np.array_equal(got.edge_u, u) and np.array_equal(got.edge_v, v)
+
+
 @pytest.mark.parametrize("problem", ["mis", "matching"])
 def test_results_never_alias_state(problem):
     graph = uniform_random_graph(30, 70, seed=5)

@@ -134,8 +134,9 @@ def test_results_own_their_pi(problem, kind, tmp_path):
 
 
 def _count_rank_checks(monkeypatch):
-    """Route every module-level binding of the rank check through a
-    counter; returns the list it appends each checked size to."""
+    """Route every module-level binding of the rank check, and of the
+    checked scatter that runs it, through a counter; returns the list it
+    appends each checked size to."""
     import sys
 
     from repro.core import engines, orderings
@@ -143,19 +144,25 @@ def _count_rank_checks(monkeypatch):
     for problem in engines.PROBLEMS:
         for spec in engines.engine_specs(problem):
             spec.resolve()  # engine modules load lazily
-    original = orderings.validate_priorities
     calls = []
 
-    def counted(ranks, n):
-        calls.append(n)
-        return original(ranks, n)
+    def counter(original):
+        def counted(ranks, n, *args):
+            calls.append(n)
+            return original(ranks, n, *args)
+        return counted
 
+    checks = {
+        orderings.validate_priorities: ("validate_priorities", "check_ranks"),
+        orderings.scatter_by_priority: ("scatter_by_priority",),
+    }
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] != "repro":
             continue
-        for attr in ("validate_priorities", "check_ranks"):
-            if getattr(module, attr, None) is original:
-                monkeypatch.setattr(module, attr, counted)
+        for original, attrs in checks.items():
+            for attr in attrs:
+                if getattr(module, attr, None) is original:
+                    monkeypatch.setattr(module, attr, counter(original))
     return calls
 
 

@@ -193,7 +193,8 @@ class TestSupervisor:
         """``GatewayConfig.supervise_interval_s`` runs the gateway's
         supervisor: it probes while the gateway serves, its reports count
         a blocked event loop as a wedge that ``/v1/health`` reads as
-        degraded, and it stops with the gateway."""
+        degraded, one event per stall however many probes see it, and it
+        stops with the gateway."""
         import time
 
         from repro.service import http as http_mod
@@ -201,7 +202,7 @@ class TestSupervisor:
 
         monkeypatch.setenv("REPRO_LEDGER_DIR", str(tmp_path / "ledger"))
         monkeypatch.setattr(http_mod, "_HEARTBEAT_INTERVAL_S", 0.01)
-        monkeypatch.setattr(http_mod, "_WEDGED_AFTER_S", 0.05)
+        monkeypatch.setattr(http_mod, "_WEDGED_AFTER_S", 0.1)
         gw = HTTPGateway(
             config=GatewayConfig(port=0, supervise_interval_s=0.02), workers=1
         )
@@ -220,7 +221,15 @@ class TestSupervisor:
             assert wait_for(lambda: gw.probe()["wedge_events"] >= 1)
             status, _, body = request_json(gw.address, "GET", "/v1/health")
             assert status == 207 and body["status"] == "degraded"
-            assert any("event loop stalled" in r for r in body["reasons"])
+            assert any("event loop stalled 1 time(s)" in r
+                       for r in body["reasons"])
+            # Probed every 0.02 s, the 0.3 s stall is still one event.
+            assert wait_for(lambda: not gw._wedged)
+            assert gw.probe()["wedge_events"] == 1
+            gw._loop.call_soon_threadsafe(time.sleep, 0.3)
+            assert wait_for(lambda: gw.probe()["wedge_events"] >= 2)
+            assert wait_for(lambda: not gw._wedged)
+            assert gw.probe()["wedge_events"] == 2
         assert gw._supervisor is None and not sup.running
 
     def test_validation(self, service):
