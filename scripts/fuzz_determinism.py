@@ -18,9 +18,12 @@ the graph/rank inputs (front-door validation watching) — and asserts the
 fault is *detected or harmless*: every run must end in a typed error or in
 a result bit-identical to the fault-free reference.  A run that completes
 with a different answer is a silent wrong answer, the one outcome the
-robustness layer exists to prevent.  A corrupted π goes to an engine drawn
-from every registered method that takes ranks (the served ``prefix`` and
-``sequential`` among them), and must raise ``InvalidOrderingError``.
+robustness layer exists to prevent.  Rank trials take the next
+(problem, rank fault) pair of a fixed cycle, so a short run reaches every
+pair, and send the corrupted π to every registered method that takes
+ranks (the served ``prefix`` and ``sequential`` among them); each must
+raise ``InvalidOrderingError``.  The run ends by printing how many
+(problem, fault, method) triples it reached.
 
 ``--service`` replays each trial through the crash-isolated worker pool
 (:class:`repro.service.SolverService`) with worker kills *and* kernel
@@ -32,6 +35,7 @@ bit-identical to a clean in-process solve of the same instance.
 from __future__ import annotations
 
 import argparse
+import collections
 import sys
 import time
 
@@ -169,6 +173,16 @@ _MM_KERNEL_FAULTS = ("drop-frontier", "dup-frontier", "foreign-frontier",
 # sees it — loud, typed, and therefore acceptable (not silent).
 _LOUD_CRASHES = (IndexError, ValueError, FloatingPointError, OverflowError)
 
+# Rank trials walk this cycle, one (problem, fault) pair per trial, and
+# run the pair on every method that takes ranks.
+_RANK_PAIRS = tuple(
+    (problem, kind) for problem in ("mis", "matching") for kind in RANK_FAULTS
+)
+
+
+def _rank_methods(problem):
+    return [s.method for s in engine_specs(problem) if s.supports_ranks]
+
 
 def _fault_graph(rng):
     """A small non-trivial instance (chaos needs edges to corrupt)."""
@@ -180,8 +194,12 @@ def _fault_graph(rng):
     return "cycle", cycle_graph(8)
 
 
-def check_fault_instance(rng, tally) -> None:
-    """One chaos trial: inject a fault, demand detected-or-harmless."""
+def check_fault_instance(rng, tally, reached) -> None:
+    """One chaos trial: inject a fault, demand detected-or-harmless.
+
+    *reached* collects the (problem, fault, method) triples whose
+    corrupted π was detected.
+    """
     family, g = _fault_graph(rng)
     alg = "mis" if rng.integers(0, 2) == 0 else "mm"
     site = ("kernel", "rank", "graph")[int(rng.integers(0, 3))]
@@ -232,14 +250,12 @@ def check_fault_instance(rng, tally) -> None:
         )
 
     if site == "rank":
-        # Any engine that takes ranks, the served prefix and the
+        # Every engine that takes ranks, the served prefix and the
         # sequential reference included: each checks π at its boundary.
-        problem = "mis" if alg == "mis" else "matching"
-        methods = [s.method for s in engine_specs(problem) if s.supports_ranks]
-        method = methods[int(rng.integers(0, len(methods)))]
-        kind = RANK_FAULTS[int(rng.integers(0, len(RANK_FAULTS)))]
-        payload = g if alg == "mis" else g.edge_list()
-        size = g.num_vertices if alg == "mis" else payload.num_edges
+        problem, kind = _RANK_PAIRS[tally["rank-trials"] % len(_RANK_PAIRS)]
+        tally["rank-trials"] += 1
+        payload = g if problem == "mis" else g.edge_list()
+        size = g.num_vertices if problem == "mis" else payload.num_edges
         bad = corrupt_ranks(
             random_priorities(size, rng), kind,
             seed=int(rng.integers(0, 2**31)),
@@ -247,15 +263,19 @@ def check_fault_instance(rng, tally) -> None:
         if kind == "rank-dup" and size < 2:
             tally["not-fired"] += 1  # one item has no other rank to copy
             return
-        try:
-            solve(problem, payload, bad, method=method)
-        except InvalidOrderingError:
-            tally["detected"] += 1
-            return
-        raise AssertionError(
-            f"UNDETECTED INPUT FAULT: {label} fault={kind} method={method} "
-            "(front door accepted a corrupted ordering)"
-        )
+        for method in _rank_methods(problem):
+            try:
+                solve(problem, payload, bad, method=method)
+            except InvalidOrderingError:
+                reached.add((problem, kind, method))
+                continue
+            raise AssertionError(
+                f"UNDETECTED INPUT FAULT: family={family} n={g.num_vertices} "
+                f"m={g.num_edges} problem={problem} fault={kind} "
+                f"method={method} (front door accepted a corrupted ordering)"
+            )
+        tally["detected"] += 1
+        return
 
     kind = GRAPH_FAULTS[int(rng.integers(0, len(GRAPH_FAULTS)))]
     bad = corrupt_graph(g, kind, seed=int(rng.integers(0, 2**31)))
@@ -331,8 +351,8 @@ def main(argv=None) -> int:
     trials, master_seed = args.trials, args.master_seed
     t0 = time.time()
     master = np.random.default_rng(master_seed)
-    tally = {"detected": 0, "harmless": 0, "crashed": 0, "not-fired": 0,
-             "clean": 0, "retried": 0, "degraded": 0}
+    tally = collections.Counter()
+    reached = set()
     svc = None
     if args.service:
         from repro.resilience import ChaosScenario
@@ -355,7 +375,7 @@ def main(argv=None) -> int:
                 if args.service:
                     check_service_instance(rng, svc, tally)
                 elif args.faults:
-                    check_fault_instance(rng, tally)
+                    check_fault_instance(rng, tally, reached)
                 else:
                     check_instance(rng)
             except AssertionError as exc:
@@ -378,8 +398,14 @@ def main(argv=None) -> int:
     elif args.faults:
         print(f"all {trials} injected faults detected or harmless "
               f"({time.time() - t0:.1f}s): " +
-              ", ".join(f"{k}={v}" for k, v in tally.items()
-                        if k in ("detected", "harmless", "crashed", "not-fired")))
+              ", ".join(f"{k}={tally[k]}" for k in
+                        ("detected", "harmless", "crashed", "not-fired")))
+        triples = [(p, k, m) for p, k in _RANK_PAIRS for m in _rank_methods(p)]
+        missed = [t for t in triples if t not in reached]
+        print(f"rank faults reached {len(triples) - len(missed)}/"
+              f"{len(triples)} (problem, fault, method) triples in "
+              f"{tally['rank-trials']} rank trials" +
+              "".join(f"\n  missed: {p} {k} {m}" for p, k, m in missed))
     else:
         print(f"all {trials} instances deterministic across every engine "
               f"({time.time() - t0:.1f}s)")

@@ -3,9 +3,9 @@
 
 The one chaos runner: it executes :data:`repro.resilience.SCENARIOS` —
 kernel faults, worker kills pre/post compute, the mixed kill-and-fault
-request storm, shard kills mid-barrier, shared-memory segment attacks,
-deadline storms, queue floods, the HTTP gateway storm and network
-attacks, session churn and ambiguous session retries — via
+request storm, shared-memory segment attacks, deadline storms, queue
+floods, the HTTP gateway storm and network attacks, session churn and
+ambiguous session retries — via
 :func:`repro.resilience.run_scenario`, then checks the invariants each
 scenario is allowed to bend and the ones it never may:
 
@@ -106,9 +106,9 @@ def render_report(outcomes, args) -> str:
         "bit-identical to a sequential greedy solve of the same instance, "
         "a typed failure (deadline exceeded, worker crash, invalid "
         "ordering after corruption), or shed load.  Checks are verified "
-        "answers the runner asks for on its own: re-solves after a shard "
-        "kill, each session's final answer, the cache-poison probe and a "
-        "fresh gateway's serve.  Untyped errors, mismatches, unaccounted "
+        "answers the runner asks for on its own: each session's final "
+        "answer, the cache-poison probe and a fresh gateway's serve.  "
+        "Untyped errors, mismatches, unaccounted "
         "operations, leaked segments and stray processes fail the soak.",
         "",
         "| scenario | requests | verified | typed failures | shed | checks "

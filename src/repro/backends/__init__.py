@@ -17,9 +17,11 @@ layer into *real* multicore execution, three coordinated pieces:
 
 Layering: ``backends`` sits beside :mod:`repro.kernels` — it may import
 the substrate (``graphs``/``pram``/``kernels``) but never the engine,
-service, or bench layers.  The ``parallel-vec`` engines in
-:mod:`repro.core` and the :class:`~repro.service.SolverService` build on
-top of it.  See ``docs/performance.md`` for the lifecycle rules.
+service, or bench layers.  The :class:`~repro.service.SolverService`
+builds on its segments and ledger.  The executor serves only the
+unregistered ``parallel-vec`` engines in :mod:`repro.core`, which the
+benchmark and their own tests call directly.  See ``docs/performance.md``
+for the lifecycle rules.
 """
 
 from repro.backends.ledger import (

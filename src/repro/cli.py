@@ -154,9 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trace-summary", action="store_true",
                        help="print a per-round frontier/work table after "
                        "the run")
-        p.add_argument("--workers", type=int, default=None,
-                       help="shard-process count for method=parallel-vec "
-                       "(default REPRO_WORKERS, else min(cpus, 4))")
 
     d = sub.add_parser("deps", help="dependence-length analysis")
     d.add_argument("graph")
@@ -427,7 +424,7 @@ def _cmd_mis(args) -> int:
     res = maximal_independent_set(
         g, ranks, method=args.method, prefix_size=args.prefix_size,
         seed=args.seed, guards=args.guards, budget=_make_budget(args),
-        fallback=args.fallback, tracer=tracer, workers=args.workers,
+        fallback=args.fallback, tracer=tracer,
     )
     assert_valid_mis(g, res.in_set, ranks if args.method != "luby" else None)
     s = res.stats
@@ -452,7 +449,7 @@ def _cmd_mm(args) -> int:
     res = maximal_matching(
         el, ranks, method=args.method, prefix_size=args.prefix_size,
         guards=args.guards, budget=_make_budget(args),
-        fallback=args.fallback, tracer=tracer, workers=args.workers,
+        fallback=args.fallback, tracer=tracer,
     )
     assert_valid_matching(el, res.matched, ranks)
     s = res.stats

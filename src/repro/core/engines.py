@@ -16,9 +16,7 @@ dotted module path, the callable name, and honest capability flags:
 * ``supports_prefix_knobs`` — accepts ``prefix_size``/``prefix_frac``;
 * ``supports_ranks`` — consumes a caller-supplied priority array;
 * ``deterministic`` — output is a pure function of (input, ranks);
-* ``fallback`` — member of the graceful-degradation chain;
-* ``supports_workers`` — accepts the parallel tier's ``workers=`` and
-  ``min_fanout=`` (process fan-out) knobs.
+* ``fallback`` — member of the graceful-degradation chain.
 
 Engine modules are resolved lazily (:meth:`EngineSpec.resolve` imports on
 first use), so this module imports nothing from the engine layer at import
@@ -82,7 +80,6 @@ class EngineSpec:
     supports_ranks: bool = True
     deterministic: bool = True
     fallback: bool = False  #: member of the degradation chain
-    supports_workers: bool = False  #: accepts ``workers=``/``min_fanout=``
 
     def resolve(self) -> Callable[..., Any]:
         """Import the engine module and return the callable (lazy)."""
@@ -163,7 +160,6 @@ def fallback_chain(problem: str) -> Tuple[str, ...]:
 #: flag is off.  Keys are flag attribute names on :class:`EngineSpec`.
 _GATED_KNOBS = {
     "supports_prefix_knobs": ("prefix_size", "prefix_frac"),
-    "supports_workers": ("workers", "min_fanout"),
 }
 
 
@@ -421,13 +417,6 @@ register_engine(EngineSpec(
     supports_guards=True, fallback=True,
 ))
 register_engine(EngineSpec(
-    problem="mis", method="parallel-vec",
-    module="repro.core.mis.parallel_vectorized", func="parallel_mis_vectorized",
-    algorithm="mis/parallel-vec",
-    summary="Process-parallel root-set engine (shared-memory fan-out)",
-    supports_guards=True, supports_workers=True,
-))
-register_engine(EngineSpec(
     problem="mis", method="luby",
     module="repro.core.mis.luby", func="luby_mis",
     algorithm="mis/luby",
@@ -469,12 +458,4 @@ register_engine(EngineSpec(
     algorithm="mm/rootset-vec",
     summary="Vectorized root-set matching on the frontier kernels",
     supports_guards=True, fallback=True,
-))
-register_engine(EngineSpec(
-    problem="matching", method="parallel-vec",
-    module="repro.core.matching.parallel_vectorized",
-    func="parallel_matching_vectorized",
-    algorithm="mm/parallel-vec",
-    summary="Process-parallel matching engine (shared-memory kill-scans)",
-    supports_guards=True, supports_workers=True,
 ))

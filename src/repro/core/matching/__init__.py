@@ -12,10 +12,12 @@ engine                  paper reference                              result
 ``prefix``              prefix-based schedule (Section 6 experiments) lex-first matching
 ``rootset``             Lemma 5.3 (sorted incidence + mmcheck)       lex-first matching
 ``rootset-vec``         Lemma 5.3 on vectorized frontier kernels     lex-first matching
-``parallel-vec``        Lemma 5.3 across shard processes             lex-first matching
 ======================  ===========================================  ==================
 
-All six return identical matchings for the same edge priorities.
+All five (``MM_METHODS``) return identical matchings for the same edge
+priorities.  :func:`parallel_matching_vectorized` (Lemma 5.3 across
+shard processes) is not registered: it is called directly only, by the
+benchmark's traced replay and its own tests.
 """
 
 from repro.core.matching.sequential import sequential_greedy_matching

@@ -53,8 +53,6 @@ def maximal_matching(
     budget: Optional[Budget] = None,
     fallback: bool = False,
     tracer=None,
-    workers: Optional[int] = None,
-    min_fanout: Optional[int] = None,
 ) -> MatchingResult:
     """Compute a maximal matching.
 
@@ -97,10 +95,6 @@ def maximal_matching(
     tracer:
         Optional :class:`~repro.observability.Tracer` receiving one round
         event per synchronous step (see ``docs/observability.md``).
-    workers, min_fanout:
-        Parallel-tier knobs, only meaningful for ``method="parallel-vec"``
-        (shard-process count, and the minimum kill-scan size that
-        triggers fan-out; see ``docs/performance.md``).
 
     Examples
     --------
@@ -121,8 +115,6 @@ def maximal_matching(
             budget=budget,
             fallback=fallback,
             tracer=tracer,
-            workers=workers,
-            min_fanout=min_fanout,
         ),
     )
     full = resolve_guard_mode(opts.guards) == "full"

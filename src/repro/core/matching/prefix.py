@@ -18,12 +18,12 @@ is its rank, which is what ``scatter_min`` takes as its value.  The
 layout is one scatter of the packed pair ``(u << 32) | v``, unpacked into
 ``pu``/``pv``; for a caller's π it is the checked scatter
 (:func:`~repro.core.orderings.scatter_by_priority`), so checking π costs
-no pass of its own.  Vertex ids past 2³¹ do not pack, and an n-sized
-scratch array that large may not fit in memory, so such a graph's
-endpoints are first relabelled to ``0..k-1`` in id order (``k`` ≤ 2m),
-which moves no answer.  Every slot of a fresh window is still live (only
-a window's own steps decide its edges), so no status scan precedes the
-endpoint check.  An unguarded run starts every slot ``EDGE_DEAD`` and
+no pass of its own.  Vertex ids past 2³¹ do not pack, and the n-sized
+scratch is filled in full, so a graph past 2³¹ vertices, or with more
+than 16 vertices per edge, has its endpoints relabelled first to
+``0..k-1`` in id order (``k`` ≤ 2m), which moves no answer.  Every slot
+of a fresh window is still live (only a window's own steps decide its
+edges), so no status scan precedes the endpoint check.  An unguarded run starts every slot ``EDGE_DEAD`` and
 writes only its matches; a guarded run writes each death too, for the
 guard's live-edge ledger.  One ``pstatus[ranks]`` gather at the end
 returns the edge-indexed status.
@@ -56,6 +56,9 @@ __all__ = ["prefix_greedy_matching"]
 #: ``(u << 32) | v`` with ``u < v < 2**31``.
 _PACKED_VERTICES = 2**31
 _LOW32 = 0xFFFFFFFF
+#: Past this many vertices per edge, relabelling the endpoints (one
+#: ``np.unique`` of 2m ids) costs less than filling the n-sized scratch.
+_SPARSE_RATIO = 16
 
 
 def prefix_greedy_matching(
@@ -93,8 +96,9 @@ def prefix_greedy_matching(
         :class:`~repro.errors.InvariantViolationError`.  The guard watches
         the relabelled instance ``EdgeList(n, pu, pv)`` under identity
         ranks, the same problem, so the edge ids its messages name are π
-        positions: edge ``p`` is the edge of rank ``p`` (past 2³¹
-        vertices, the vertex ids it names are relabelled too).
+        positions: edge ``p`` is the edge of rank ``p``.  On a
+        relabelled graph (past 2³¹ vertices, or more than 16 vertices
+        per edge) the vertex ids it names are relabelled too.
     budget:
         Optional :class:`~repro.robustness.Budget`; one step is spent per
         inner synchronous step.
@@ -105,7 +109,7 @@ def prefix_greedy_matching(
     m = edges.num_edges
     n = edges.num_vertices
     eu, ev, nv = edges.u, edges.v, n
-    if n > _PACKED_VERTICES:
+    if n > min(_PACKED_VERTICES, _SPARSE_RATIO * m):
         # Relabel in id order, so u < v still holds and no answer moves.
         ids, inv = np.unique(np.concatenate((eu, ev)), return_inverse=True)
         eu, ev, nv = inv[:m], inv[m:], int(ids.size)

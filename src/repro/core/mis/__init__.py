@@ -1,6 +1,7 @@
 """Maximal independent set engines.
 
-Seven interchangeable engines, all driven by the same priority array π:
+Seven registered engines (``MIS_METHODS``), all driven by the same
+priority array π:
 
 ======================  ==========================================  =============
 engine                  paper reference                             result
@@ -8,14 +9,17 @@ engine                  paper reference                             result
 ``sequential``          Algorithm 1 (greedy loop)                   lex-first MIS
 ``parallel``            Algorithm 2 (step-synchronous peeling)      lex-first MIS
 ``prefix``              Algorithm 3 (prefix-based, linear work)     lex-first MIS
+``theorem45``           Algorithm 3 under Theorem 4.5's schedule    lex-first MIS
 ``rootset``             Lemma 4.2 (root-set traversal, linear work) lex-first MIS
 ``rootset-vec``         Lemma 4.2 on vectorized frontier kernels    lex-first MIS
-``parallel-vec``        Lemma 4.2 across shard processes            lex-first MIS
 ``luby``                Luby's Algorithm A (baseline)               *a* MIS
 ======================  ==========================================  =============
 
 All but ``luby`` return bit-identical results for the same π — the paper's
 determinism property; :func:`maximal_independent_set` is the front door.
+:func:`parallel_mis_vectorized` (Lemma 4.2 across shard processes) is not
+registered: no front door, service or CLI selects it, and it is called
+directly only, by the benchmark's traced replay and its own tests.
 """
 
 from repro.core.mis.sequential import sequential_greedy_mis

@@ -62,8 +62,6 @@ def maximal_independent_set(
     budget: Optional[Budget] = None,
     fallback: bool = False,
     tracer=None,
-    workers: Optional[int] = None,
-    min_fanout: Optional[int] = None,
 ) -> MISResult:
     """Compute a maximal independent set of *graph*.
 
@@ -91,9 +89,9 @@ def maximal_independent_set(
         (its registry entry has ``supports_ranks=False``).
     method:
         One of :data:`MIS_METHODS`.  ``"sequential"``, ``"parallel"``,
-        ``"prefix"``, ``"rootset"``, ``"rootset-vec"`` and
-        ``"parallel-vec"`` all return the lexicographically first MIS for
-        *ranks* (the paper's determinism property); ``"luby"`` returns a
+        ``"prefix"``, ``"theorem45"``, ``"rootset"`` and ``"rootset-vec"``
+        all return the lexicographically first MIS for *ranks* (the
+        paper's determinism property); ``"luby"`` returns a
         seed-dependent MIS.
     prefix_size, prefix_frac:
         Prefix knobs, only meaningful for ``method="prefix"``.
@@ -123,16 +121,6 @@ def maximal_independent_set(
     tracer:
         Optional :class:`~repro.observability.Tracer` receiving one round
         event per synchronous step (see ``docs/observability.md``).
-    workers:
-        Shard-process count, only meaningful for ``method="parallel-vec"``
-        (registry flag ``supports_workers``); defaults to
-        ``REPRO_WORKERS``, else ``min(cpu_count, 4)``.  See
-        ``docs/performance.md``.
-    min_fanout:
-        Minimum gathered-arc count before a ``parallel-vec`` step fans out
-        to shard processes (smaller steps run locally); defaults to
-        :data:`repro.core.fanout.DEFAULT_MIN_FANOUT`.  Set ``0`` to force
-        fan-out on every step (used by parity tests).
 
     Returns
     -------
@@ -158,8 +146,6 @@ def maximal_independent_set(
             budget=budget,
             fallback=fallback,
             tracer=tracer,
-            workers=workers,
-            min_fanout=min_fanout,
         ),
     )
     full = resolve_guard_mode(opts.guards) == "full"

@@ -101,8 +101,6 @@ class SolveOptions:
         Live observability objects; local-only like ``budget``.
     prefix_size, prefix_frac:
         Prefix-schedule knobs (engines with ``supports_prefix_knobs``).
-    workers, min_fanout:
-        Parallel-tier knobs (engines with ``supports_workers``).
     """
 
     method: str = "prefix"
@@ -114,8 +112,6 @@ class SolveOptions:
     machine: Optional[Any] = None
     prefix_size: Optional[int] = None
     prefix_frac: Optional[float] = None
-    workers: Optional[int] = None
-    min_fanout: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.method, str) or not self.method:
@@ -137,8 +133,6 @@ class SolveOptions:
             "guards": self.guards,
             "budget": self.budget,
             "tracer": self.tracer,
-            "workers": self.workers,
-            "min_fanout": self.min_fanout,
         }
 
     def replace(self, **changes: Any) -> "SolveOptions":

@@ -16,7 +16,7 @@ in rank order:
 Processing in rank order re-establishes the unique greedy fixpoint, so
 the maintained answer is **bit-identical** to running sequential greedy
 from scratch on the mutated graph (the mutation-parity suite asserts
-this after every batch, against the ``rootset-vec`` / ``parallel-vec``
+this after every batch, against the ``rootset-vec`` / ``prefix``
 engines too).
 
 State as arrays.  The peel walks adjacency sets, but each maintainer also

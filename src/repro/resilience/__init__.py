@@ -8,8 +8,8 @@ whole stack:
 
 ========================  ==================================================
 :mod:`~repro.resilience.health`        one :class:`HealthReport` spanning
-                                       pool workers, shard pools, breakers,
-                                       queue, and segment inventory
+                                       pool workers, breakers, queue, and
+                                       segment inventory
                                        (surfaced as ``SolverService.health()``
                                        and ``repro health``)
 :mod:`~repro.resilience.reaper`        detects and unlinks shared-memory

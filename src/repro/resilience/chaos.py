@@ -2,12 +2,11 @@
 
 A :class:`ChaosScenario` names one failure mode as data — seeded kernel
 faults, worker kills pre/post compute, the mixed kill-and-fault request
-storm, shard deaths mid-barrier, shared-segment corruption/unlink,
-orphaned segments, deadline storms, queue floods, session churn,
-ambiguous session retries, and the **network axes** (connection floods,
-slow-loris clients, gateway kills mid-request, cache poisoning) that
-attack the HTTP front door — and :func:`run_scenario` executes any of
-them through the same checks:
+storm, shared-segment corruption/unlink, orphaned segments, deadline
+storms, queue floods, session churn, ambiguous session retries, and the
+**network axes** (connection floods, slow-loris clients, gateway kills
+mid-request, cache poisoning) that attack the HTTP front door — and
+:func:`run_scenario` executes any of them through the same checks:
 
 * every verified answer must be **bit-identical** to Algorithm 1, the
   sequential greedy solve (``method="sequential"``) of the same
@@ -45,17 +44,11 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.backends.executor import get_executor, shutdown_executors
 from repro.backends.sharedmem import SharedArrays, SharedCSR
 from repro.core.matching.api import maximal_matching
 from repro.core.mis.api import maximal_independent_set
 from repro.core.result import MISResult
-from repro.errors import (
-    DeadlineExceededError,
-    QueueFullError,
-    ReproError,
-    WorkerCrashError,
-)
+from repro.errors import QueueFullError, ReproError
 from repro.graphs.builders import from_edges
 from repro.graphs.csr import EdgeList
 from repro.graphs.generators import (
@@ -104,8 +97,6 @@ class ChaosScenario:
     ``deadline_storm``, ``queue_flood``, ``segment_attack`` of
     ``"unlink"``/``"corrupt"``) run through a real
     :class:`~repro.service.SolverService` built by :meth:`service_config`.
-    ``shard_kill`` runs at the engine/backends level against a
-    :class:`~repro.backends.executor.FrontierExecutor`;
     ``segment_attack="orphan"`` SIGKILLs a segment-owning child process
     and requires the reaper to recover.  The other service rows run the
     mixed request plan: each request draws its graph family (uniform,
@@ -127,7 +118,6 @@ class ChaosScenario:
     kill_probability: float = 0.0
     kill_point: Optional[str] = None
     fault_probability: float = 0.0
-    shard_kill: bool = False
     segment_attack: Optional[str] = None
     deadline_storm: bool = False
     queue_flood: bool = False
@@ -191,13 +181,12 @@ class ChaosScenario:
 
 
 #: The canonical scenario suite, spanning kernels → engines → backends →
-#: service.  ``scenario_by_name`` looks entries up; the soak script and
+#: service → gateway → sessions.  ``scenario_by_name`` looks entries up; the soak script and
 #: the chaos tests iterate the whole tuple.
 SCENARIOS: Tuple[ChaosScenario, ...] = (
     ChaosScenario(
         "baseline",
-        "no faults; validates the harness itself (including one "
-        "parallel-vec request per round-robin)",
+        "no faults; validates the harness itself",
         requests=10, seed=101,
     ),
     ChaosScenario(
@@ -219,12 +208,6 @@ SCENARIOS: Tuple[ChaosScenario, ...] = (
         "workers hard-exit after computing but before replying",
         requests=12, kill_probability=0.3, kill_point="post",
         max_retries=8, seed=404,
-    ),
-    ChaosScenario(
-        "shard-kill-midbarrier",
-        "shard workers die mid-barrier inside parallel-vec; the pool "
-        "respawns and the re-solve stays bit-identical",
-        requests=6, shard_kill=True, seed=505,
     ),
     ChaosScenario(
         "segment-unlink",
@@ -352,12 +335,12 @@ class ScenarioOutcome:
     failure (``failures``, by class) or shed load (``shed``); one that
     ends otherwise is listed in ``untyped_failures`` or ``mismatches``.
     ``checks`` counts the verified answers the runner asks for on its
-    own: re-solves after a shard kill, a session's final answer, the
-    cache-poison probe and a fresh gateway's serve.  ``counts`` holds a
-    service row's chaos counts (:data:`SEEDED_COUNTS` and
-    :data:`TIMING_COUNTS`, read from the service's stats), and
-    ``attempts`` the attempt log of each answered in-process solve
-    (``result.stats.aux["service"]["attempts"]``), in request order.
+    own: a session's final answer, the cache-poison probe and a fresh
+    gateway's serve.  ``counts`` holds a service row's chaos counts
+    (:data:`SEEDED_COUNTS` and :data:`TIMING_COUNTS`, read from the
+    service's stats), and ``attempts`` the attempt log of each answered
+    in-process solve (``result.stats.aux["service"]["attempts"]``), in
+    request order.
     """
 
     scenario: str
@@ -502,9 +485,7 @@ def run_scenario(
     """
     t0 = time.monotonic()
     before = _shm_segments()
-    if scenario.shard_kill:
-        outcome = _run_shard_kill(scenario, seed_offset)
-    elif scenario.segment_attack == "orphan":
+    if scenario.segment_attack == "orphan":
         outcome = _run_segment_orphan(scenario, seed_offset)
     elif scenario.session_churn:
         outcome = _run_session_churn(scenario, seed_offset)
@@ -595,11 +576,6 @@ def _run_service(scenario: ChaosScenario, seed_offset: int) -> ScenarioOutcome:
                 timeout_seconds=timeout_s,
                 options={} if segment_mode else {"seed": s},
             )
-            if scenario.name == "baseline" and i % 4 == 3:
-                # One cross-layer request per round-robin: service →
-                # parallel-vec engine → shard pool inside the worker.
-                request.method = "parallel-vec"
-                request.options.update(workers=2, min_fanout=0)
             if scenario.name == "kernel-faults":
                 # Faults are armed from the kinds the engine binds: the
                 # frontier faults on rootset-vec, only min-lift on prefix.
@@ -657,59 +633,6 @@ def _run_service(scenario: ChaosScenario, seed_offset: int) -> ScenarioOutcome:
             )
     finally:
         svc.shutdown(drain=False)
-    return outcome
-
-
-def _run_shard_kill(scenario: ChaosScenario, seed_offset: int) -> ScenarioOutcome:
-    outcome = ScenarioOutcome(scenario.name, scenario.requests)
-    rng = np.random.default_rng((scenario.seed, seed_offset))
-    graphs = [g for g, _ in _build_graphs(scenario.seed + seed_offset).values()]
-    workers = max(scenario.workers, 2)
-    try:
-        for i in range(scenario.requests):
-            graph = graphs[i % len(graphs)]
-            s = int(rng.integers(2**31))
-            ref = _reference("mis", graph, s)
-            executor = get_executor(workers)
-            executor.arm_kill(i % workers, after=1 + i % 3)
-            try:
-                first = maximal_independent_set(
-                    graph, seed=s, method="parallel-vec",
-                    workers=workers, min_fanout=0,
-                )
-            except (WorkerCrashError, DeadlineExceededError) as exc:
-                outcome._count_failure(exc)
-            else:
-                if _matches(first, ref):
-                    outcome.completed += 1
-                else:
-                    outcome.mismatches.append(
-                        f"solve {i} diverged with an armed shard kill"
-                    )
-            # The pool must come back: re-solve until the armed kill has
-            # burned off (each crash respawns every shard), then match.
-            recovered = None
-            for _attempt in range(4):
-                try:
-                    recovered = maximal_independent_set(
-                        graph, seed=s, method="parallel-vec",
-                        workers=workers, min_fanout=0,
-                    )
-                    break
-                except WorkerCrashError:
-                    continue
-            if recovered is None:
-                outcome.untyped_failures.append(
-                    f"solve {i}: pool never recovered from shard kill"
-                )
-            elif _matches(recovered, ref):
-                outcome.checks += 1
-            else:
-                outcome.mismatches.append(
-                    f"solve {i} diverged after pool respawn"
-                )
-    finally:
-        shutdown_executors()
     return outcome
 
 

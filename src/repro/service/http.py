@@ -53,9 +53,11 @@ import asyncio
 import functools
 import json
 import math
+import os
 import signal
 import threading
 import time
+import weakref
 from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -123,6 +125,37 @@ _WEDGED_AFTER_S = 5.0
 #: The legal solve-object field set — owned by :mod:`repro.service.schema`
 #: so the gateway, the CLI, and ``SolveRequest`` cannot drift.
 _SOLVE_FIELDS = wire_schema.SOLVE_FIELDS
+
+
+#: Every gateway not yet garbage-collected, for the fork hook below.
+_LIVE_GATEWAYS: "weakref.WeakSet[HTTPGateway]" = weakref.WeakSet()
+
+
+def _drop_gateway_sockets() -> None:
+    """In a forked child, close the sockets of every live gateway.
+
+    A worker forked while clients are connected inherits the gateway's
+    listening and accepted sockets.  Its copy keeps a connection open
+    after the gateway closes it, so a client that sent ``Connection:
+    close`` waits for its EOF until that worker exits.  Each fd gets
+    ``/dev/null`` duplicated over it: that closes the socket in the child
+    and keeps the number taken, so the child's copy of the socket object
+    never closes an unrelated file that reused it.
+    """
+    fds = [
+        fd for gateway in list(_LIVE_GATEWAYS) for fd in gateway._socket_fds()
+    ]
+    if not fds:
+        return
+    null = os.open(os.devnull, os.O_RDWR)
+    try:
+        for fd in fds:
+            os.dup2(null, fd)
+    finally:
+        os.close(null)
+
+
+os.register_at_fork(after_in_child=_drop_gateway_sockets)
 
 
 class _HTTPError(Exception):
@@ -291,6 +324,7 @@ class HTTPGateway:
         self._routes: Dict[str, Dict[str, Any]] = {}
         self._conns = 0
         self._conns_rejected = 0
+        self._conn_socks: set = set()  # accepted sockets, for the fork hook
         # Encoded-response cache: content address -> serialized body
         # bytes.  Determinism makes the body for one address immutable,
         # so a warm hit can skip JSON encoding entirely (at paper
@@ -317,6 +351,15 @@ class HTTPGateway:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._thread_error: Optional[BaseException] = None
+        _LIVE_GATEWAYS.add(self)
+
+    def _socket_fds(self) -> List[int]:
+        """The open fds of the listening and accepted sockets."""
+        server = self._server
+        socks = list(self._conn_socks)
+        if server is not None:
+            socks += list(server.sockets)
+        return [fd for fd in (sock.fileno() for sock in socks) if fd >= 0]
 
     # -- graph registration (programmatic side) ----------------------------
 
@@ -543,6 +586,16 @@ class HTTPGateway:
     # -- connection handling -----------------------------------------------
 
     async def _handle_conn(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        sock = writer.get_extra_info("socket")
+        self._conn_socks.add(sock)
+        try:
+            await self._serve_conn(reader, writer)
+        finally:
+            self._conn_socks.discard(sock)
+
+    async def _serve_conn(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         if self._draining or self._conns >= self.config.max_connections:

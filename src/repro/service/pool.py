@@ -101,11 +101,10 @@ class WorkerPool:
         worker_id = self._next_id
         self._next_id += 1
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        # NOT daemonic: a daemonic process may not have children, and the
-        # parallel-vec engines fan out to shard subprocesses inside the
-        # worker.  Orphan safety does not depend on the flag — a worker
-        # whose parent dies sees EOF on its pipe and exits, and its own
-        # shard children exit the same way one level down.
+        # NOT daemonic: a daemonic process may not have children, and a
+        # "call" job may start its own.  Orphan safety does not depend on
+        # the flag — a worker whose parent dies sees EOF on its pipe and
+        # exits.
         process = self._ctx.Process(
             target=worker_main,
             args=(child_conn, worker_id, self.sys_path),

@@ -124,6 +124,42 @@ def test_vertex_ids_past_two_to_the_31_match_sequential():
         assert np.array_equal(maximal_matching(edges, pi).status, ref.status)
 
 
+@pytest.mark.parametrize(
+    "n, u, v",
+    [
+        (2**31, [0, 3], [2**31 - 1, 2**31 - 2]),
+        (2**29 + 7, [0, 5, 2**29], [2**29 + 6, 2**29 + 6, 2**29 + 1]),
+    ],
+    ids=["2-edges-on-2^31", "3-edges-on-2^29+7"],
+)
+def test_sparse_graphs_relabel_instead_of_filling_vertex_scratch(n, u, v):
+    """A graph with more than 16 vertices per edge is relabelled before
+    the layout, so prefix MM never fills its n-sized scratch (16 GiB of
+    int64 at 2³¹ vertices, which used to raise a bare MemoryError): every
+    π gives sequential's answer under both guard modes and through the
+    front door, allocates a few KiB, and reports the caller's n."""
+    import itertools
+    import tracemalloc
+
+    edges = EdgeList(n, np.array(u, dtype=np.int64), np.array(v, dtype=np.int64))
+    for order in itertools.permutations(range(edges.num_edges)):
+        pi = np.array(order, dtype=np.int64)
+        ref = sequential_greedy_matching(edges, pi)
+        for guards in (None, "full"):
+            tracemalloc.start()
+            try:
+                got = prefix_greedy_matching(edges, pi, guards=guards)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert np.array_equal(got.status, ref.status)
+            assert got.stats.n == n
+            assert peak < 2**20, peak
+        res = maximal_matching(edges, pi)
+        assert np.array_equal(res.status, ref.status)
+        assert res.stats.n == n
+
+
 # Charges of prefix MM on (EL, PI) before it wrote only its matches:
 # (work, depth, steps, rounds, prefix_size, slot_scans, item_examinations).
 _DEFAULT_CHARGES = (4059, 202, 11, 11, 32, 1600, 228)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.engines import engine_methods
 from repro.graphs.io import read_adjacency_graph
 
 
@@ -76,19 +77,11 @@ class TestMis:
         assert a == b  # identical "MIS size" line
 
     def test_parallel_vec_with_workers(self, graph_file, capsys):
-        main(["mis", str(graph_file), "--method", "sequential", "--seed", "5"])
-        ref = capsys.readouterr().out.splitlines()[0]
-        assert main([
-            "mis", str(graph_file), "--method", "parallel-vec", "--seed", "5",
-            "--workers", "1",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert out.splitlines()[0] == ref
-        assert "mis/parallel-vec" in out
+        _assert_parallel_vec_refused("mis", graph_file, capsys)
 
     def test_backend_flag_rejected_elsewhere(self, graph_file, capsys):
         # --backend is retired: argparse rejects it for every method.
-        for method in ("rootset-vec", "parallel-vec"):
+        for method in ("rootset-vec", "prefix"):
             with pytest.raises(SystemExit) as exc:
                 main([
                     "mis", str(graph_file), "--method", method,
@@ -108,13 +101,26 @@ class TestMm:
         assert "matching size:" in out
 
     def test_parallel_vec_with_workers(self, graph_file, capsys):
-        main(["mm", str(graph_file), "--method", "sequential", "--seed", "4"])
-        ref = capsys.readouterr().out.splitlines()[0]
-        assert main([
-            "mm", str(graph_file), "--method", "parallel-vec", "--seed", "4",
-            "--workers", "1",
-        ]) == 0
-        assert capsys.readouterr().out.splitlines()[0] == ref
+        _assert_parallel_vec_refused("mm", graph_file, capsys)
+
+
+def _assert_parallel_vec_refused(command, graph_file, capsys):
+    """``parallel-vec`` and the ``--workers`` flag of ``repro mis``/``mm``
+    are retired: argparse refuses each with exit 2, and names the
+    registered methods for the former."""
+    problem = "mis" if command == "mis" else "matching"
+    for argv, expected in (
+        (["--method", "parallel-vec"], "invalid choice: 'parallel-vec'"),
+        (["--workers", "2"], "unrecognized arguments: --workers 2"),
+        (["--method", "parallel-vec", "--workers", "1"], "invalid choice"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(graph_file), "--seed", "5", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert expected in err
+        if "parallel-vec" in expected:
+            assert all(repr(m) in err for m in engine_methods(problem))
 
 
 class TestDeps:

@@ -6,6 +6,7 @@ engine callable actually accepts, and every registry-derived surface
 (method views, fallback chain, error messages) must stay consistent.
 """
 
+import dataclasses
 import inspect
 
 import numpy as np
@@ -26,6 +27,7 @@ from repro.core.engines import (
 )
 from repro.core.matching.api import MM_METHODS, maximal_matching
 from repro.core.mis.api import MIS_METHODS, maximal_independent_set
+from repro.core.options import SolveOptions
 from repro.core.orderings import random_priorities
 from repro.errors import EngineError
 from repro.graphs.generators import uniform_random_graph
@@ -37,7 +39,11 @@ ALL_SPECS = [
 ]
 
 #: An accepted value for every gated knob.
-KNOB_VALUES = {"prefix_size": 8, "prefix_frac": 0.5, "workers": 1, "min_fanout": 0}
+KNOB_VALUES = {"prefix_size": 8, "prefix_frac": 0.5}
+
+#: Knobs of the retired ``parallel-vec`` tier (process fan-out): no
+#: registered engine takes them, and no front door accepts them.
+RETIRED_KNOBS = {"workers": 1, "min_fanout": 0}
 
 
 def _assert_front_doors_gate(graph, flag):
@@ -67,11 +73,34 @@ class TestRegistryShape:
     def test_methods_views_are_the_registry(self):
         assert tuple(MIS_METHODS) == engine_methods("mis")
         assert tuple(MM_METHODS) == engine_methods("matching")
+        assert MIS_METHODS == (
+            "sequential", "parallel", "prefix", "theorem45", "rootset",
+            "rootset-vec", "luby",
+        )
+        assert MM_METHODS == (
+            "sequential", "parallel", "prefix", "rootset", "rootset-vec",
+        )
         assert "rootset-vec" in MIS_METHODS
-        assert "theorem45" not in MM_METHODS
-        assert MIS_METHODS == tuple(MIS_METHODS)  # tuple-equality preserved
+        assert "parallel-vec" not in MIS_METHODS
+        assert "parallel-vec" not in MM_METHODS
         assert repr(MIS_METHODS) == repr(tuple(MIS_METHODS))
-        assert len(MM_METHODS) == 6
+
+    def test_option_and_flag_surfaces_are_pinned(self):
+        assert [f.name for f in dataclasses.fields(SolveOptions)] == [
+            "method", "seed", "guards", "budget", "fallback", "tracer",
+            "machine", "prefix_size", "prefix_frac",
+        ]
+        flags = [
+            f.name for f in dataclasses.fields(EngineSpec)
+            if f.type in (bool, "bool")
+        ]
+        assert flags == [
+            "supports_guards", "supports_prefix_knobs", "supports_ranks",
+            "deterministic", "fallback",
+        ]
+        assert engines._GATED_KNOBS == {
+            "supports_prefix_knobs": ("prefix_size", "prefix_frac"),
+        }
 
     def test_top_level_reexports(self):
         assert repro.MIS_METHODS is MIS_METHODS
@@ -95,6 +124,18 @@ class TestRegistryShape:
             get_engine("mis", "bogus")
         with pytest.raises(EngineError, match="unknown matching method"):
             maximal_matching(graph, method="bogus")
+
+    @pytest.mark.parametrize("problem", engines.PROBLEMS)
+    def test_parallel_vec_is_refused_naming_the_registered_methods(
+        self, graph, problem
+    ):
+        front = (maximal_independent_set if problem == "mis"
+                 else maximal_matching)
+        for call in (front, lambda g, **kw: solve(problem, g, **kw)):
+            with pytest.raises(EngineError) as exc:
+                call(graph, method="parallel-vec", seed=1)
+            assert "'parallel-vec'" in str(exc.value)
+            assert repr(engine_methods(problem)) in str(exc.value)
 
     def test_unknown_problem_rejected(self):
         with pytest.raises(EngineError, match="unknown problem"):
@@ -153,8 +194,11 @@ class TestFlagsAreHonest:
 
     @pytest.mark.parametrize("spec", ALL_SPECS)
     def test_workers_flag(self, spec):
+        # The parallel-vec tier is retired from the registry: no engine
+        # takes its knobs, and the flag that gated them is gone.
         params = inspect.signature(spec.resolve()).parameters
-        assert ("workers" in params) == spec.supports_workers, spec.method
+        assert not set(RETIRED_KNOBS) & set(params), spec.method
+        assert not hasattr(spec, "supports_workers")
 
     @pytest.mark.parametrize("spec", ALL_SPECS)
     def test_tracer_accepted_everywhere(self, spec):
@@ -165,7 +209,22 @@ class TestFlagsAreHonest:
         _assert_front_doors_gate(graph, "supports_prefix_knobs")
 
     def test_parallel_knobs_rejected_by_other_engines(self, graph):
-        _assert_front_doors_gate(graph, "supports_workers")
+        # Retired with parallel-vec: every engine's front door refuses them.
+        for problem in engines.PROBLEMS:
+            front = (maximal_independent_set if problem == "mis"
+                     else maximal_matching)
+            for method in engine_methods(problem):
+                for knob, value in RETIRED_KNOBS.items():
+                    with pytest.raises(TypeError, match=knob):
+                        front(graph, seed=1, method=method, **{knob: value})
+                    with pytest.raises(TypeError, match=knob):
+                        solve(problem, graph, seed=1, method=method,
+                              **{knob: value})
+        for knob, value in RETIRED_KNOBS.items():
+            with pytest.raises(TypeError, match=knob):
+                SolveOptions(**{knob: value})
+            with pytest.raises(EngineError, match=knob):
+                SolveOptions.from_wire({knob: value})
 
     def test_ranks_rejected_by_luby(self, graph):
         ranks = random_priorities(graph.num_vertices, seed=0)

@@ -2,14 +2,18 @@
 
 The corruption helpers build CSR shells that bypass the constructor's own
 validation — exactly the scenario (mmap'd file, buggy transform, bit rot)
-the front-door re-checks exist for.
+the front-door re-checks exist for.  The ``parallel-vec`` rank cases call
+the unregistered engines directly: no front door selects them, but the
+benchmark's traced replay still hands them a caller's π.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.matching.api import MM_METHODS, maximal_matching
+from repro.core.matching.parallel_vectorized import parallel_matching_vectorized
 from repro.core.mis.api import MIS_METHODS, maximal_independent_set
+from repro.core.mis.parallel_vectorized import parallel_mis_vectorized
 from repro.core.orderings import random_priorities
 from repro.errors import EngineError, InvalidGraphError, InvalidOrderingError
 from repro.graphs.csr import EdgeList
@@ -17,6 +21,22 @@ from repro.graphs.generators import uniform_random_graph
 from repro.robustness import GRAPH_FAULTS, corrupt_graph, corrupt_ranks
 
 G = uniform_random_graph(120, 360, seed=9)
+
+
+def _solver(problem, method):
+    """The front door for a registered *method*; for ``parallel-vec``,
+    the unregistered engine itself, on one worker."""
+    if method == "parallel-vec":
+        engine = (parallel_mis_vectorized if problem == "mis"
+                  else parallel_matching_vectorized)
+        return lambda payload, ranks=None, **kw: engine(
+            payload, ranks, workers=1, **kw
+        )
+    front_door = (maximal_independent_set if problem == "mis"
+                  else maximal_matching)
+    return lambda payload, ranks=None, **kw: front_door(
+        payload, ranks, method=method, **kw
+    )
 
 
 @pytest.mark.parametrize("method", MIS_METHODS)
@@ -60,19 +80,21 @@ def test_mm_methods_reject_asymmetric_graph_under_full_guards(method):
         maximal_matching(_asymmetric_graph(), method=method, guards="full")
 
 
-@pytest.mark.parametrize("method", [m for m in MIS_METHODS if m != "luby"])
+@pytest.mark.parametrize(
+    "method", [m for m in MIS_METHODS if m != "luby"] + ["parallel-vec"]
+)
 def test_mis_methods_reject_bad_ranks(method):
     bad = corrupt_ranks(random_priorities(G.num_vertices, seed=1), "rank-dup")
     with pytest.raises(InvalidOrderingError):
-        maximal_independent_set(G, bad, method=method)
+        _solver("mis", method)(G, bad)
 
 
-@pytest.mark.parametrize("method", MM_METHODS)
+@pytest.mark.parametrize("method", [*MM_METHODS, "parallel-vec"])
 def test_mm_methods_reject_bad_ranks(method):
     el = G.edge_list()
     bad = corrupt_ranks(random_priorities(el.num_edges, seed=1), "rank-short")
     with pytest.raises(InvalidOrderingError):
-        maximal_matching(el, bad, method=method)
+        _solver("matching", method)(el, bad)
 
 
 def test_luby_rank_corruption_still_detected_before_luby_check():
@@ -168,21 +190,21 @@ def _count_rank_checks(monkeypatch):
 
 @pytest.mark.parametrize(
     "problem, method",
-    [("mis", m) for m in MIS_METHODS] + [("matching", m) for m in MM_METHODS],
+    [("mis", m) for m in [*MIS_METHODS, "parallel-vec"]]
+    + [("matching", m) for m in [*MM_METHODS, "parallel-vec"]],
 )
 def test_one_rank_check_per_solve(problem, method, monkeypatch):
     """A front-door solve checks a caller's π once (at the engine's
     boundary) and a π the engine draws from a seed not at all."""
     payload = G if problem == "mis" else G.edge_list()
     size = G.num_vertices if problem == "mis" else G.num_edges
-    front_door = (maximal_independent_set if problem == "mis"
-                  else maximal_matching)
+    run = _solver(problem, method)
     calls = _count_rank_checks(monkeypatch)
-    front_door(payload, method=method, seed=1)
+    run(payload, seed=1)
     assert calls == []
     if method == "luby":
         with pytest.raises(EngineError, match="ignores ranks"):
-            front_door(payload, random_priorities(size, seed=1), method=method)
+            run(payload, random_priorities(size, seed=1))
     else:
-        front_door(payload, random_priorities(size, seed=1), method=method)
+        run(payload, random_priorities(size, seed=1))
     assert calls == [size]

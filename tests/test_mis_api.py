@@ -54,7 +54,7 @@ class TestDispatch:
     def test_methods_tuple_complete(self):
         assert set(MIS_METHODS) == {
             "sequential", "parallel", "prefix", "theorem45", "rootset",
-            "rootset-vec", "parallel-vec", "luby",
+            "rootset-vec", "luby",
         }
 
     def test_theorem45_method(self):

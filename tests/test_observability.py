@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from repro.core.matching.api import maximal_matching
+from repro.core.matching.parallel_vectorized import parallel_matching_vectorized
 from repro.core.mis.api import maximal_independent_set
+from repro.core.mis.parallel_vectorized import parallel_mis_vectorized
 from repro.core.orderings import random_priorities
 from repro.core.status import IN_SET
 from repro.graphs.generators import rmat_graph, uniform_random_graph
@@ -190,18 +192,24 @@ class TestSinksAndSummary:
 class TestKernelCounters:
     def test_counts_are_monotone_across_runs(self, graph, vranks, eranks):
         """Every kernel-composed engine is counted, MIS and MM; parallel-vec
-        runs on one worker so its kernels execute in this process."""
+        (unregistered, so called directly) runs on one worker so its
+        kernels execute in this process."""
         el = graph.edge_list()
-        for method, knobs in (("rootset-vec", {}), ("parallel-vec", {"workers": 1}),
-                              ("prefix", {})):
+        direct = {maximal_independent_set: parallel_mis_vectorized,
+                  maximal_matching: parallel_matching_vectorized}
+        for method in ("rootset-vec", "parallel-vec", "prefix"):
             for solve, payload, ranks in (
                 (maximal_independent_set, graph, vranks),
                 (maximal_matching, el, eranks),
             ):
+                if method == "parallel-vec":
+                    run = lambda: direct[solve](payload, ranks, workers=1)
+                else:
+                    run = lambda: solve(payload, ranks, method=method)
                 with KernelCounters() as kc:
-                    solve(payload, ranks, method=method, **knobs)
+                    run()
                     first = kc.snapshot()
-                    solve(payload, ranks, method=method, **knobs)
+                    run()
                     second = kc.snapshot()
                 for name in KERNEL_NAMES:
                     assert second[name]["calls"] >= first[name]["calls"]
@@ -214,19 +222,24 @@ class TestKernelCounters:
     def test_parallel_vec_on_one_worker_counts_like_rootset_vec(
         self, graph, vranks, eranks
     ):
-        """On one worker parallel-vec runs rootset-vec's kernels in this
-        process, so every kernel's call count must match; a kernel
-        binding the counters miss shows up as a shortfall."""
-        for solve, payload, ranks in (
-            (maximal_independent_set, graph, vranks),
-            (maximal_matching, graph.edge_list(), eranks),
+        """On one worker parallel-vec (called directly: it is not
+        registered) runs rootset-vec's kernels in this process, so every
+        kernel's call count must match; a kernel binding the counters
+        miss shows up as a shortfall."""
+        for solve, direct, payload, ranks in (
+            (maximal_independent_set, parallel_mis_vectorized, graph, vranks),
+            (maximal_matching, parallel_matching_vectorized,
+             graph.edge_list(), eranks),
         ):
             calls = {}
-            for method, knobs in (("rootset-vec", {}),
-                                  ("parallel-vec", {"workers": 1})):
+            for label, run in (
+                ("rootset-vec",
+                 lambda: solve(payload, ranks, method="rootset-vec")),
+                ("parallel-vec", lambda: direct(payload, ranks, workers=1)),
+            ):
                 with KernelCounters() as kc:
-                    solve(payload, ranks, method=method, **knobs)
-                calls[method] = {n: c.calls for n, c in kc.counters.items()}
+                    run()
+                calls[label] = {n: c.calls for n, c in kc.counters.items()}
             assert calls["parallel-vec"] == calls["rootset-vec"], solve.__name__
 
     @pytest.mark.parametrize("prefix_frac", [None, 0.2])

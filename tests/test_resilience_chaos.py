@@ -49,7 +49,6 @@ class TestScenarioData:
         # Every fault axis the harness knows is exercised somewhere.
         assert any(s.kill_probability > 0 for s in SCENARIOS)
         assert any(s.fault_probability > 0 for s in SCENARIOS)
-        assert any(s.shard_kill for s in SCENARIOS)
         assert any(s.deadline_storm for s in SCENARIOS)
         assert any(s.queue_flood for s in SCENARIOS)
         # The two storms: kills and faults together, in process and

@@ -230,29 +230,31 @@ def test_cheap_guards_fault_must_degrade_with_attempt_log():
     """Coverage-gap case: the test above only checks degradation *if* it
     happens; this instance is pinned so the cheap guard provably fires in
     the faulted engine and the front door provably degrades to the next
-    engine of the chain (rootset-vec → sequential, parallel-vec →
-    rootset-vec)."""
+    engine of the chain (rootset-vec → sequential).  The unregistered
+    parallel-vec engine, called directly, has no chain: its cheap guard
+    must raise."""
     g = uniform_random_graph(64, 200, seed=3)
     ranks = random_priorities(g.num_vertices, seed=5)
     ref = sequential_greedy_mis(g, ranks).status
-    for method, knobs in (
-        ("rootset-vec", {}),
-        ("parallel-vec", {"workers": 1, "min_fanout": 0}),
-    ):
-        fault = FaultSpec(kind="dup-frontier", seed=7, after=0)
-        with ChaosInjector(fault) as chaos:
-            res = maximal_independent_set(
-                g, ranks, method=method, guards="cheap", fallback=True,
-                **knobs,
-            )
-        assert chaos.fired, f"{method}: pinned fault site was never reached"
-        assert res.stats.aux.get("degraded") is True, (
-            f"{method}: cheap guards let a dup-frontier fault through "
-            "without degrading"
+    fault = FaultSpec(kind="dup-frontier", seed=7, after=0)
+    with ChaosInjector(fault) as chaos:
+        res = maximal_independent_set(
+            g, ranks, method="rootset-vec", guards="cheap", fallback=True,
         )
-        expected = next(m for m in fallback_chain("mis") if m != method)
-        assert res.stats.aux["fallback_engine"] == expected
-        attempts = res.stats.aux["fallback_attempts"]
-        assert attempts and attempts[0]["method"] == method
-        assert "error" in attempts[0]
-        assert np.array_equal(res.status, ref)
+    assert chaos.fired, "rootset-vec: pinned fault site was never reached"
+    assert res.stats.aux.get("degraded") is True, (
+        "rootset-vec: cheap guards let a dup-frontier fault through "
+        "without degrading"
+    )
+    expected = next(m for m in fallback_chain("mis") if m != "rootset-vec")
+    assert res.stats.aux["fallback_engine"] == expected
+    attempts = res.stats.aux["fallback_attempts"]
+    assert attempts and attempts[0]["method"] == "rootset-vec"
+    assert "error" in attempts[0]
+    assert np.array_equal(res.status, ref)
+    with ChaosInjector(fault) as chaos:
+        with pytest.raises(InvariantViolationError):
+            parallel_mis_vectorized(
+                g, ranks, guards="cheap", workers=1, min_fanout=0,
+            )
+    assert chaos.fired, "parallel-vec: pinned fault site was never reached"

@@ -313,20 +313,21 @@ class TestBreakerDegradation:
         assert aux["service"]["requested_method"] == default
 
     def test_degraded_attempt_strips_multicore_knobs(self, graph):
-        """Regression: a parallel-vec request carrying engine-specific
-        knobs (workers/min_fanout) must degrade cleanly — the chain
-        engines reject those keywords, so the scheduler strips every knob
-        the registry flags as unsupported for the fallback."""
+        """Regression: a request carrying engine-specific knobs must
+        degrade cleanly — the chain engines reject those keywords, so the
+        scheduler strips every knob the registry flags as unsupported for
+        the fallback.  With the multicore knobs (workers/min_fanout)
+        retired, the gated knobs left are prefix's."""
         with SolverService(workers=1, breaker_threshold=2,
                            breaker_reset_seconds=60.0, tick=0.005) as svc:
-            b = svc.breaker("mis", "parallel-vec")
+            b = svc.breaker("mis", "prefix")
             b.record_failure()
             b.record_failure()
             assert b.state == "open"
             res = svc.solve(
                 SolveRequest(
-                    "mis", graph, method="parallel-vec",
-                    options={"seed": 11, "workers": 2, "min_fanout": 0},
+                    "mis", graph, method="prefix",
+                    options={"seed": 11, "prefix_size": 7},
                 ),
                 timeout=60,
             )
@@ -334,8 +335,8 @@ class TestBreakerDegradation:
         assert np.array_equal(res.status, ref.status)
         aux = res.stats.aux
         assert aux["degraded"] is True
-        assert aux["service"]["requested_method"] == "parallel-vec"
-        assert aux["service"]["engine"] != "parallel-vec"
+        assert aux["service"]["requested_method"] == "prefix"
+        assert aux["service"]["engine"] == "rootset-vec"
         # One attempt was enough: the stripped knobs never poisoned it.
         assert aux["service"]["retries"] == 0
 

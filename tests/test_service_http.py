@@ -180,7 +180,24 @@ class TestTaxonomy:
         assert status == 400
         assert body["error"] in ("InvalidOrderingError", "BadRequestError")
 
-    @pytest.mark.parametrize("options", [{"backend": "numpy"}, {"bogus": 1}])
+    @pytest.mark.parametrize("problem", ["mis", "mm"])
+    def test_parallel_vec_is_400(self, gateway, problem):
+        # Retired from the registry: refused as a typed caller error that
+        # names the registered methods, never a worker-side failure.
+        status, _, body = request_json(
+            gateway.address, "POST", "/v1/solve",
+            {"graph": "g", "problem": problem, "seed": 3,
+             "method": "parallel-vec"},
+        )
+        assert status == 400 and body["error"] == "EngineError"
+        assert "'parallel-vec'" in body["message"]
+        registered = engine_methods("mis" if problem == "mis" else "matching")
+        assert repr(registered) in body["message"]
+
+    @pytest.mark.parametrize(
+        "options",
+        [{"backend": "numpy"}, {"bogus": 1}, {"workers": 2}, {"min_fanout": 0}],
+    )
     def test_unknown_options_are_400(self, gateway, options):
         status, _, body = request_json(
             gateway.address, "POST", "/v1/solve",
@@ -619,3 +636,65 @@ class TestLifecycle:
             assert status == 200
             # Re-warmed at restart: the fresh service hits immediately.
             assert headers["x-repro-cache"] == "hit"
+
+    def test_respawned_worker_does_not_hold_client_sockets(self):
+        """A worker forked while a client is connected must not inherit
+        the gateway's sockets: the client, in another process, reads EOF
+        within 1 s of its ``Connection: close`` response, not when that
+        worker exits."""
+        import os
+        import signal
+        import subprocess
+        import sys
+        import textwrap
+
+        client = textwrap.dedent("""
+            import socket, sys, time
+            sock = socket.create_connection((sys.argv[1], int(sys.argv[2])),
+                                            timeout=10.0)
+            def get(close):
+                head = "GET /v1/health HTTP/1.1\\r\\nHost: gw\\r\\n"
+                if close:
+                    head += "Connection: close\\r\\n"
+                sock.sendall((head + "\\r\\n").encode())
+                data = b""
+                while b"\\r\\n\\r\\n" not in data:
+                    data += sock.recv(65536)
+                head, _, body = data.partition(b"\\r\\n\\r\\n")
+                length = [int(line.split(b":")[1]) for line in head.split(b"\\r\\n")
+                          if line.lower().startswith(b"content-length:")][0]
+                while len(body) < length:
+                    body += sock.recv(65536)
+            get(close=False)
+            print("connected", flush=True)
+            sys.stdin.readline()
+            get(close=True)
+            t0 = time.monotonic()
+            sock.settimeout(3.0)
+            try:
+                eof = sock.recv(1) == b""
+            except socket.timeout:
+                eof = False
+            print("eof" if eof else "no-eof", round(time.monotonic() - t0, 3), flush=True)
+        """)
+        with HTTPGateway(config=GatewayConfig(port=0), workers=1) as gw, \
+                subprocess.Popen(
+                    [sys.executable, "-c", client, *map(str, gw.address)],
+                    stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+                ) as proc:
+            svc = gw.service
+            try:
+                assert proc.stdout.readline().strip() == "connected"
+                os.kill(svc.health().workers[0].pid, signal.SIGKILL)
+                deadline = time.monotonic() + 10.0
+                while not (svc.stats().worker_restarts >= 1
+                           and svc.stats().workers_alive == 1):
+                    assert time.monotonic() < deadline, "worker not respawned"
+                    time.sleep(0.02)
+                proc.stdin.write("go\n")
+                proc.stdin.flush()
+                verdict, elapsed = proc.stdout.readline().split()
+            finally:
+                proc.kill()
+        assert verdict == "eof"
+        assert float(elapsed) < 1.0

@@ -159,7 +159,7 @@ def test_retired_backend_knob_is_an_unknown_option():
     with pytest.raises(EngineError, match="backend"):
         SolveOptions.from_wire({"backend": "numpy"})
     assert "backend" not in {f.name for f in dataclasses.fields(SolveOptions)}
-    assert len(dataclasses.fields(SolveOptions)) == 11
+    assert len(dataclasses.fields(SolveOptions)) == 9
 
 
 def test_graph_resolver_supplies_payload_and_default_ranks():

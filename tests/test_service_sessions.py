@@ -91,7 +91,7 @@ class TestServiceLifecycle:
         maintainer = IncrementalMatching.from_state(snap["state"])
         ref = maximal_matching(
             maintainer.edge_list(), maintainer.current_ranks(),
-            method="parallel-vec",
+            method="prefix",
         )
         result = svc.session_result(info.session_id)
         assert np.array_equal(result.status, ref.status)

@@ -125,18 +125,28 @@ class TestRegistration:
 
 
 class TestParallelEngineThroughService:
+    """``parallel-vec`` is retired from the registry: the service refuses
+    it at submission, and the knob-stripping of degraded attempts now
+    covers the one gated knob family left, prefix's."""
+
     def test_parallel_vec_on_shared_graph(self, graph, ranks):
+        from repro.core.engines import engine_methods
+        from repro.errors import EngineError
+
         svc = SolverService(ServiceConfig(workers=1)).start()
         try:
             svc.register_graph(graph, ranks)
+            with pytest.raises(EngineError) as exc:
+                svc.submit(SolveRequest(
+                    problem="mis", payload=graph, ranks=ranks,
+                    method="parallel-vec",
+                ))
+            assert "'parallel-vec'" in str(exc.value)
+            assert repr(engine_methods("mis")) in str(exc.value)
+            # Refused before admission: nothing queued or counted.
+            assert svc.stats().submitted == 0
             base = _mis(svc, graph, ranks, method="rootset-vec")
-            par = _mis(
-                svc, graph, ranks, method="parallel-vec",
-                options={"workers": 2, "min_fanout": 0},
-            )
-            np.testing.assert_array_equal(base.status, par.status)
-            assert "degraded" not in par.stats.aux
-            assert par.stats.aux["parallel"]["fanout_steps"] > 0
+            assert base.stats.aux["service"]["shared_payload"] is True
         finally:
             svc.shutdown()
 
@@ -147,18 +157,19 @@ class TestParallelEngineThroughService:
 
         svc = SolverService(ServiceConfig(workers=1, max_retries=3)).start()
         try:
-            with pytest.raises(EngineError, match="workers must be >= 1"):
+            with pytest.raises(EngineError, match="not both"):
                 _mis(
-                    svc, graph, ranks, method="parallel-vec",
-                    options={"workers": -1},
+                    svc, graph, ranks, method="prefix",
+                    options={"prefix_size": 8, "prefix_frac": 0.5},
                 )
+            assert svc.stats().retries == 0
         finally:
             svc.shutdown()
 
     def test_degraded_attempt_drops_parallel_knobs(self, graph, ranks):
         # Unit-level: a job built for a fallback engine must not carry the
-        # requested engine's parallel knobs — the chain engines reject
-        # them at the validation boundary, which would poison every retry.
+        # requested engine's gated knobs — the chain engines reject them
+        # at the validation boundary, which would poison every retry.
         import time
 
         from repro.service.service import _Ticket
@@ -166,15 +177,15 @@ class TestParallelEngineThroughService:
         svc = SolverService(ServiceConfig(workers=1))
         req = SolveRequest(
             problem="mis", payload=graph, ranks=ranks,
-            method="parallel-vec",
-            options={"workers": 2, "min_fanout": 0, "seed": 3},
+            method="prefix",
+            options={"prefix_size": 8, "prefix_frac": 0.5, "seed": 3},
         )
         ticket = _Ticket(1, req, time.monotonic())
-        primary = svc._build_job(ticket, "parallel-vec", time.monotonic())
-        assert primary["options"]["workers"] == 2
+        primary = svc._build_job(ticket, "prefix", time.monotonic())
+        assert primary["options"]["prefix_size"] == 8
         degraded = svc._build_job(ticket, "rootset-vec", time.monotonic())
-        assert "workers" not in degraded["options"]
-        assert "min_fanout" not in degraded["options"]
+        assert "prefix_size" not in degraded["options"]
+        assert "prefix_frac" not in degraded["options"]
         assert degraded["options"]["seed"] == 3  # generic knobs survive
 
 
@@ -208,18 +219,17 @@ class TestWallTimeAccounting:
             svc.shutdown()
 
     def test_fanout_busy_not_folded_into_wall_time(self, graph, ranks):
+        # No served engine fans out since parallel-vec's retirement: no
+        # result carries a per-shard busy channel, and wall_time_s stays
+        # the one submission-to-completion figure.
+        from repro.core.engines import engine_methods
+
         svc = SolverService(ServiceConfig(workers=1)).start()
         try:
-            res = _mis(
-                svc, graph, ranks, method="parallel-vec",
-                options={"workers": 2, "min_fanout": 0},
-            )
-            wall = res.stats.aux["service"]["wall_time_s"]
-            par = res.stats.aux["parallel"]
-            # Per-shard busy seconds live in their own channel; the
-            # service figure is submission-to-completion, so it can never
-            # be the sum of a fan-out's per-worker busy times.
-            assert len(par["worker_busy_s"]) == 2
-            assert wall > 0
+            for method in engine_methods("mis"):
+                res = _mis(svc, graph, None if method == "luby" else ranks,
+                           method=method, options={"seed": 1})
+                assert "parallel" not in res.stats.aux, method
+                assert res.stats.aux["service"]["wall_time_s"] > 0, method
         finally:
             svc.shutdown()
