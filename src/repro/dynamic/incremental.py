@@ -19,18 +19,25 @@ from scratch on the mutated graph (the mutation-parity suite asserts
 this after every batch, against the ``rootset-vec`` / ``prefix``
 engines too).
 
-State as arrays.  The peel walks adjacency sets, but each maintainer also
-keeps its edges as a sorted array of canonical keys ``u*n + v`` (``u <
-v``) with aligned state rows — ``(u, v)`` for MIS, ``(u, v, priority,
-matched)`` for MM — and patches them per batch with ``np.searchsorted``
-and one slice-and-concatenate pass.  So
-:meth:`~IncrementalMIS.to_state` is a few array copies, with no Python
-loop over edges, and :func:`result_from_state` builds the answer from a
-state's arrays without rebuilding a maintainer.  A batch also records
-the items whose answer it flipped (``last_flips``), and
-:func:`apply_flips` turns a state plus the batch and those flips into
-the next state, so a holder of the arrays can follow a maintainer that
-lives elsewhere from O(batch + flips) of data.  :func:`check_state`
+State as arrays.  The peel walks adjacency sets (MM: an edge map), but
+each maintainer also keeps its edges as a sorted array of canonical keys
+``u*n + v`` (``u < v``) with aligned state rows — ``(u, v)`` for MIS,
+``(u, v, priority, matched)`` for MM.  A batch does not touch those
+arrays: it records the edges it inserted, deleted or (MM) flipped, and
+``m`` and ``size`` are counters.  The touched edges are folded into the
+arrays in one slice-and-concatenate pass (:func:`_splice`) when
+something reads them (:meth:`~IncrementalMIS.to_state`, ``graph``,
+``edge_list``, ``verify``, ``result``) or when the touched set passes
+:data:`_FOLD_SHARE` of m, so a batch costs O(batch + affected) and the
+fold's O(m) copy is paid once per Θ(m) touched edges.  So
+:meth:`~IncrementalMIS.to_state` is a fold and a few array copies, with
+no Python loop over edges, and :func:`result_from_state` builds the
+answer from a state's arrays without rebuilding a maintainer.  A batch
+also records the items whose answer it flipped (``last_flips``); a
+:class:`StateOverlay` takes a state plus each batch and its flips in
+O(batch + flips) and folds into the next state's arrays on demand, so a
+holder of the arrays can follow a maintainer that lives elsewhere, and
+:func:`apply_flips` is that step as a pure function.  :func:`check_state`
 validates a state or its ``tolist()`` form (format-1 snapshot files,
 portable JSON snapshots) for ``from_state`` and a session restore.
 Version 0 is sequential greedy on (graph, π), which every engine returns,
@@ -68,6 +75,7 @@ from repro.util.rng import SeedLike
 __all__ = [
     "IncrementalMIS",
     "IncrementalMatching",
+    "StateOverlay",
     "apply_flips",
     "check_state",
     "edge_priorities",
@@ -172,44 +180,163 @@ def _state_edges(rows: np.ndarray, n: int) -> None:
         raise InvalidGraphError("state edges must be sorted and distinct")
 
 
+#: The share of m that the edges touched since the last fold may reach
+#: before a batch folds them into the sorted arrays.  Any constant share
+#: keeps a fold's O(m) copy at O(batch) per batch amortized.  Measured
+#: (docs/performance.md, "Folding the edge arrays"): the mean batch time
+#: is flat from 1/8 down to 1/256 and rises at 1/1024, while the single
+#: fold that pays for the touched set shrinks with the share (a touched
+#: edge costs ~7 us to fold, a row of the copy ~6 ns).
+_FOLD_SHARE = 1 / 256
+
+
 def _splice(
     keys: np.ndarray,
     rows: np.ndarray,
-    n: int,
-    dels: Sequence[EdgePair],
-    new_rows: Sequence[Sequence[int]],
+    drop: np.ndarray,
+    new_keys: np.ndarray,
+    new_rows: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Drop the rows of *dels* and add *new_rows*, keeping *keys* sorted.
+    """Drop the rows whose keys are in *drop* and add *new_rows*.
 
-    One pass: the kept slices of the old arrays and the new rows are
-    joined by one ``np.concatenate`` per array, a plain copy
-    (``np.delete``/``np.insert`` along axis 0 of a 2-D array is about 10x
-    slower).  Both edge sets are canonical and validated against the
-    maintainer's adjacency already, so every deletion is present and
-    every insertion absent.
+    *keys* is sorted and aligned with *rows*; keys of *drop* that *keys*
+    lacks are skipped.  *new_keys* is sorted, aligned with *new_rows*,
+    and holds no key left after the drop, so an edge whose row changed
+    is dropped and re-added.  One pass: the kept slices of the old
+    arrays and the new rows are joined by one ``np.concatenate`` per
+    array, a plain copy (boolean-mask scatters cost about 10x more on
+    2-D rows).  Returns fresh arrays.
     """
-    new = np.asarray(new_rows, dtype=np.int64).reshape(-1, rows.shape[1])
-    new_keys = new[:, 0] * n + new[:, 1]
-    at = np.searchsorted(keys, new_keys).tolist()
-    gone = np.searchsorted(keys, [a * n + b for a, b in dels]).tolist()
-    # (old position, 0 = insert new row i before it / 1 = drop it, key, i)
-    events = sorted(
-        [(pos, 0, key, i) for i, (pos, key) in enumerate(zip(at, new_keys.tolist()))]
-        + [(pos, 1, 0, -1) for pos in gone]
-    )
+    gone = np.searchsorted(keys, drop)
+    found = gone < keys.size
+    found[found] = keys[gone[found]] == drop[found]
+    gone = gone[found]
+    at = np.searchsorted(keys, new_keys)
+    pos = np.concatenate((at, gone))
+    # Position order; at one position the insert goes before the drop.
+    order = np.lexsort((np.arange(pos.size) >= at.size, pos))
     key_parts, row_parts, prev = [], [], 0
-    for pos, drop, _, i in events:
-        key_parts.append(keys[prev:pos])
-        row_parts.append(rows[prev:pos])
-        if drop:
-            prev = pos + 1
+    for p, i in zip(pos[order].tolist(), order.tolist()):
+        key_parts.append(keys[prev:p])
+        row_parts.append(rows[prev:p])
+        if i >= at.size:
+            prev = p + 1
         else:
             key_parts.append(new_keys[i:i + 1])
-            row_parts.append(new[i:i + 1])
-            prev = pos
+            row_parts.append(new_rows[i:i + 1])
+            prev = p
     key_parts.append(keys[prev:])
     row_parts.append(rows[prev:])
     return np.concatenate(key_parts), np.concatenate(row_parts)
+
+
+class StateOverlay:
+    """A committed state as base arrays plus the batches since the last fold.
+
+    :meth:`commit` takes one batch and the flips a maintainer reported for
+    it in O(batch + flips): inserted rows and deleted keys go into a dict
+    over the base rows, whose sorted keys are kept beside them; flipped
+    values go there too (an MM edge's row, an MIS vertex's status).
+    :attr:`m` and :attr:`size` follow as counters; a deleted MM edge that
+    was matched lowers ``size``.  :meth:`fold` writes the overlay into
+    fresh arrays in one :func:`_splice` pass and returns the state, as
+    :meth:`IncrementalMIS.to_state` lays it out.  The base arrays are
+    never written, so a state that :meth:`fold` handed out stays as it
+    was.  A commit folds by itself once the overlay passes
+    :data:`_FOLD_SHARE` of m.  Batches and flips are trusted to be ones
+    a maintainer holding this state accepted and reported.
+    """
+
+    def __init__(self, state: Dict[str, object]) -> None:
+        self._state = dict(state)
+        self._counters = state["counters"]
+        n = self._n = int(state["n"])
+        rows = state["edges"]
+        self._keys = rows[:, 0] * n + rows[:, 1]
+        #: Edge key -> current row, ``None`` once deleted.
+        self._edges: Dict[int, Optional[List[int]]] = {}
+        #: MIS vertex -> current status.
+        self._status: Dict[int, int] = {}
+        #: Current edge count.
+        self.m = len(rows)
+        #: Current answer size: MIS members, or matched MM edges.
+        self.size = int(np.count_nonzero(
+            state["status"] == IN_SET if state["problem"] == "mis" else rows[:, 3]
+        ))
+
+    def _row(self, key: int) -> List[int]:
+        """The current row of live edge *key*, moved into the overlay."""
+        row = self._edges.get(key)
+        if row is None:
+            at = int(np.searchsorted(self._keys, key))
+            row = self._edges[key] = self._state["edges"][at].tolist()
+        return row
+
+    def commit(
+        self,
+        insertions: Sequence[EdgePair],
+        deletions: Sequence[EdgePair],
+        flips: Sequence[Sequence[int]],
+        counters: Optional[Dict[str, object]] = None,
+    ) -> None:
+        """Add one accepted batch, its flips and (when given) the counters."""
+        n = self._n
+        mis = self._state["problem"] == "mis"
+        ins = [_canon_pair(u, v, n, "insert") for u, v in insertions]
+        dels = [_canon_pair(u, v, n, "delete") for u, v in deletions]
+        for a, b in dels:
+            key = a * n + b
+            if not mis:
+                self.size -= self._row(key)[3]
+            self._edges[key] = None
+        if mis:
+            for a, b in ins:
+                self._edges[a * n + b] = [a, b]
+        else:
+            pairs = np.asarray(ins, dtype=np.int64).reshape(-1, 2)
+            prios = edge_priorities(self._state["seed"], pairs[:, 0], pairs[:, 1]).tolist()
+            for (a, b), prio in zip(ins, prios):
+                self._edges[a * n + b] = [a, b, prio, 0]
+        self.m += len(ins) - len(dels)
+        if mis:
+            base = self._state["status"]
+            for v, new in flips:
+                old = self._status.get(v, int(base[v]))
+                self._status[v] = new
+                self.size += (new == IN_SET) - (old == IN_SET)
+        else:
+            for a, b, hit in flips:
+                row = self._row(a * n + b)
+                self.size += hit - row[3]
+                row[3] = hit
+        if counters is not None:
+            self._counters = counters
+        if len(self._edges) + len(self._status) > _FOLD_SHARE * self.m:
+            self.fold()
+
+    def fold(self) -> Dict[str, object]:
+        """The committed state with the overlay written into fresh arrays.
+
+        The returned dict and its arrays are the new base: a later commit
+        goes into a new overlay over them and a later fold into new
+        arrays, so neither is changed afterwards.
+        """
+        if not (self._edges or self._status or self._counters is not self._state["counters"]):
+            return self._state
+        state = dict(self._state, counters=self._counters)
+        if self._edges:
+            drop = np.fromiter(sorted(self._edges), dtype=np.int64, count=len(self._edges))
+            live = [self._edges[key] for key in drop.tolist() if self._edges[key] is not None]
+            rows = state["edges"]
+            new_rows = np.array(live, dtype=np.int64).reshape(-1, rows.shape[1])
+            self._keys, state["edges"] = _splice(
+                self._keys, rows, drop, new_rows[:, 0] * self._n + new_rows[:, 1], new_rows)
+        if self._status:
+            status = state["status"] = state["status"].copy()
+            status[np.fromiter(self._status, dtype=np.int64, count=len(self._status))] = list(
+                self._status.values())
+        self._state, self._edges, self._status = state, {}, {}
+        return state
 
 
 def apply_flips(
@@ -222,36 +349,22 @@ def apply_flips(
 
     *flips* is the maintainer's ``last_flips`` after it accepted the
     batch: ``(v, status)`` per flipped MIS vertex, ``(u, v, matched)``
-    per flipped MM edge.  The edge rows are spliced as
-    :meth:`~IncrementalMIS.apply_batch` splices them, inserted MM edges
-    take :func:`edge_priorities` under the state's seed, and the flipped
+    per flipped MM edge.  The batch is committed onto a
+    :class:`StateOverlay` of *state* and folded: the edge rows are
+    spliced as a maintainer's fold splices them, inserted MM edges take
+    :func:`edge_priorities` under the state's seed, and the flipped
     values are written over the result.  Pure: every array of the
     returned state is a fresh copy and *state* is left as it was; the
     counters are copied unchanged (the batch's come from the maintainer).
     The batch is trusted to be one the maintainer accepted, so each
     deletion is present and each insertion absent.
     """
-    n = int(state["n"])
-    ins = [_canon_pair(u, v, n, "insert") for u, v in insertions]
-    dels = [_canon_pair(u, v, n, "delete") for u, v in deletions]
-    rows = state["edges"]
-    keys = rows[:, 0] * n + rows[:, 1]
-    out = dict(state, counters=copy.deepcopy(state["counters"]))
-    if state["problem"] == "mis":
-        out["edges"] = _splice(keys, rows, n, dels, ins)[1]
-        out["ranks"] = state["ranks"].copy()
-        status = out["status"] = state["status"].copy()
-        flipped = np.asarray(flips, dtype=np.int64).reshape(-1, 2)
-        status[flipped[:, 0]] = flipped[:, 1]
-        return out
-    pairs = np.asarray(ins, dtype=np.int64).reshape(-1, 2)
-    new_rows = np.column_stack(
-        (pairs, edge_priorities(state["seed"], pairs[:, 0], pairs[:, 1]), np.zeros(len(ins), np.int64))
-    )
-    keys, edges = _splice(keys, rows, n, dels, new_rows)
-    out["edges"] = edges
-    flipped = np.asarray(flips, dtype=np.int64).reshape(-1, 3)
-    edges[np.searchsorted(keys, flipped[:, 0] * n + flipped[:, 1]), 3] = flipped[:, 2]
+    overlay = StateOverlay(state)
+    overlay.commit(insertions, deletions, flips)
+    out = dict(overlay.fold(), counters=copy.deepcopy(state["counters"]))
+    for key, value in out.items():
+        if isinstance(value, np.ndarray) and value is state[key]:
+            out[key] = value.copy()
     return out
 
 
@@ -513,7 +626,11 @@ class IncrementalMIS:
         self.ranks = state["ranks"]
         self._rank = self.ranks.tolist()
         self._keys = rows[:, 0] * n + rows[:, 1]
+        #: Edges inserted or deleted since ``_keys``/``_rows`` were folded.
+        self._touched: Set[EdgePair] = set()
+        self._m = len(rows)
         self.status = state["status"]
+        self._size = int(np.count_nonzero(self.status == IN_SET))
         self._adj: List[Set[int]] = [set() for _ in range(n)]
         for a, b in zip(rows[:, 0].tolist(), rows[:, 1].tolist()):
             self._adj[a].add(b)
@@ -559,10 +676,15 @@ class IncrementalMIS:
             self._adj[a].discard(b)
             self._adj[b].discard(a)
             seeds.add(a if rank[a] > rank[b] else b)
-        self._keys, self._rows = _splice(self._keys, self._rows, self.n, dels, ins)
+        self._touched.update(ins)
+        self._touched.update(dels)
+        self._m += len(ins) - len(dels)
         self._graph_cache = None
         affected, changed, scanned = self._peel(seeds)
         self.last_flips = [(v, int(self.status[v])) for v in changed]
+        self._size += sum(1 if s == IN_SET else -1 for _, s in self.last_flips)
+        if len(self._touched) > _FOLD_SHARE * self._m:
+            self._fold()
         return self.counters.record(
             inserted=len(ins),
             deleted=len(dels),
@@ -609,17 +731,30 @@ class IncrementalMIS:
                     heapq.heappush(heap, (rank[w], w))
         return affected, changed, scanned
 
+    def _fold(self) -> None:
+        """Splice the touched edges into ``_keys``/``_rows``, as the
+        adjacency now holds them."""
+        if not self._touched:
+            return
+        n, adj = self.n, self._adj
+        pairs = sorted(self._touched)
+        drop = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        new = np.array([(a, b) for a, b in pairs if b in adj[a]], dtype=np.int64).reshape(-1, 2)
+        self._keys, self._rows = _splice(
+            self._keys, self._rows, drop[:, 0] * n + drop[:, 1], new[:, 0] * n + new[:, 1], new)
+        self._touched.clear()
+
     # -- queries ---------------------------------------------------------
 
     @property
     def m(self) -> int:
         """Current edge count."""
-        return int(self._keys.size)
+        return self._m
 
     @property
     def size(self) -> int:
         """Current independent-set size."""
-        return int(np.count_nonzero(self.status == IN_SET))
+        return self._size
 
     def members(self) -> List[int]:
         """Current independent-set vertex ids (sorted)."""
@@ -628,6 +763,7 @@ class IncrementalMIS:
     def graph(self) -> CSRGraph:
         """The current mutated graph as a CSR (cached between mutations)."""
         if self._graph_cache is None:
+            self._fold()
             self._graph_cache = from_edges(self.n, self._rows[:, 0], self._rows[:, 1])
         return self._graph_cache
 
@@ -645,8 +781,10 @@ class IncrementalMIS:
         Raises :class:`~repro.errors.InvariantViolationError` if any
         vertex's status disagrees with the greedy rule — the full-guard
         invariant for sessions — or if the edge arrays that
-        :meth:`to_state` ships disagree with the adjacency the peel walks.
+        :meth:`to_state` ships (folded first) or the ``m``/``size``
+        counters disagree with the adjacency the peel walks.
         """
+        self._fold()
         rank = self._rank
         for v in range(self.n):
             expected = IN_SET
@@ -662,9 +800,9 @@ class IncrementalMIS:
         live = sorted(a * n + b for a in range(n) for b in self._adj[a] if a < b)
         if live != self._keys.tolist() or not np.array_equal(
             self._rows[:, 0] * n + self._rows[:, 1], self._keys
-        ):
+        ) or (self._m, self._size) != (len(live), np.count_nonzero(self.status == IN_SET)):
             raise InvariantViolationError(
-                "incremental MIS edge arrays disagree with its adjacency"
+                "incremental MIS edge arrays or counters disagree with its adjacency"
             )
 
     # -- state (snapshot / worker replay) --------------------------------
@@ -673,6 +811,7 @@ class IncrementalMIS:
         """State as arrays: ``ranks`` int64[n], ``status`` int8[n], and
         ``edges`` int64[m, 2] of canonical ``u < v`` rows in sorted order,
         plus the counters.  Every array is a fresh copy."""
+        self._fold()
         return {
             "problem": "mis",
             "n": self.n,
@@ -731,6 +870,10 @@ class IncrementalMatching:
         self.seed = state["seed"]
         rows = self._rows = state["edges"]
         self._keys = rows[:, 0] * n + rows[:, 1]
+        #: Edges inserted, deleted or flipped since ``_keys``/``_rows``
+        #: were folded.
+        self._touched: Set[EdgePair] = set()
+        self._size = int(np.count_nonzero(rows[:, 3]))
         self._edges: Dict[EdgePair, List] = {}  # key -> [priority, matched]
         self._incident: List[Set[EdgePair]] = [set() for _ in range(n)]
         for a, b, prio, hit in rows.tolist():
@@ -777,6 +920,7 @@ class IncrementalMatching:
             self._incident[b].discard(key)
             del self._edges[key]
             if matched:
+                self._size -= 1
                 # Only later-ordered adjacent edges can change: earlier
                 # ones never depended on this edge.
                 for nbr in self._incident[a] | self._incident[b]:
@@ -787,21 +931,20 @@ class IncrementalMatching:
         dirty = {key for key in dirty if key in self._edges}
         pairs = np.array(ins, dtype=np.int64).reshape(-1, 2)
         prios = edge_priorities(self.seed, pairs[:, 0], pairs[:, 1]).tolist()
-        new_rows = []
         for key, prio in zip(ins, prios):
             a, b = key
             self._edges[key] = [prio, False]
             self._incident[a].add(key)
             self._incident[b].add(key)
             dirty.add(key)
-            new_rows.append((a, b, prio, 0))
-        self._keys, self._rows = _splice(self._keys, self._rows, self.n, dels, new_rows)
         affected, flipped, scanned, changed = self._peel(dirty)
         self.last_flips = [(a, b, int(self._edges[(a, b)][1])) for a, b in changed]
-        if changed:
-            n = self.n
-            at = np.searchsorted(self._keys, [a * n + b for a, b in changed])
-            self._rows[at, 3] = [hit for _, _, hit in self.last_flips]
+        self._size += sum(1 if hit else -1 for _, _, hit in self.last_flips)
+        self._touched.update(ins)
+        self._touched.update(dels)
+        self._touched.update(changed)
+        if len(self._touched) > _FOLD_SHARE * len(self._edges):
+            self._fold()
         return self.counters.record(
             inserted=len(ins),
             deleted=len(dels),
@@ -853,24 +996,41 @@ class IncrementalMatching:
                     heapq.heappush(heap, ((edges[nbr][0], nbr[0], nbr[1]), nbr))
         return affected, len(changed), scanned, changed
 
+    def _fold(self) -> None:
+        """Splice the touched edges into ``_keys``/``_rows``, as the edge
+        map now holds them."""
+        if not self._touched:
+            return
+        n, edges = self.n, self._edges
+        pairs = sorted(self._touched)
+        drop = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        new = np.array(
+            [(a, b, *edges[(a, b)]) for a, b in pairs if (a, b) in edges], dtype=np.int64
+        ).reshape(-1, 4)
+        self._keys, self._rows = _splice(
+            self._keys, self._rows, drop[:, 0] * n + drop[:, 1], new[:, 0] * n + new[:, 1], new)
+        self._touched.clear()
+
     # -- queries ---------------------------------------------------------
 
     @property
     def m(self) -> int:
         """Current edge count."""
-        return int(self._keys.size)
+        return len(self._edges)
 
     @property
     def size(self) -> int:
         """Current matching size."""
-        return int(np.count_nonzero(self._rows[:, 3]))
+        return self._size
 
     def edge_list(self) -> EdgeList:
         """Current edges in canonical ``(u, v)``-sorted order."""
+        self._fold()
         return EdgeList(self.n, self._rows[:, 0].copy(), self._rows[:, 1].copy())
 
     def graph(self) -> CSRGraph:
         """The current mutated graph as a CSR."""
+        self._fold()
         return from_edges(self.n, self._rows[:, 0], self._rows[:, 1])
 
     def current_ranks(self) -> np.ndarray:
@@ -888,7 +1048,9 @@ class IncrementalMatching:
 
     def verify(self) -> None:
         """Re-check the greedy matching fixpoint on every edge, and that the
-        state rows agree with the edge map the peel walks."""
+        state rows (folded first) and the ``size`` counter agree with the
+        edge map the peel walks."""
+        self._fold()
         for key, rec in self._edges.items():
             order = (rec[0], key[0], key[1])
             blocked = False
@@ -906,9 +1068,9 @@ class IncrementalMatching:
         live = [[a, b, p, int(hit)] for (a, b), (p, hit) in sorted(self._edges.items())]
         if live != self._rows.tolist() or not np.array_equal(
             self._rows[:, 0] * self.n + self._rows[:, 1], self._keys
-        ):
+        ) or self._size != sum(hit for _, _, _, hit in live):
             raise InvariantViolationError(
-                "incremental matching edge rows disagree with its edge map"
+                "incremental matching edge rows or size disagree with its edge map"
             )
 
     # -- state -----------------------------------------------------------
@@ -917,6 +1079,7 @@ class IncrementalMatching:
         """State as arrays: ``edges`` int64[m, 4] with rows ``(u, v,
         priority, matched)`` in canonical sorted order, plus the seed and
         counters.  The array is a fresh copy."""
+        self._fold()
         return {
             "problem": "matching",
             "n": self.n,

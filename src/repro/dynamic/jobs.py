@@ -9,9 +9,9 @@ parent), via the generic ``"call"`` job kind pointing at
 * A worker that holds the maintainer of committed version ``version``
   applies the batch and replies with the per-batch stats, the counters
   and the flipped items with their new values (``last_flips``).  The
-  parent follows with :func:`~repro.dynamic.incremental.apply_flips` on
-  its committed arrays, so neither the state nor a snapshot of it
-  crosses the pipe.
+  parent commits the batch and those flips onto the
+  :class:`~repro.dynamic.incremental.StateOverlay` over its committed
+  arrays, so neither the state nor a snapshot of it crosses the pipe.
 * A worker without that maintainer (respawned, or its cache evicted it)
   replies ``{"state_needed": True}``; the parent re-sends the job once
   with the committed state, and the worker rebuilds from it.

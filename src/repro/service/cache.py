@@ -48,12 +48,15 @@ __all__ = [
 
 
 def content_digest(*arrays: np.ndarray) -> str:
-    """sha1 over the sizes + bytes of *arrays* (order-sensitive)."""
+    """sha1 over the sizes + bytes of *arrays* (order-sensitive).
+
+    A contiguous array is hashed through its buffer, with no copy.
+    """
     h = hashlib.sha1()
     for arr in arrays:
         a = np.ascontiguousarray(arr)
         h.update(np.int64(a.size).tobytes())
-        h.update(a.tobytes())
+        h.update(a)
     return h.hexdigest()[:16]
 
 

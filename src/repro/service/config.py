@@ -196,6 +196,10 @@ class SolveRequest:
         options dict, and local-only knobs (``budget``/``tracer``/
         ``machine``) are rejected because they cannot cross the worker
         pipe — use ``timeout_seconds``/``budget_steps``/``trace_path``.
+        A solver problem's dict goes through
+        :meth:`~repro.core.options.SolveOptions.from_wire` once
+        ``method``/``guards`` are lifted, so an unknown or bad knob raises
+        :class:`~repro.errors.EngineError` here, before any worker runs.
     """
 
     problem: str
@@ -243,6 +247,8 @@ class SolveRequest:
             )
         if self.problem == "mm":
             self.problem = "matching"
+        if self.problem != "call" and self.options:
+            SolveOptions.from_wire(self.options)
         if self.timeout_seconds is not None and not self.timeout_seconds > 0:
             raise ValueError(
                 f"timeout_seconds must be positive, got {self.timeout_seconds}"

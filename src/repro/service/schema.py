@@ -35,7 +35,7 @@ numpy, and is what every transport sends.
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Dict, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -275,6 +275,10 @@ _GROUP = 10_000
 #: The cell that opens each element: a comma, then a sign for negatives.
 _COMMA, _COMMA_MINUS = np.frombuffer(b",\0\0\0,-\0\0", dtype=np.uint32)
 
+#: Elements written per pass of :func:`_int_array_parts`, so its
+#: temporaries are sized by a block, not by the array.
+_BLOCK = 8192
+
 
 def _digit_cells() -> np.ndarray:
     """ASCII of every 4-digit group as one uint32 cell, in three tables.
@@ -297,24 +301,27 @@ def _digit_cells() -> np.ndarray:
 _DIGITS = _digit_cells()
 
 
-def _dump_int_array(values: np.ndarray) -> bytes:
-    """``json.dumps(values.tolist(), separators=(",", ":"))``, with numpy.
+def _int_array_parts(values: np.ndarray) -> List[Any]:
+    """The pieces of ``json.dumps(values.tolist(), separators=(",", ":"))``,
+    written with numpy; ``b"".join`` of them is that text.
 
     Each element becomes one row of uint32 cells: a comma (and sign)
     cell, then its 4-digit groups from :data:`_DIGITS` with leading
     zeros as NUL bytes; one compaction pass drops the NULs.  The cells
     take 12 bytes per element below 10**8, where ``tolist`` allocates a
-    Python int per element.  Arrays whose values all lie in [0, 9], such
-    as every ``status`` array, skip the cells: one interleave of commas
-    and digits writes them.  Only 1-D integer arrays are accepted
-    (``TypeError`` otherwise; there is no ``tolist`` fallback).
+    Python int per element, and are written :data:`_BLOCK` elements at
+    a time, so beside the output only one block's cells are alive.
+    Arrays whose values all lie in [0, 9], such as every ``status``
+    array, skip the cells: one interleave of commas and digits writes
+    them.  Only 1-D integer arrays are accepted (``TypeError``
+    otherwise; there is no ``tolist`` fallback).
     """
     if values.dtype.kind not in "iu" or values.ndim != 1:
         raise TypeError(
             f"expected a 1-D integer array, got {values.ndim}-D {values.dtype}"
         )
     if values.size == 0:
-        return b"[]"
+        return [b"[]"]
     lo, hi = int(values.min()), int(values.max())
     if lo >= 0 and hi <= 9:
         # One digit per element (every status array): interleave commas
@@ -324,33 +331,44 @@ def _dump_int_array(values: np.ndarray) -> bytes:
         digits[:] = values
         digits += ord("0")
         out[0], out[-1] = ord("["), ord("]")
-        return out.tobytes()
+        return [out]
     top = max(hi, -lo)
-    mag = values.astype(np.uint32 if top < 2**32 else np.uint64)
+    wide = np.uint32 if top < 2**32 else np.uint64
     groups = 1
     while top >= _GROUP**groups:
         groups += 1
-    cells = np.empty((values.size, groups + 1), dtype=np.uint32)
-    cells[:, 0] = _COMMA
-    if lo < 0:
-        negative = values < 0
-        np.negative(mag, out=mag, where=negative)  # modular: exact for int64 min
-        cells[negative, 0] = _COMMA_MINUS
-    rest = mag
-    for r in range(groups):  # least significant group first
-        lead = _GROUP if r == 0 else 2 * _GROUP
-        if r + 1 < groups:
-            rest, group = np.divmod(rest, _GROUP)
-            index = group.astype(np.intp)
-            index += (mag < _GROUP ** (r + 1)) * lead
-        else:  # the top group always leads
-            index = rest.astype(np.intp)
-            index += lead
-        cells[:, groups - r] = _DIGITS[index]
-    flat = cells.view(np.uint8).ravel()
-    out = flat[flat != 0]
-    out[0] = ord("[")
-    return out.tobytes() + b"]"
+    parts: List[Any] = []
+    for start in range(0, values.size, _BLOCK):
+        block = values[start:start + _BLOCK]
+        mag = block.astype(wide)
+        cells = np.empty((block.size, groups + 1), dtype=np.uint32)
+        cells[:, 0] = _COMMA
+        if lo < 0:
+            negative = block < 0
+            np.negative(mag, out=mag, where=negative)  # modular: exact for int64 min
+            cells[negative, 0] = _COMMA_MINUS
+        rest = mag
+        for r in range(groups):  # least significant group first
+            lead = _GROUP if r == 0 else 2 * _GROUP
+            if r + 1 < groups:
+                rest, group = np.divmod(rest, _GROUP)
+                index = group.astype(np.intp)
+                index += (mag < _GROUP ** (r + 1)) * lead
+            else:  # the top group always leads
+                index = rest.astype(np.intp)
+                index += lead
+            cells[:, groups - r] = _DIGITS[index]
+        flat = cells.view(np.uint8).ravel()
+        parts.append(flat[flat != 0])
+    parts[0][0] = ord("[")
+    parts.append(b"]")
+    return parts
+
+
+def _dump_int_array(values: np.ndarray) -> bytes:
+    """``json.dumps(values.tolist(), separators=(",", ":"))``, with numpy
+    (see :func:`_int_array_parts`)."""
+    return b"".join(_int_array_parts(values))
 
 
 def _result_fields(
@@ -442,11 +460,15 @@ def dump_result(
     body = _result_fields(request, result)
     body.update(extra)
     raw = {k: v for k, v in (encoded or {}).items() if k not in extra}
-    return b"{" + b",".join(
-        _dump(key) + b":" + (
-            raw[key] if key in raw
-            else _dump_int_array(value) if isinstance(value, np.ndarray)
-            else _dump(value)
-        )
-        for key, value in sorted(body.items())
-    ) + b"}"
+    parts: List[Any] = []
+    for key, value in sorted(body.items()):
+        parts += (b",", _dump(key), b":")
+        if key in raw:
+            parts.append(raw[key])
+        elif isinstance(value, np.ndarray):
+            parts += _int_array_parts(value)
+        else:
+            parts.append(_dump(value))
+    parts[0] = b"{"
+    parts.append(b"}")
+    return b"".join(parts)

@@ -3,29 +3,35 @@
 A *session* is a long-lived incremental MIS/matching maintainer
 (:mod:`repro.dynamic.incremental`) served through the
 :class:`~repro.service.SolverService` worker pool.  The parent holds the
-**committed state** — the ``to_state()`` arrays of the last successful
-version.  Create is one ordinary solve and restore one array check, both
-in the parent; mutations run inside a worker via the generic ``"call"``
-job kind pointing at :mod:`repro.dynamic.jobs`.  That split is what
-makes sessions survive worker crashes:
+**committed state** of the last successful version as a
+:class:`~repro.dynamic.incremental.StateOverlay`: the ``to_state()``
+arrays of its last fold, plus the batches committed since.  Create is
+one ordinary solve and restore one array check, both in the parent;
+mutations run inside a worker via the generic ``"call"`` job kind
+pointing at :mod:`repro.dynamic.jobs`.  That split is what makes
+sessions survive worker crashes:
 
 1. A mutation ships the batch, not the state: ``(epoch, version,
    insertions, deletions, guards)``.  The worker that holds the
    maintainer of the committed version applies it and replies with the
    flipped items; a worker without it replies ``state_needed`` and the
    job is re-sent once with the committed state.
-2. The parent commits :func:`~repro.dynamic.incremental.apply_flips` of
-   its own arrays **only on success** and bumps the version.  Under
-   ``guards="full"`` the reply also carries the worker's ``to_state()``,
-   which must equal the parent's arrays.
+2. The parent commits the batch and its flips onto the overlay **only
+   on success**, in O(batch + flips): ``m`` and ``size`` follow as
+   counters, and no array is copied.  The overlay is folded into fresh
+   arrays only where arrays are read: :meth:`SessionManager.result`,
+   :meth:`SessionManager.snapshot`, a full snapshot write, a
+   ``state_needed`` re-send, and under ``guards="full"``, where the
+   reply also carries the worker's ``to_state()`` and the next arrays
+   must equal it.
 3. A worker killed mid-mutation (chaos, OOM, hang) is simply retried by
    the service's normal retry machinery with the *same* committed
    version; the maintainers are deterministic, so the replayed attempt
    reproduces the bit-identical result.  Half-applied state can never
    be observed because it never leaves the dead worker.
 
-Queries (:meth:`SessionManager.result`) build the answer from the
-committed arrays in-parent
+Queries (:meth:`SessionManager.result`) fold the overlay and build the
+answer from the committed arrays in-parent
 (:func:`~repro.dynamic.incremental.result_from_state`, no maintainer
 rebuild) and hand back fresh copies — they cannot corrupt anything and
 need no isolation.
@@ -38,9 +44,10 @@ fsync'd before the call returns.  A full snapshot (the arrays as raw
 bytes under a checksummed JSON header), which drops the log, is written
 at create, restore and close, and in place of the record that would make
 the log longer than :data:`DEDUP_WINDOW`; so a restore replays at most
-that many batches, through the same worker path, and checks each against
-its logged outcome.  Replay is exact because greedy MIS/MM is a pure
-function of (graph, π), and so are the maintainers.
+that many batches, through the same worker path and onto the same
+overlay, folded once at the end, and checks each against its logged
+outcome.  Replay is exact because greedy MIS/MM is a pure function of
+(graph, π), and so are the maintainers.
 :meth:`SessionManager.snapshot` returns the portable JSON-safe form
 (arrays as lists); :meth:`SessionManager.restore` takes either form.
 
@@ -77,8 +84,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.options import SolveOptions, resolve_options
-from repro.core.status import IN_SET
 from repro.dynamic.incremental import (
+    StateOverlay,
     apply_flips,
     check_state,
     initial_state,
@@ -113,13 +120,6 @@ DEDUP_WINDOW = 128
 #: duplicate check and the later commit silently overwrites the earlier
 #: session.
 _RESERVED = object()
-
-
-def _state_size(state: Dict[str, Any]) -> int:
-    """The answer's size: MIS members, or matched MM edges."""
-    if state["problem"] == "mis":
-        return int(np.count_nonzero(state["status"] == IN_SET))
-    return int(np.count_nonzero(state["edges"][:, 3]))
 
 
 def _same_state(a: Dict[str, Any], b: Dict[str, Any]) -> bool:
@@ -184,11 +184,11 @@ class _SessionRecord:
 
     session_id: str
     problem: str
-    state: Dict[str, Any]
+    #: The committed version: base arrays plus the batches since the
+    #: last fold.
+    overlay: StateOverlay
     version: int
     n: int
-    m: int
-    size: int
     guards: Optional[str]
     dynamic: Dict[str, Any]
     #: Opaque timeline token, minted fresh on every create/restore (and
@@ -208,10 +208,15 @@ class _SessionRecord:
     logged: int = 0
     lock: threading.Lock = field(default_factory=threading.Lock)
 
+    @property
+    def state(self) -> Dict[str, Any]:
+        """The committed state's arrays, the overlay folded in."""
+        return self.overlay.fold()
+
     def info(self) -> SessionInfo:
         return SessionInfo(
             self.session_id, self.problem, self.version,
-            self.n, self.m, self.size, dict(self.dynamic),
+            self.n, self.overlay.m, self.overlay.size, dict(self.dynamic),
         )
 
 
@@ -273,30 +278,38 @@ class SessionManager:
         self,
         epoch: str,
         version: int,
-        state: Dict[str, Any],
+        overlay: StateOverlay,
         ins: Sequence[Tuple[int, int]],
         dels: Sequence[Tuple[int, int]],
         guards: Optional[str],
         timeout_s: Optional[float],
-    ) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-        """One batch through a worker: the next state and the batch's stats.
+    ) -> Tuple[StateOverlay, Dict[str, Any]]:
+        """One batch through a worker: the next committed state and the
+        batch's stats.
 
-        Ships the batch alone, and the committed *state* only when the
-        worker answers ``state_needed``.
+        Ships the batch alone, and the committed state (folded) only when
+        the worker answers ``state_needed``.  The batch and its flips are
+        committed onto *overlay*, O(batch + flips); under
+        ``guards="full"`` the next arrays are built, compared with the
+        worker's and returned in a new overlay instead.  On any failure
+        *overlay* is left as it was.
         """
         kwargs = {"epoch": epoch, "version": version, "insertions": ins,
                   "deletions": dels, "guards": guards}
         reply = self._call("apply_session_batch", kwargs, timeout_s)
         if reply.get("state_needed"):
-            reply = self._call("apply_session_batch", dict(kwargs, state=state), timeout_s)
-        new = apply_flips(state, ins, dels, reply["flips"])
+            reply = self._call("apply_session_batch", dict(kwargs, state=overlay.fold()), timeout_s)
+        if "state" not in reply:
+            overlay.commit(ins, dels, reply["flips"], reply["counters"])
+            return overlay, reply["dynamic"]
+        new = apply_flips(overlay.fold(), ins, dels, reply["flips"])
         new["counters"] = reply["counters"]
-        if "state" in reply and not _same_state(new, reply["state"]):
+        if not _same_state(new, reply["state"]):
             raise InvariantViolationError(
-                f"version {version + 1} of a {state['problem']} session: the "
+                f"version {version + 1} of a {new['problem']} session: the "
                 "committed arrays differ from the worker maintainer's state"
             )
-        return new, reply["dynamic"]
+        return StateOverlay(new), reply["dynamic"]
 
     def _persist(self, record: _SessionRecord) -> None:
         """Write a full snapshot of the committed version; the store drops
@@ -362,20 +375,19 @@ class SessionManager:
     def _commit(
         self,
         session_id: str,
-        state: Dict[str, Any],
+        overlay: StateOverlay,
         version: int,
         guards: Optional[str],
         applied: Optional["OrderedDict[str, Dict[str, Any]]"] = None,
         epoch: Optional[str] = None,
     ) -> _SessionRecord:
+        state = overlay.fold()
         record = _SessionRecord(
             session_id=session_id,
             problem=state["problem"],
-            state=state,
+            overlay=overlay,
             version=version,
             n=state["n"],
-            m=len(state["edges"]),
-            size=_state_size(state),
             guards=guards,
             dynamic=copy.deepcopy(state["counters"]),
             # A commit here is always a timeline boundary (create or
@@ -387,9 +399,12 @@ class SessionManager:
             # a snapshot, never a record behind another timeline's log.
             logged=DEDUP_WINDOW,
         )
-        with self._lock:
-            self._sessions[session_id] = record
-        self._persist(record)
+        # A mutate that finds the record waits for its first snapshot: the
+        # fold and the write never race a commit onto the overlay.
+        with record.lock:
+            with self._lock:
+                self._sessions[session_id] = record
+            self._persist(record)
         return record
 
     def _reserve(self, session_id: str, *, verb: str) -> None:
@@ -460,7 +475,7 @@ class SessionManager:
         except BaseException:
             self._release(session_id)
             raise
-        return self._commit(session_id, state, 0, guards).info()
+        return self._commit(session_id, StateOverlay(state), 0, guards).info()
 
     def mutate(
         self,
@@ -532,8 +547,8 @@ class SessionManager:
                     f"current state before deciding to retry"
                 )
             try:
-                state, dynamic = self._advance(
-                    record.epoch, record.version, record.state, ins, dels,
+                overlay, dynamic = self._advance(
+                    record.epoch, record.version, record.overlay, ins, dels,
                     record.guards, timeout_s,
                 )
             except InvalidGraphError:
@@ -543,12 +558,10 @@ class SessionManager:
                 # commits; no later mutation may find it.
                 record.epoch = uuid.uuid4().hex
                 raise
-            record.state = state
+            record.overlay = overlay
             record.version += 1
-            record.m = len(state["edges"])
-            record.size = _state_size(state)
             record.dynamic = dynamic
-            outcome = dict(dynamic, version=record.version, size=record.size, m=record.m)
+            outcome = dict(dynamic, version=record.version, size=overlay.size, m=overlay.m)
             if mutation_id is not None:
                 # Record the outcome *before* persisting so the log record
                 # that makes this version durable also makes it
@@ -657,20 +670,19 @@ class SessionManager:
         if not sid:
             raise UnknownSessionError("snapshot names no session_id")
         guards = snapshot.get("guards")
-        state = check_state(snapshot["state"])
+        overlay = StateOverlay(check_state(snapshot["state"]))
         version = int(snapshot.get("version", 0))
         applied = self._applied_window(snapshot.get("applied"))
         epoch = uuid.uuid4().hex
         self._reserve(sid, verb="restore")
         try:
             for entry in log:
-                state, dynamic = self._advance(
-                    epoch, version, state, entry["insertions"], entry["deletions"],
+                overlay, dynamic = self._advance(
+                    epoch, version, overlay, entry["insertions"], entry["deletions"],
                     guards, timeout_s,
                 )
                 version += 1
-                outcome = dict(dynamic, version=version, size=_state_size(state),
-                               m=len(state["edges"]))
+                outcome = dict(dynamic, version=version, size=overlay.size, m=overlay.m)
                 if outcome != entry["outcome"]:
                     raise InvariantViolationError(
                         f"replaying version {version} of session {sid!r} gave "
@@ -679,6 +691,7 @@ class SessionManager:
                 if entry.get("mutation_id") is not None:
                     _remember(applied, entry["mutation_id"], outcome)
             if guards == "full":
+                state = overlay.fold()
                 kept = result_from_state(state)
                 u, v = state["edges"][:, 0], state["edges"][:, 1]
                 mis = state["problem"] == "mis"
@@ -692,7 +705,7 @@ class SessionManager:
         except BaseException:
             self._release(sid)
             raise
-        return self._commit(sid, state, version, guards, applied=applied, epoch=epoch).info()
+        return self._commit(sid, overlay, version, guards, applied=applied, epoch=epoch).info()
 
     def close(self, session_id: str, *, delete_snapshot: bool = False) -> SessionInfo:
         """Drop a session; optionally also its persisted snapshot and log.

@@ -178,7 +178,7 @@ class TestParallelEngineThroughService:
         req = SolveRequest(
             problem="mis", payload=graph, ranks=ranks,
             method="prefix",
-            options={"prefix_size": 8, "prefix_frac": 0.5, "seed": 3},
+            options={"prefix_size": 8, "seed": 3},
         )
         ticket = _Ticket(1, req, time.monotonic())
         primary = svc._build_job(ticket, "prefix", time.monotonic())
