@@ -25,7 +25,6 @@ loudly instead of silently dropping behaviour.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, Optional, Tuple
 
@@ -101,11 +100,13 @@ class SolveOptions:
     tracer, machine:
         Live observability objects; local-only like ``budget``.
     prefix_size, prefix_frac:
-        Prefix-schedule knobs (engines with ``supports_prefix_knobs``):
-        an integer ``>= 1`` or a fraction in ``(0, 1]``, at most one of
-        them.  A bad value raises :class:`~repro.errors.EngineError` here,
-        where the options enter, so no front door, fallback chain or
-        service retry mistakes it for an engine failure.
+        Prefix-schedule knobs (engines with ``supports_prefix_knobs``),
+        checked by the engines' rule
+        (:func:`~repro.core.mis.prefix.resolve_prefix_size`): an integer
+        ``>= 1`` or a fraction in ``(0, 1]``, at most one of them.  A bad
+        value raises :class:`~repro.errors.EngineError` here, where the
+        options enter, so no front door, fallback chain or service retry
+        mistakes it for an engine failure.
     """
 
     method: str = "prefix"
@@ -125,17 +126,12 @@ class SolveOptions:
             raise EngineError(f"fallback must be a bool, got {self.fallback!r}")
         if self.guards is not None and not isinstance(self.guards, str):
             raise EngineError(f"guards must be a string mode, got {self.guards!r}")
-        size, frac = self.prefix_size, self.prefix_frac
-        if size is not None and (
-            isinstance(size, bool) or not isinstance(size, numbers.Integral) or size < 1
-        ):
-            raise EngineError(f"prefix_size must be an integer >= 1, got {size!r}")
-        if frac is not None and (
-            isinstance(frac, bool) or not isinstance(frac, numbers.Real) or not 0 < frac <= 1
-        ):
-            raise EngineError(f"prefix_frac must lie in (0, 1], got {frac!r}")
-        if size is not None and frac is not None:
-            raise EngineError("pass either prefix_size or prefix_frac, not both")
+        from repro.core.mis.prefix import resolve_prefix_size
+
+        try:  # the engines' own rule, raised here as a caller's error
+            resolve_prefix_size(1, self.prefix_size, self.prefix_frac)
+        except (TypeError, ValueError) as exc:
+            raise EngineError(str(exc)) from None
 
     # -- derived views ---------------------------------------------------
 

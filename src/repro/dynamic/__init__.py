@@ -11,15 +11,17 @@ toward higher ranks.  This package exploits that three ways:
   bit-identical to from-scratch sequential greedy on the mutated graph,
   whose state travels as numpy arrays
   (:func:`~repro.dynamic.incremental.result_from_state` answers from it
-  without a maintainer).  A batch costs O(batch + affected): it records
-  the edges it touched, and the sorted edge arrays are folded only when
-  read or when the touched set passes a fixed share of m.
+  without a maintainer).  A batch costs O(batch + affected): it is
+  committed with its flips onto a
+  :class:`~repro.dynamic.incremental.StateOverlay` over the sorted edge
+  arrays, which is folded only when they are read or when it would pass
+  a fixed share of m.
 * :mod:`repro.dynamic.streaming` — batched edge-arrival ingestion over
   either maintainer.
 * :mod:`repro.dynamic.jobs` + :mod:`repro.dynamic.store` — the worker
   entry point that applies a batch to a cached maintainer and replies
-  with its flips (a :class:`~repro.dynamic.incremental.StateOverlay`
-  follows them over the committed arrays), and the atomic, checksummed
+  with its flips (the parent's own overlay follows them over the
+  committed arrays), and the atomic, checksummed
   snapshot store (arrays as raw bytes) with its per-session mutation
   log, which let :class:`repro.service.SolverService` serve maintainers
   as long-lived crash-safe sessions.

@@ -23,21 +23,21 @@ State as arrays.  The peel walks adjacency sets (MM: an edge map), but
 each maintainer also keeps its edges as a sorted array of canonical keys
 ``u*n + v`` (``u < v``) with aligned state rows — ``(u, v)`` for MIS,
 ``(u, v, priority, matched)`` for MM.  A batch does not touch those
-arrays: it records the edges it inserted, deleted or (MM) flipped, and
-``m`` and ``size`` are counters.  The touched edges are folded into the
-arrays in one slice-and-concatenate pass (:func:`_splice`) when
-something reads them (:meth:`~IncrementalMIS.to_state`, ``graph``,
-``edge_list``, ``verify``, ``result``) or when the touched set passes
-:data:`_FOLD_SHARE` of m, so a batch costs O(batch + affected) and the
-fold's O(m) copy is paid once per Θ(m) touched edges.  So
-:meth:`~IncrementalMIS.to_state` is a fold and a few array copies, with
-no Python loop over edges, and :func:`result_from_state` builds the
-answer from a state's arrays without rebuilding a maintainer.  A batch
-also records the items whose answer it flipped (``last_flips``); a
-:class:`StateOverlay` takes a state plus each batch and its flips in
-O(batch + flips) and folds into the next state's arrays on demand, so a
-holder of the arrays can follow a maintainer that lives elsewhere, and
-:func:`apply_flips` is that step as a pure function.  :func:`check_state`
+arrays.  It records the items whose answer it flipped (``last_flips``)
+and commits itself with them onto a :class:`StateOverlay` over the
+arrays, in O(batch + flips); ``m`` and ``size`` are the overlay's
+counters.  The overlay is folded into the arrays in one
+slice-and-concatenate pass (:func:`_splice`) when something reads them
+(:meth:`~IncrementalMIS.to_state`, ``graph``, ``edge_list``, ``verify``,
+``result``) or when it would pass :data:`_FOLD_SHARE` of m, so a batch
+costs O(batch + affected) and the fold's O(m) copy is paid once per
+Θ(m) touched items.  So :meth:`~IncrementalMIS.to_state` is a fold and
+a few array copies, with no Python loop over edges, and
+:func:`result_from_state` builds the answer from a state's arrays
+without rebuilding a maintainer.  The same overlay, fed the batch and
+its flips, lets a holder of the arrays follow a maintainer that lives
+elsewhere (a session's parent), and :func:`apply_flips` is that step as
+a pure function.  :func:`check_state`
 validates a state or its ``tolist()`` form (format-1 snapshot files,
 portable JSON snapshots) for ``from_state`` and a session restore.
 Version 0 is sequential greedy on (graph, π), which every engine returns,
@@ -180,9 +180,10 @@ def _state_edges(rows: np.ndarray, n: int) -> None:
         raise InvalidGraphError("state edges must be sorted and distinct")
 
 
-#: The share of m that the edges touched since the last fold may reach
-#: before a batch folds them into the sorted arrays.  Any constant share
-#: keeps a fold's O(m) copy at O(batch) per batch amortized.  Measured
+#: The share of m that a :class:`StateOverlay` (edges touched and MIS
+#: statuses flipped since the last fold) may reach before a commit folds
+#: it into the sorted arrays.  Any constant share keeps a fold's O(m)
+#: copy at O(batch) per batch amortized.  Measured
 #: (docs/performance.md, "Folding the edge arrays"): the mean batch time
 #: is flat from 1/8 down to 1/256 and rises at 1/1024, while the single
 #: fold that pays for the touched set shrinks with the share (a touched
@@ -240,11 +241,15 @@ class StateOverlay:
     :attr:`m` and :attr:`size` follow as counters; a deleted MM edge that
     was matched lowers ``size``.  :meth:`fold` writes the overlay into
     fresh arrays in one :func:`_splice` pass and returns the state, as
-    :meth:`IncrementalMIS.to_state` lays it out.  The base arrays are
-    never written, so a state that :meth:`fold` handed out stays as it
-    was.  A commit folds by itself once the overlay passes
-    :data:`_FOLD_SHARE` of m.  Batches and flips are trusted to be ones
-    a maintainer holding this state accepted and reported.
+    :meth:`IncrementalMIS.to_state` lays it out; :meth:`result` folds
+    only for MM, since an MIS answer reads no edge row.  The base arrays
+    are never written, so a state that :meth:`fold` handed out stays as
+    it was.  A commit folds first when the overlay and its batch would
+    pass :data:`_FOLD_SHARE` of m.  Both steps build what they write
+    before they write it, so one that raises leaves the overlay as it
+    was.  Batches and flips are trusted to be ones a maintainer holding
+    this state accepted and reported.  Each maintainer keeps one over its
+    own arrays; a session's parent keeps one per committed version.
     """
 
     def __init__(self, state: Dict[str, object]) -> None:
@@ -265,11 +270,11 @@ class StateOverlay:
         ))
 
     def _row(self, key: int) -> List[int]:
-        """The current row of live edge *key*, moved into the overlay."""
+        """The current row of live edge *key* (the overlay's own list, if
+        it holds one: copy it before a write)."""
         row = self._edges.get(key)
         if row is None:
-            at = int(np.searchsorted(self._keys, key))
-            row = self._edges[key] = self._state["edges"][at].tolist()
+            row = self._state["edges"][int(self._keys.searchsorted(key))].tolist()
         return row
 
     def commit(
@@ -284,35 +289,50 @@ class StateOverlay:
         mis = self._state["problem"] == "mis"
         ins = [_canon_pair(u, v, n, "insert") for u, v in insertions]
         dels = [_canon_pair(u, v, n, "delete") for u, v in deletions]
+        m = self.m + len(ins) - len(dels)
+        if len(self._edges) + len(self._status) + len(ins) + len(dels) + len(flips) > _FOLD_SHARE * m:
+            self.fold()
+        # The batch's rows, statuses and size, written below in one step.
+        edges: Dict[int, Optional[List[int]]] = {}
+        status: Dict[int, int] = {}
+        size = self.size
         for a, b in dels:
             key = a * n + b
             if not mis:
-                self.size -= self._row(key)[3]
-            self._edges[key] = None
+                size -= self._row(key)[3]
+            edges[key] = None
         if mis:
             for a, b in ins:
-                self._edges[a * n + b] = [a, b]
-        else:
-            pairs = np.asarray(ins, dtype=np.int64).reshape(-1, 2)
-            prios = edge_priorities(self._state["seed"], pairs[:, 0], pairs[:, 1]).tolist()
-            for (a, b), prio in zip(ins, prios):
-                self._edges[a * n + b] = [a, b, prio, 0]
-        self.m += len(ins) - len(dels)
-        if mis:
+                edges[a * n + b] = [a, b]
             base = self._state["status"]
             for v, new in flips:
                 old = self._status.get(v, int(base[v]))
-                self._status[v] = new
-                self.size += (new == IN_SET) - (old == IN_SET)
+                status[v] = new
+                size += (new == IN_SET) - (old == IN_SET)
         else:
+            seed = self._state["seed"]
+            for a, b in ins:  # the scalar mix: a few inserts cost less than numpy's calls
+                edges[a * n + b] = [a, b, edge_priority(seed, a, b), 0]
             for a, b, hit in flips:
-                row = self._row(a * n + b)
-                self.size += hit - row[3]
+                key = a * n + b
+                row = edges.get(key)
+                if row is None:
+                    row = edges[key] = list(self._row(key))
+                size += hit - row[3]
                 row[3] = hit
+        self._edges.update(edges)
+        self._status.update(status)
+        self.m, self.size = m, size
         if counters is not None:
             self._counters = counters
-        if len(self._edges) + len(self._status) > _FOLD_SHARE * self.m:
-            self.fold()
+
+    def _status_array(self) -> np.ndarray:
+        """A fresh MIS status array with the overlay's flips written in."""
+        status = self._state["status"].copy()
+        if self._status:
+            status[np.fromiter(self._status, dtype=np.int64, count=len(self._status))] = list(
+                self._status.values())
+        return status
 
     def fold(self) -> Dict[str, object]:
         """The committed state with the overlay written into fresh arrays.
@@ -324,19 +344,28 @@ class StateOverlay:
         if not (self._edges or self._status or self._counters is not self._state["counters"]):
             return self._state
         state = dict(self._state, counters=self._counters)
+        keys = self._keys
         if self._edges:
             drop = np.fromiter(sorted(self._edges), dtype=np.int64, count=len(self._edges))
             live = [self._edges[key] for key in drop.tolist() if self._edges[key] is not None]
             rows = state["edges"]
             new_rows = np.array(live, dtype=np.int64).reshape(-1, rows.shape[1])
-            self._keys, state["edges"] = _splice(
-                self._keys, rows, drop, new_rows[:, 0] * self._n + new_rows[:, 1], new_rows)
+            keys, state["edges"] = _splice(
+                keys, rows, drop, new_rows[:, 0] * self._n + new_rows[:, 1], new_rows)
         if self._status:
-            status = state["status"] = state["status"].copy()
-            status[np.fromiter(self._status, dtype=np.int64, count=len(self._status))] = list(
-                self._status.values())
-        self._state, self._edges, self._status = state, {}, {}
+            state["status"] = self._status_array()
+        self._state, self._keys, self._edges, self._status = state, keys, {}, {}
         return state
+
+    def result(self) -> Union[MISResult, MatchingResult]:
+        """The answer :func:`result_from_state` builds from :meth:`fold`.
+
+        An MIS answer reads the status, the ranks and m, not the edge
+        rows, so it folds nothing: O(n), not O(m).
+        """
+        if self._state["problem"] != "mis":
+            return result_from_state(self.fold())
+        return _mis_result(self._status_array(), self._state, self.m, self._counters)
 
 
 def apply_flips(
@@ -438,6 +467,19 @@ class _DynamicCounters:
         )
 
 
+def _mis_result(
+    status: np.ndarray, state: Dict[str, object], m: int, counters: Dict[str, object]
+) -> MISResult:
+    """An MIS answer: *status* (a fresh array), *state*'s ranks copied."""
+    dyn = _DynamicCounters()
+    dyn.load(dict(counters))
+    return MISResult(
+        status=status,
+        ranks=np.array(state["ranks"], dtype=np.int64),
+        stats=dyn.run_stats("mis/incremental", int(state["n"]), m),
+    )
+
+
 def result_from_state(state: Dict[str, object]) -> Union[MISResult, MatchingResult]:
     """The answer a :meth:`~IncrementalMIS.to_state` state encodes.
 
@@ -455,15 +497,12 @@ def result_from_state(state: Dict[str, object]) -> Union[MISResult, MatchingResu
     validates.
     """
     problem = state.get("problem")
+    if problem == "mis":
+        return _mis_result(np.array(state["status"], dtype=np.int8), state,
+                           len(state["edges"]), state.get("counters", {}))
     counters = _DynamicCounters()
     counters.load(dict(state.get("counters", {})))
     n = int(state["n"])
-    if problem == "mis":
-        return MISResult(
-            status=np.array(state["status"], dtype=np.int8),
-            ranks=np.array(state["ranks"], dtype=np.int64),
-            stats=counters.run_stats("mis/incremental", n, len(state["edges"])),
-        )
     if problem == "matching":
         rows = np.asarray(state["edges"], dtype=np.int64).reshape(-1, 4)
         m = rows.shape[0]
@@ -622,15 +661,14 @@ class IncrementalMIS:
     def _adopt(self, state: Dict[str, object]) -> None:
         """Take over the arrays of a checked or freshly built *state*."""
         n = self.n = state["n"]
-        rows = self._rows = state["edges"]
+        rows = state["edges"]
         self.ranks = state["ranks"]
         self._rank = self.ranks.tolist()
-        self._keys = rows[:, 0] * n + rows[:, 1]
-        #: Edges inserted or deleted since ``_keys``/``_rows`` were folded.
-        self._touched: Set[EdgePair] = set()
-        self._m = len(rows)
+        #: The live status the peel writes.
         self.status = state["status"]
-        self._size = int(np.count_nonzero(self.status == IN_SET))
+        #: The edge rows and status of the last fold plus the batches
+        #: since; its base status is a copy, which the peel never writes.
+        self._overlay = StateOverlay(dict(state, status=self.status.copy()))
         self._adj: List[Set[int]] = [set() for _ in range(n)]
         for a, b in zip(rows[:, 0].tolist(), rows[:, 1].tolist()):
             self._adj[a].add(b)
@@ -676,15 +714,10 @@ class IncrementalMIS:
             self._adj[a].discard(b)
             self._adj[b].discard(a)
             seeds.add(a if rank[a] > rank[b] else b)
-        self._touched.update(ins)
-        self._touched.update(dels)
-        self._m += len(ins) - len(dels)
         self._graph_cache = None
         affected, changed, scanned = self._peel(seeds)
         self.last_flips = [(v, int(self.status[v])) for v in changed]
-        self._size += sum(1 if s == IN_SET else -1 for _, s in self.last_flips)
-        if len(self._touched) > _FOLD_SHARE * self._m:
-            self._fold()
+        self._overlay.commit(ins, dels, self.last_flips)
         return self.counters.record(
             inserted=len(ins),
             deleted=len(dels),
@@ -731,30 +764,17 @@ class IncrementalMIS:
                     heapq.heappush(heap, (rank[w], w))
         return affected, changed, scanned
 
-    def _fold(self) -> None:
-        """Splice the touched edges into ``_keys``/``_rows``, as the
-        adjacency now holds them."""
-        if not self._touched:
-            return
-        n, adj = self.n, self._adj
-        pairs = sorted(self._touched)
-        drop = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-        new = np.array([(a, b) for a, b in pairs if b in adj[a]], dtype=np.int64).reshape(-1, 2)
-        self._keys, self._rows = _splice(
-            self._keys, self._rows, drop[:, 0] * n + drop[:, 1], new[:, 0] * n + new[:, 1], new)
-        self._touched.clear()
-
     # -- queries ---------------------------------------------------------
 
     @property
     def m(self) -> int:
         """Current edge count."""
-        return self._m
+        return self._overlay.m
 
     @property
     def size(self) -> int:
         """Current independent-set size."""
-        return self._size
+        return self._overlay.size
 
     def members(self) -> List[int]:
         """Current independent-set vertex ids (sorted)."""
@@ -763,8 +783,8 @@ class IncrementalMIS:
     def graph(self) -> CSRGraph:
         """The current mutated graph as a CSR (cached between mutations)."""
         if self._graph_cache is None:
-            self._fold()
-            self._graph_cache = from_edges(self.n, self._rows[:, 0], self._rows[:, 1])
+            rows = self._overlay.fold()["edges"]
+            self._graph_cache = from_edges(self.n, rows[:, 0], rows[:, 1])
         return self._graph_cache
 
     def result(self) -> MISResult:
@@ -780,11 +800,12 @@ class IncrementalMIS:
 
         Raises :class:`~repro.errors.InvariantViolationError` if any
         vertex's status disagrees with the greedy rule — the full-guard
-        invariant for sessions — or if the edge arrays that
-        :meth:`to_state` ships (folded first) or the ``m``/``size``
-        counters disagree with the adjacency the peel walks.
+        invariant for sessions — or if the arrays that :meth:`to_state`
+        ships (the overlay folded first) or the ``m``/``size`` counters
+        disagree with the adjacency and status the peel walks.
         """
-        self._fold()
+        state = self._overlay.fold()
+        rows = state["edges"]
         rank = self._rank
         for v in range(self.n):
             expected = IN_SET
@@ -798,9 +819,10 @@ class IncrementalMIS:
                 )
         n = self.n
         live = sorted(a * n + b for a in range(n) for b in self._adj[a] if a < b)
-        if live != self._keys.tolist() or not np.array_equal(
-            self._rows[:, 0] * n + self._rows[:, 1], self._keys
-        ) or (self._m, self._size) != (len(live), np.count_nonzero(self.status == IN_SET)):
+        keys = rows[:, 0] * n + rows[:, 1]
+        if live != keys.tolist() or not np.array_equal(keys, self._overlay._keys) or not (
+            np.array_equal(state["status"], self.status)
+        ) or (self.m, self.size) != (len(live), np.count_nonzero(self.status == IN_SET)):
             raise InvariantViolationError(
                 "incremental MIS edge arrays or counters disagree with its adjacency"
             )
@@ -811,12 +833,11 @@ class IncrementalMIS:
         """State as arrays: ``ranks`` int64[n], ``status`` int8[n], and
         ``edges`` int64[m, 2] of canonical ``u < v`` rows in sorted order,
         plus the counters.  Every array is a fresh copy."""
-        self._fold()
         return {
             "problem": "mis",
             "n": self.n,
             "ranks": self.ranks.copy(),
-            "edges": self._rows.copy(),
+            "edges": self._overlay.fold()["edges"].copy(),
             "status": self.status.copy(),
             "counters": self.counters.aux(),
         }
@@ -868,12 +889,9 @@ class IncrementalMatching:
         """Take over the rows of a checked or freshly built *state*."""
         n = self.n = state["n"]
         self.seed = state["seed"]
-        rows = self._rows = state["edges"]
-        self._keys = rows[:, 0] * n + rows[:, 1]
-        #: Edges inserted, deleted or flipped since ``_keys``/``_rows``
-        #: were folded.
-        self._touched: Set[EdgePair] = set()
-        self._size = int(np.count_nonzero(rows[:, 3]))
+        rows = state["edges"]
+        #: The edge rows of the last fold plus the batches since.
+        self._overlay = StateOverlay(state)
         self._edges: Dict[EdgePair, List] = {}  # key -> [priority, matched]
         self._incident: List[Set[EdgePair]] = [set() for _ in range(n)]
         for a, b, prio, hit in rows.tolist():
@@ -920,7 +938,6 @@ class IncrementalMatching:
             self._incident[b].discard(key)
             del self._edges[key]
             if matched:
-                self._size -= 1
                 # Only later-ordered adjacent edges can change: earlier
                 # ones never depended on this edge.
                 for nbr in self._incident[a] | self._incident[b]:
@@ -939,12 +956,7 @@ class IncrementalMatching:
             dirty.add(key)
         affected, flipped, scanned, changed = self._peel(dirty)
         self.last_flips = [(a, b, int(self._edges[(a, b)][1])) for a, b in changed]
-        self._size += sum(1 if hit else -1 for _, _, hit in self.last_flips)
-        self._touched.update(ins)
-        self._touched.update(dels)
-        self._touched.update(changed)
-        if len(self._touched) > _FOLD_SHARE * len(self._edges):
-            self._fold()
+        self._overlay.commit(ins, dels, self.last_flips)
         return self.counters.record(
             inserted=len(ins),
             deleted=len(dels),
@@ -996,42 +1008,27 @@ class IncrementalMatching:
                     heapq.heappush(heap, ((edges[nbr][0], nbr[0], nbr[1]), nbr))
         return affected, len(changed), scanned, changed
 
-    def _fold(self) -> None:
-        """Splice the touched edges into ``_keys``/``_rows``, as the edge
-        map now holds them."""
-        if not self._touched:
-            return
-        n, edges = self.n, self._edges
-        pairs = sorted(self._touched)
-        drop = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-        new = np.array(
-            [(a, b, *edges[(a, b)]) for a, b in pairs if (a, b) in edges], dtype=np.int64
-        ).reshape(-1, 4)
-        self._keys, self._rows = _splice(
-            self._keys, self._rows, drop[:, 0] * n + drop[:, 1], new[:, 0] * n + new[:, 1], new)
-        self._touched.clear()
-
     # -- queries ---------------------------------------------------------
 
     @property
     def m(self) -> int:
         """Current edge count."""
-        return len(self._edges)
+        return self._overlay.m
 
     @property
     def size(self) -> int:
         """Current matching size."""
-        return self._size
+        return self._overlay.size
 
     def edge_list(self) -> EdgeList:
         """Current edges in canonical ``(u, v)``-sorted order."""
-        self._fold()
-        return EdgeList(self.n, self._rows[:, 0].copy(), self._rows[:, 1].copy())
+        rows = self._overlay.fold()["edges"]
+        return EdgeList(self.n, rows[:, 0].copy(), rows[:, 1].copy())
 
     def graph(self) -> CSRGraph:
         """The current mutated graph as a CSR."""
-        self._fold()
-        return from_edges(self.n, self._rows[:, 0], self._rows[:, 1])
+        rows = self._overlay.fold()["edges"]
+        return from_edges(self.n, rows[:, 0], rows[:, 1])
 
     def current_ranks(self) -> np.ndarray:
         """Dense edge-rank permutation over :meth:`edge_list` order.
@@ -1048,9 +1045,9 @@ class IncrementalMatching:
 
     def verify(self) -> None:
         """Re-check the greedy matching fixpoint on every edge, and that the
-        state rows (folded first) and the ``size`` counter agree with the
-        edge map the peel walks."""
-        self._fold()
+        state rows (the overlay folded first) and the ``m``/``size``
+        counters agree with the edge map the peel walks."""
+        rows = self._overlay.fold()["edges"]
         for key, rec in self._edges.items():
             order = (rec[0], key[0], key[1])
             blocked = False
@@ -1066,9 +1063,9 @@ class IncrementalMatching:
                     f"incremental matching fixpoint violated at edge {key}"
                 )
         live = [[a, b, p, int(hit)] for (a, b), (p, hit) in sorted(self._edges.items())]
-        if live != self._rows.tolist() or not np.array_equal(
-            self._rows[:, 0] * self.n + self._rows[:, 1], self._keys
-        ) or self._size != sum(hit for _, _, _, hit in live):
+        if live != rows.tolist() or not np.array_equal(
+            rows[:, 0] * self.n + rows[:, 1], self._overlay._keys
+        ) or (self.m, self.size) != (len(live), sum(hit for _, _, _, hit in live)):
             raise InvariantViolationError(
                 "incremental matching edge rows or size disagree with its edge map"
             )
@@ -1079,12 +1076,11 @@ class IncrementalMatching:
         """State as arrays: ``edges`` int64[m, 4] with rows ``(u, v,
         priority, matched)`` in canonical sorted order, plus the seed and
         counters.  The array is a fresh copy."""
-        self._fold()
         return {
             "problem": "matching",
             "n": self.n,
             "seed": self.seed,
-            "edges": self._rows.copy(),
+            "edges": self._overlay.fold()["edges"].copy(),
             "counters": self.counters.aux(),
         }
 

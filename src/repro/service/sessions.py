@@ -18,8 +18,9 @@ sessions survive worker crashes:
    job is re-sent once with the committed state.
 2. The parent commits the batch and its flips onto the overlay **only
    on success**, in O(batch + flips): ``m`` and ``size`` follow as
-   counters, and no array is copied.  The overlay is folded into fresh
-   arrays only where arrays are read: :meth:`SessionManager.result`,
+   counters, and no array is copied.  A commit that raises leaves the
+   overlay as it was.  The overlay is folded into fresh arrays only
+   where edge arrays are read: an MM :meth:`SessionManager.result`,
    :meth:`SessionManager.snapshot`, a full snapshot write, a
    ``state_needed`` re-send, and under ``guards="full"``, where the
    reply also carries the worker's ``to_state()`` and the next arrays
@@ -30,11 +31,11 @@ sessions survive worker crashes:
    reproduces the bit-identical result.  Half-applied state can never
    be observed because it never leaves the dead worker.
 
-Queries (:meth:`SessionManager.result`) fold the overlay and build the
-answer from the committed arrays in-parent
-(:func:`~repro.dynamic.incremental.result_from_state`, no maintainer
-rebuild) and hand back fresh copies — they cannot corrupt anything and
-need no isolation.
+Queries (:meth:`SessionManager.result`) build the answer from the
+committed arrays in-parent
+(:meth:`~repro.dynamic.incremental.StateOverlay.result`, no maintainer
+rebuild; an MIS answer reads the status, so only MM folds) and hand back
+fresh copies — they cannot corrupt anything and need no isolation.
 
 With a :class:`~repro.dynamic.store.SnapshotStore` attached, sessions
 also survive full service restarts via :meth:`SessionManager.restore`.
@@ -292,7 +293,8 @@ class SessionManager:
         committed onto *overlay*, O(batch + flips); under
         ``guards="full"`` the next arrays are built, compared with the
         worker's and returned in a new overlay instead.  On any failure
-        *overlay* is left as it was.
+        *overlay* still holds *version*: a fold changes no version, and
+        a commit that raises changes nothing.
         """
         kwargs = {"epoch": epoch, "version": version, "insertions": ins,
                   "deletions": dels, "guards": guards}
@@ -576,9 +578,10 @@ class SessionManager:
         """The full result object for the committed version.
 
         Built from the committed arrays by
-        :func:`~repro.dynamic.incremental.result_from_state`
-        (deterministic, no worker round-trip, no maintainer rebuild);
-        every call returns fresh arrays, so no caller aliases the
+        :meth:`~repro.dynamic.incremental.StateOverlay.result`
+        (deterministic, no worker round-trip, no maintainer rebuild; an
+        MIS answer is O(n), with no edge fold); every call returns fresh
+        arrays, so no caller aliases the
         committed state or another caller's result.  With
         ``with_version=True`` returns ``(result, version)`` read under
         the record lock, so callers that echo the version alongside the
@@ -587,7 +590,7 @@ class SessionManager:
         """
         record = self._record(session_id)
         with record.lock:
-            result = result_from_state(record.state)
+            result = record.overlay.result()
             return (result, record.version) if with_version else result
 
     def info(self, session_id: str) -> SessionInfo:

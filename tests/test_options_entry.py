@@ -1,7 +1,8 @@
 """A bad solve option fails with a typed error where it enters.
 
-``SolveOptions`` checks the prefix knobs (an integer ``>= 1`` or a
-fraction in ``(0, 1]``, at most one of them), and ``SolveRequest`` runs a
+``SolveOptions`` checks the prefix knobs by the engines' own rule
+(``resolve_prefix_size``: an integer ``>= 1`` or a fraction in ``(0, 1]``,
+at most one of them), and ``SolveRequest`` runs a
 solver problem's options dict through ``SolveOptions.from_wire``.  So no
 entry point — library, fallback chain, service, HTTP, CLI — turns a
 caller's mistake into a degraded answer, a burned retry or a worker-side
@@ -14,7 +15,9 @@ import pytest
 
 import repro
 from repro.cli import main
+from repro.core.mis.prefix import prefix_greedy_mis
 from repro.core.options import SolveOptions
+from repro.core.orderings import random_priorities
 from repro.errors import EngineError
 from repro.graphs.generators import uniform_random_graph
 from repro.graphs.io import write_adjacency_graph
@@ -48,11 +51,25 @@ def test_solve_options_reject_bad_prefix_knobs(bad):
 
 
 @pytest.mark.parametrize("good", [
-    {"prefix_size": 1}, {"prefix_size": np.int64(7)}, {"prefix_frac": 1},
-    {"prefix_frac": 0.02}, {"prefix_frac": np.float64(0.5)},
+    {"prefix_size": 1}, {"prefix_size": np.int64(7)}, {"prefix_size": 8.0},
+    {"prefix_frac": 1}, {"prefix_frac": 0.02}, {"prefix_frac": np.float64(0.5)},
 ])
 def test_good_prefix_knobs_still_pass(good):
     assert SolveOptions(**good).to_wire() == good
+
+
+@pytest.mark.parametrize("knobs, same_as", [
+    ({"prefix_size": 8.0}, {"prefix_size": 8}),
+    ({"prefix_frac": True}, {"prefix_frac": 1.0}),
+], ids=["size-integral-float", "frac-true"])
+def test_front_door_takes_what_the_engine_takes(knobs, same_as):
+    """One rule for both: an integral float (what a JSON client may send
+    for 8) is a prefix size at the front door as in a direct call."""
+    pi = random_priorities(G.num_vertices, seed=1)
+    ref = repro.solve("mis", G, pi, **same_as)
+    for got in (prefix_greedy_mis(G, pi, **knobs), repro.solve("mis", G, pi, **knobs)):
+        assert np.array_equal(got.status, ref.status)
+        assert got.stats.rounds == ref.stats.rounds
 
 
 @pytest.mark.parametrize("fallback", [False, True])
@@ -105,6 +122,9 @@ def test_http_answers_400():
                 gw.address, "POST", "/v1/solve", {"graph": "g", "seed": 1, "options": bad})
             assert status == 400, body
             assert "prefix" in body["message"]
+        status, _, body = request_json(
+            gw.address, "POST", "/v1/solve", {"graph": "g", "seed": 1, "options": {"prefix_size": 8.0}})
+        assert status == 200, body
 
 
 def test_cli_exits_2(tmp_path, capsys):

@@ -174,19 +174,21 @@ class TestParallelEngineThroughService:
 
         from repro.service.service import _Ticket
 
+        # One knob per request: a request may not carry both.
         svc = SolverService(ServiceConfig(workers=1))
-        req = SolveRequest(
-            problem="mis", payload=graph, ranks=ranks,
-            method="prefix",
-            options={"prefix_size": 8, "seed": 3},
-        )
-        ticket = _Ticket(1, req, time.monotonic())
-        primary = svc._build_job(ticket, "prefix", time.monotonic())
-        assert primary["options"]["prefix_size"] == 8
-        degraded = svc._build_job(ticket, "rootset-vec", time.monotonic())
-        assert "prefix_size" not in degraded["options"]
-        assert "prefix_frac" not in degraded["options"]
-        assert degraded["options"]["seed"] == 3  # generic knobs survive
+        for knob, value in (("prefix_size", 8), ("prefix_frac", 0.5)):
+            req = SolveRequest(
+                problem="mis", payload=graph, ranks=ranks,
+                method="prefix",
+                options={knob: value, "seed": 3},
+            )
+            ticket = _Ticket(1, req, time.monotonic())
+            primary = svc._build_job(ticket, "prefix", time.monotonic())
+            assert primary["options"][knob] == value
+            degraded = svc._build_job(ticket, "rootset-vec", time.monotonic())
+            assert "prefix_size" not in degraded["options"]
+            assert "prefix_frac" not in degraded["options"]
+            assert degraded["options"]["seed"] == 3  # generic knobs survive
 
 
 class TestChaosWithSharedGraphs:

@@ -1,16 +1,17 @@
 """A committed session version costs O(batch + affected) array work.
 
-A maintainer records the edges a batch touched and folds them into its
-sorted key/row arrays only when something reads those arrays, or when the
-touched set passes ``_FOLD_SHARE`` of m.  The parent commits each batch
-onto a :class:`~repro.dynamic.incremental.StateOverlay` (inserted rows,
-deleted keys, flipped values over base arrays that carry their sorted
-keys) and folds it only where arrays are read.  These tests pin:
+A maintainer and a session's parent each commit every batch onto a
+:class:`~repro.dynamic.incremental.StateOverlay` (inserted rows, deleted
+keys, flipped values over base arrays that carry their sorted keys) and
+fold it into the sorted arrays only when something reads them, or when
+it would pass ``_FOLD_SHARE`` of m.  These tests pin:
 
 * the allocation of one 4-edge batch, in the maintainer and in the
   parent's commit, does not grow with m;
 * after every batch of each overlay case, the maintainer, the parent's
   overlay, a fold of either and a from-scratch sequential solve agree;
+* a commit or fold that raises leaves the overlay, and a session's
+  version, as they were; an MIS read folds no edge row;
 * the bytes a session writes (snapshot files and log records) for one
   fixed mutation stream, pinned by sha256.
 """
@@ -36,6 +37,7 @@ from repro.dynamic.incremental import (
     edge_priority,
     result_from_state,
 )
+from repro.dynamic.store import SnapshotStore
 from repro.graphs.builders import from_edges
 from repro.graphs.csr import EdgeList
 from repro.graphs.generators import powerlaw_cluster_graph
@@ -154,7 +156,7 @@ class _Follower:
         self.pure = apply_flips(self.pure, ins, dels, inc.last_flips)
         self.pure["counters"] = inc.counters.aux()
         self.live = (self.live - set(dels)) | set(ins)
-        self.seen["pending_batches"] += bool(inc._touched) and bool(overlay._edges)
+        self.seen["pending_batches"] += bool(inc._overlay._edges) and bool(overlay._edges)
         self.check()
 
     def check(self):
@@ -166,12 +168,15 @@ class _Follower:
         ref = _scratch(inc, self.live)
         got = result_from_state(parent)
         assert np.array_equal(got.status, ref.status)
+        read = copy.deepcopy(self.overlay).result()
+        assert np.array_equal(read.status, got.status) and np.array_equal(read.ranks, got.ranks)
+        assert read.stats == got.stats
         assert (inc.m, inc.size) == (self.overlay.m, self.overlay.size) == (len(self.live), ref.size)
 
     def read(self):
         """A read between batches: both sides fold for real."""
         _same_arrays(self.overlay.fold(), self.inc.to_state())
-        assert not self.inc._touched and not self.overlay._edges
+        assert not self.inc._overlay._edges and not self.overlay._edges
         self.check()
 
 
@@ -244,21 +249,155 @@ def test_the_touched_bound_folds_both_sides(monkeypatch, problem):
     rng = np.random.default_rng(2)
     folds = {"worker": 0, "parent": 0}
     for _ in range(24):
-        before = (len(f.inc._touched), len(f.overlay._edges))
+        sides = {"worker": f.inc._overlay, "parent": f.overlay}
+        bases = {side: overlay._state for side, overlay in sides.items()}
         _toggles(f, rng, 1)
-        folds["worker"] += len(f.inc._touched) < before[0]
-        folds["parent"] += len(f.overlay._edges) < before[1]
-        bound = 0.04 * f.inc.m
-        assert len(f.inc._touched) <= bound and len(f.overlay._edges) + len(f.overlay._status) <= bound
+        for side, overlay in sides.items():
+            folded = overlay._state is not bases[side]
+            folds[side] += folded
+            pending = len(overlay._edges) + len(overlay._status)
+            # A commit folds before it would pass the bound; what it then
+            # leaves pending is its own batch.
+            assert pending <= (8 + len(f.inc.last_flips) if folded else 0.04 * f.inc.m)
     assert folds["worker"] >= 3 and folds["parent"] >= 3, folds
 
 
 def test_the_shipped_share_folds_small_graphs_every_batch():
+    """At m ~ 440 the shipped share is under one batch: each commit folds
+    the one before it, so only the last batch is pending."""
     graph = powerlaw_cluster_graph(150, 3, 0.5, seed=2)
     f = _Follower("matching", graph, seed=2)
-    _toggles(f, np.random.default_rng(2), 3)
+    rng = np.random.default_rng(2)
     assert incremental._FOLD_SHARE * f.inc.m < 8
-    assert not f.inc._touched and not f.overlay._edges
+    n, prev = f.inc.n, []
+    for _ in range(4):
+        pool = sorted(f.live - set(prev))
+        dels = [pool[i] for i in sorted(rng.choice(len(pool), size=4, replace=False))]
+        f.apply(prev, dels)
+        batch = {a * n + b for a, b in prev + dels} | {a * n + b for a, b, _ in f.inc.last_flips}
+        for overlay in (f.inc._overlay, f.overlay):
+            assert set(overlay._edges) == batch
+        prev = dels
+
+
+# -- failures leave the overlay as it was -------------------------------------
+
+
+def _no_memory(*args, **kwargs):
+    raise MemoryError("fold")
+
+
+def _view(overlay):
+    """Everything a commit or fold writes, copied (or by identity for the
+    arrays, which neither step may write)."""
+    return (overlay._state, overlay._keys, copy.deepcopy(overlay._edges),
+            dict(overlay._status), overlay._counters, overlay.m, overlay.size)
+
+
+def _same_view(a, b):
+    assert a[0] is b[0] and a[1] is b[1] and a[4] is b[4]
+    assert a[2:4] == b[2:4] and a[5:] == b[5:]
+
+
+@pytest.mark.parametrize("problem", ["mis", "matching"])
+def test_a_commit_or_fold_that_raises_changes_nothing(lazy, monkeypatch, problem):
+    """A commit folds before its first write, and a fold builds its arrays
+    before it swaps them in: either one raising (a MemoryError in the
+    O(m) copy, say) leaves the overlay holding the version it held."""
+    f = _Follower(problem, powerlaw_cluster_graph(120, 3, 0.5, seed=9), seed=9)
+    _toggles(f, np.random.default_rng(9), 3)
+    overlay = f.overlay
+    before = _view(overlay)
+    assert overlay._edges
+    with monkeypatch.context() as patch:
+        patch.setattr(incremental, "_splice", _no_memory)
+        with pytest.raises(MemoryError):
+            overlay.fold()
+        _same_view(_view(overlay), before)
+        patch.setattr(incremental, "_FOLD_SHARE", 0.0)   # the commit folds first
+        with pytest.raises(MemoryError):
+            overlay.commit([], [sorted(f.live)[0]], [], {})
+        _same_view(_view(overlay), before)
+    if problem == "mis":   # a fold that fails after its splice
+        with monkeypatch.context() as patch:
+            patch.setattr(StateOverlay, "_status_array", _no_memory)
+            with pytest.raises(MemoryError):
+                overlay.fold()
+            _same_view(_view(overlay), before)
+    _same_arrays(overlay.fold(), f.pure)
+
+
+def test_an_mis_read_folds_no_edge_row(lazy, monkeypatch):
+    """An MIS answer reads the status, the ranks and m: the parent's read
+    writes the pending flips over a copy of the status and leaves the
+    edge rows pending, so it costs O(n), not O(m)."""
+    f = _Follower("mis", powerlaw_cluster_graph(120, 3, 0.5, seed=4), seed=4)
+    _toggles(f, np.random.default_rng(4), 5)
+    before = _view(f.overlay)
+    assert f.overlay._edges and f.overlay._status
+    expected = result_from_state(copy.deepcopy(f.overlay).fold())
+    monkeypatch.setattr(incremental, "_splice", _no_memory)
+    got = f.overlay.result()
+    _same_view(_view(f.overlay), before)
+    assert np.array_equal(got.status, expected.status) and np.array_equal(got.ranks, expected.ranks)
+    assert got.stats == expected.stats and got.status is not f.overlay._state["status"]
+
+
+@pytest.mark.service
+@pytest.mark.parametrize("problem", ["mis", "matching"])
+def test_a_fold_that_raises_in_a_mutate_commits_nothing(lazy, tmp_path, monkeypatch, problem):
+    """The parent's fold raising inside a mutate fails the mutate and
+    changes nothing: the version, m, size, dedup window and log stay, the
+    state a ``state_needed`` re-send then ships is the old version's, and
+    a restart replays to the state the client was told of."""
+    graph = powerlaw_cluster_graph(120, 3, 0.5, seed=8)
+    live = _live(graph)
+    ref = _maintainer(problem, graph, seed=8)
+    store = SnapshotStore(str(tmp_path))
+    svc = SolverService(ServiceConfig(workers=1, session_dir=str(tmp_path))).start()
+    try:
+        sid = svc.create_session(problem, graph, seed=8).session_id
+        for step in range(3):
+            batch = live[4 * step: 4 * step + 4]
+            svc.mutate_session(sid, [], batch, mutation_id=f"m{step}")
+            ref.apply_batch([], batch)
+        manager = svc.sessions
+        record = manager._record(sid)
+        assert record.overlay._edges   # the batches are still pending
+        expected = copy.deepcopy(record.overlay).fold()
+        before = svc.session_info(sid)
+        with monkeypatch.context() as patch:   # the parent's only: workers forked already
+            patch.setattr(incremental, "_FOLD_SHARE", 0.0)
+            patch.setattr(incremental, "_splice", _no_memory)
+            with pytest.raises(MemoryError):
+                svc.mutate_session(sid, [], live[12:16], mutation_id="m3")
+        after = svc.session_info(sid)
+        assert (after.version, after.m, after.size) == (before.version, before.m, before.size) == (
+            3, ref.m, ref.size)
+        assert "m3" not in record.applied and len(store.load_log(sid, 0)) == 3
+        shipped = []
+        call = manager._call
+
+        def spy(func, kwargs, timeout_s):
+            if "state" in kwargs:
+                shipped.append(kwargs["state"])
+            return call(func, kwargs, timeout_s)
+
+        monkeypatch.setattr(manager, "_call", spy)
+        out = svc.mutate_session(sid, [], live[12:16], mutation_id="m3")
+        ref.apply_batch([], live[12:16])
+        assert len(shipped) == 1
+        _same_arrays(shipped[0], expected)
+        assert (out["version"], out["m"], out["size"]) == (4, ref.m, ref.size)
+    finally:
+        svc.shutdown()
+    svc = SolverService(ServiceConfig(workers=1, session_dir=str(tmp_path))).start()
+    try:
+        info = svc.restore_session(session_id=sid)
+        assert (info.version, info.m, info.size) == (4, ref.m, ref.size)
+        assert np.array_equal(svc.session_result(sid).status, ref.result().status)
+    finally:
+        svc.shutdown()
 
 
 # -- the service: reads and snapshots between batches ------------------------
